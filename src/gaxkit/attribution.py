@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD, ShapeError,
                        Tensor)
+from .data import nearest_resize
 from .models import predict
 
 METHODS = ("saliency", "input-x-gradient", "deconvolution", "guided-backprop",
@@ -89,15 +90,8 @@ def _deeplift(model, x: np.ndarray, target: int,
     fp_b = model.forward_graph(leaf_b)
     seed = np.zeros(fp.scores.shape)
     seed[0, target] = 1.0
-    mult = ad.rescale_multipliers(fp.scores, fp_b.scores, seed)
-    return ((x - base) * mult[id(leaf)][0]).copy()
-
-
-def _nearest_upsample(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = plane.shape
-    ri = np.minimum((np.arange(out_h) * h) // out_h, h - 1)
-    ci = np.minimum((np.arange(out_w) * w) // out_w, w - 1)
-    return plane[ri][:, ci]
+    ad.rescale_multipliers(fp.scores, fp_b.scores, seed)
+    return ((x - base) * leaf.grad[0]).copy()
 
 
 def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
@@ -112,9 +106,9 @@ def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
     weights = act.grad.mean(axis=(2, 3))           # (1, K) spatially averaged
     cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1), 0.0)
     if x.ndim == 3:
-        plane = _nearest_upsample(cam[0], x.shape[1], x.shape[2])
+        plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
         return np.broadcast_to(plane, x.shape).copy()
-    return _nearest_upsample(cam[0], 1, x.shape[0])[0]
+    return nearest_resize(cam[0], 1, x.shape[0])[0]
 
 
 def attribute(model, x, target: int, method: str, *,

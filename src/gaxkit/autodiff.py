@@ -16,6 +16,10 @@ gradients without touching the forward pass:
 
 Only plain ``relu`` nodes are affected by the overrides; every other op
 (including ``leaky_relu``) always uses its standard gradient.
+
+:meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
+rule) share one reverse sweep, and both fill ``grad`` on every graph node.
+Their finite-difference checker lives with the tests (``tests/gradcheck.py``).
 """
 
 from __future__ import annotations
@@ -40,19 +44,18 @@ class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation.
 
     ``parents`` and ``_vjp`` describe how this node was produced; leaves
-    have neither.  ``grad`` is filled in by :meth:`backward` for every node
-    reachable from the root, with the same shape as ``data``.
+    have neither.  ``grad``, shaped like ``data``, is filled in on every node
+    reachable from the root by :meth:`backward` or :func:`rescale_multipliers`.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "_vjp", "_ctx")
+    __slots__ = ("data", "grad", "op", "parents", "_vjp")
 
-    def __init__(self, data, parents=(), op="leaf", vjp=None, ctx=None):
+    def __init__(self, data, parents=(), op="leaf", vjp=None):
         self.data = _arr(data)
         self.grad: np.ndarray | None = None
         self.op = op
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self._vjp = vjp
-        self._ctx = ctx
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,31 +65,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
-
-    # arithmetic sugar; scalars are handled without materializing constants
-    def __add__(self, other):
-        return shift(self, other) if np.isscalar(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return shift(self, -other) if np.isscalar(other) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if np.isscalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if np.isscalar(other) else div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def backward(self, seed=None, rule: str = RULE_STANDARD) -> None:
         """Populate ``grad`` on every node reachable from this root.
@@ -99,24 +79,28 @@ class Tensor:
         if seed is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without a seed requires a scalar root")
-            seed_arr = np.ones_like(self.data)
-        else:
-            seed_arr = _arr(seed)
-            if seed_arr.shape != self.data.shape:
-                raise ShapeError(
-                    f"backward seed shape {seed_arr.shape} does not match "
-                    f"root shape {self.data.shape}"
-                )
-        order = _topo(self)
-        for node in order:
-            node.grad = np.zeros_like(node.data)
-        self.grad = seed_arr.copy()
-        for node in reversed(order):
-            if node._vjp is None:
-                continue
-            for parent, pg in zip(node.parents, node._vjp(node.grad, rule)):
-                if pg is not None:
-                    parent.grad += pg
+            seed = np.ones_like(self.data)
+        _backprop(self, _topo(self), seed,
+                  lambda node: node._vjp(node.grad, rule))
+
+
+def _backprop(root: Tensor, order: list[Tensor], seed, pull) -> None:
+    """Zero ``grad`` over ``order`` (``_topo(root)``), seed the root, then add
+    ``pull(node)`` (one gradient per parent) into the parents in reverse."""
+    seed_arr = _arr(seed)
+    if seed_arr.shape != root.data.shape:
+        raise ShapeError(
+            f"backward seed shape {seed_arr.shape} does not match "
+            f"root shape {root.data.shape}")
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    root.grad = seed_arr.copy()
+    for node in reversed(order):
+        if node._vjp is None:
+            continue
+        for parent, pg in zip(node.parents, pull(node)):
+            if pg is not None:
+                parent.grad += pg
 
 
 def _topo(root: Tensor) -> list[Tensor]:
@@ -160,15 +144,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return Tensor(ad * bd, (a, b), "mul", lambda g, r: (g * bd, g * ad))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise ValueError("div: zero denominator")
-    ad, bd = a.data, b.data
-    return Tensor(ad / bd, (a, b), "div",
-                  lambda g, r: (g / bd, -g * ad / (bd * bd)))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -218,7 +193,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     slope = float(slope)
     factor = np.where(a.data > 0, 1.0, slope)
     return Tensor(np.where(a.data > 0, a.data, slope * a.data), (a,),
-                  "leaky-relu", lambda g, r: (g * factor,), ctx={"slope": slope})
+                  "leaky-relu", lambda g, r: (g * factor,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -373,18 +348,6 @@ def max_pool2d(x: Tensor, size: int = 2, stride: int | None = None) -> Tensor:
     return Tensor(out, (x,), "max-pool", vjp)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean of a (N, C, H, W) tensor, returning (N, C)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"global_avg_pool: expected 4D input, got {x.shape}")
-    n, c, h, w = x.shape
-    area = h * w
-    out = x.data.mean(axis=(2, 3))
-    return Tensor(out, (x,), "global-avg-pool",
-                  lambda g, r: (np.broadcast_to(g[:, :, None, None] / area,
-                                                x.shape).copy(),))
-
-
 # ---------------------------------------------------------------------------
 # reductions and selections
 
@@ -451,21 +414,8 @@ def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
 _RESCALE_OPS = ("relu", "leaky-relu", "sigmoid", "tanh")
 
 
-def _local_derivative(node: Tensor, parent: Tensor) -> np.ndarray:
-    if node.op == "relu":
-        return (parent.data > 0).astype(np.float64)
-    if node.op == "leaky-relu":
-        slope = node._ctx["slope"]
-        return np.where(parent.data > 0, 1.0, slope)
-    if node.op == "sigmoid":
-        return node.data * (1.0 - node.data)
-    if node.op == "tanh":
-        return 1.0 - node.data * node.data
-    raise ValueError(f"no local derivative for op {node.op!r}")
-
-
 def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed,
-                        near_zero: float = 1e-9) -> dict[int, np.ndarray]:
+                        near_zero: float = 1e-9) -> None:
     """Backward pass computing rescale-rule contribution multipliers.
 
     Requires two structurally identical graphs: one evaluated at the input
@@ -474,8 +424,8 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed,
     falling back to the local derivative where the input difference is
     within ``near_zero``; all other ops propagate like standard gradients.
 
-    Returns a mapping from ``id(node)`` in the main graph to that node's
-    accumulated multiplier.
+    Like :meth:`Tensor.backward`, fills ``grad`` on every node of the main
+    graph with that node's accumulated multiplier.
     """
     order = _topo(root)
     order_b = _topo(baseline_root)
@@ -483,27 +433,16 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed,
             a.op != b.op or a.shape != b.shape for a, b in zip(order, order_b)):
         raise ValueError("baseline graph structure differs from the main graph")
     twin = {id(a): b for a, b in zip(order, order_b)}
-    seed_arr = _arr(seed)
-    if seed_arr.shape != root.shape:
-        raise ShapeError(
-            f"seed shape {seed_arr.shape} does not match root shape {root.shape}")
-    mult: dict[int, np.ndarray] = {id(n): np.zeros_like(n.data) for n in order}
-    mult[id(root)] = seed_arr.copy()
-    for node in reversed(order):
-        if node._vjp is None:
-            continue
-        m = mult[id(node)]
-        if node.op in _RESCALE_OPS:
-            parent = node.parents[0]
-            node_b = twin[id(node)]
-            din = parent.data - node_b.parents[0].data
-            dout = node.data - node_b.data
-            ratio = np.where(np.abs(din) < near_zero,
-                             _local_derivative(node, parent),
-                             dout / np.where(np.abs(din) < near_zero, 1.0, din))
-            mult[id(parent)] += m * ratio
-        else:
-            for parent, pg in zip(node.parents, node._vjp(m, RULE_STANDARD)):
-                if pg is not None:
-                    mult[id(parent)] += pg
-    return mult
+
+    def pull(node):
+        if node.op not in _RESCALE_OPS:
+            return node._vjp(node.grad, RULE_STANDARD)
+        node_b = twin[id(node)]
+        din = node.parents[0].data - node_b.parents[0].data
+        dout = node.data - node_b.data
+        small = np.abs(din) < near_zero
+        local = node._vjp(np.ones_like(node.data), RULE_STANDARD)[0]
+        return (node.grad * np.where(small, local,
+                                     dout / np.where(small, 1.0, din)),)
+
+    _backprop(root, order, seed, pull)

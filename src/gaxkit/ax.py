@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attribution import Heatmap, attribute_at_predicted
+from .attribution import Heatmap, attribute, normalize
 from .autodiff import ShapeError
 from .models import predict
 
@@ -133,12 +133,12 @@ def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
         for method in methods:
             try:
                 pred, _ = predict(model, x)
-                heat = attribute_at_predicted(model, x, method, **kwargs)
+                heat = normalize(attribute(model, x, pred, method, **kwargs))
                 for variant in variants:
                     score = co_score(model, x, heat, truth, variant)
                     records.append(ScoreRecord(sid, method, variant, score,
                                                pred, truth))
-            except Exception as exc:  # noqa: BLE001 - sweep must survive samples
+            except (ValueError, KeyError) as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
     records.sort(key=lambda r: (r.sample_id, r.method, r.variant))
     return records, errors
@@ -167,15 +167,21 @@ def _auroc(positive: np.ndarray, negative: np.ndarray) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def select_records(records, method: str | None = None,
+                   variant: str | None = None) -> list[ScoreRecord]:
+    """Records of one method and one variant; ``None`` matches any."""
+    return [r for r in records
+            if (method is None or r.method == method)
+            and (variant is None or r.variant == variant)]
+
+
 def gap_stats(records, method: str | None = None,
               variant: str | None = None) -> GapStats:
     """Distribution summary of CO scores split by prediction correctness.
 
     With only one group present the comparison fields stay ``None``.
     """
-    selected = [r for r in records
-                if (method is None or r.method == method)
-                and (variant is None or r.variant == variant)]
+    selected = select_records(records, method, variant)
     if not selected:
         raise ValueError("gap_stats: no records match the filter")
     correct = np.array([r.co_score for r in selected if r.correct])

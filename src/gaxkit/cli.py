@@ -18,9 +18,8 @@ import numpy as np
 from . import ax as ax_mod
 from . import gax as gax_mod
 from . import toy as toy_mod
-from .attribution import METHODS, attribute, attribute_at_predicted, normalize
-from .data import (DatasetSpec, Split, channel_affine, gen_data,
-                   ingest_images, load_dataset)
+from .attribution import METHODS, attribute, normalize
+from .data import DatasetSpec, gen_data, ingest_images, load_dataset
 from .formats import export_heatmap
 from .gax import GaxConfig
 from .models import MiniConvNet, predict
@@ -59,28 +58,6 @@ def _shape(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace("x", ",").split(","))
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _add_affine_flags(p) -> None:
-    # classification-path channel normalization; heatmap optimization
-    # keeps raw [0, 1] inputs, so the gax subcommand has no such flags
-    p.add_argument("--norm-mean", type=_floats, default=None,
-                   help="per-channel means, e.g. 0.485,0.456,0.406")
-    p.add_argument("--norm-std", type=_floats, default=None,
-                   help="per-channel stds, e.g. 0.229,0.224,0.225")
-
-
-def _apply_affine(split: Split, args) -> Split:
-    if args.norm_mean is None and args.norm_std is None:
-        return split
-    if args.norm_mean is None or args.norm_std is None:
-        raise ValueError("--norm-mean and --norm-std must be given together")
-    x = channel_affine(split.x, args.norm_mean, args.norm_std)
-    return Split(x, split.y, split.ids, split.class_names)
-
-
 def _csv_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -104,6 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file seeding flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--model", required=True)
+    inputs.add_argument("--data", required=True)
+    inputs.add_argument("--split", default="test")
+    inputs.add_argument("--resize", type=_shape, default=None,
+                        help="H,W for ingesting raw class directories")
+    inputs.add_argument("--stack", action="store_true",
+                        help="stack grayscale images to 3 channels on ingest")
+
     p = sub.add_parser("gen-data", help="generate a synthetic blob dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=2)
@@ -112,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=int, default=250)
     p.add_argument("--shape", type=_shape, default=(3, 32, 32),
                    help="image shape C,H,W")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train the small conv net on a dataset")
     p.add_argument("--data", required=True)
@@ -125,16 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--beta1", type=float, default=0.5)
     p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("attribute", help="export one heatmap for one sample")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--resize", type=_shape, default=None,
-                   help="H,W for ingesting raw class directories")
-    p.add_argument("--stack", action="store_true",
-                   help="stack grayscale images to 3 channels on ingest")
+    p = sub.add_parser("attribute", parents=[inputs],
+                       help="export one heatmap for one sample")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--method", default="saliency",
                    help=f"one of {', '.join(METHODS)}")
@@ -143,20 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs", action="store_true",
                    help="absolute-value visualization variant")
     p.add_argument("--out", required=True, help="output stem (no extension)")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("ax-sweep", help="compute CO scores over a split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--resize", type=_shape, default=None,
-                   help="H,W for ingesting raw class directories")
-    p.add_argument("--stack", action="store_true",
-                   help="stack grayscale images to 3 channels on ingest")
+    p = sub.add_parser("ax-sweep", parents=[inputs],
+                       help="compute CO scores over a split")
     p.add_argument("--methods", type=_csv_list, default=list(METHODS))
     p.add_argument("--variants", type=_csv_list, default=["sum", "mul"])
     p.add_argument("--out", required=True, help="scores CSV path")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gap-stats", help="gap statistics from a scores CSV")
     p.add_argument("--scores", required=True)
@@ -165,16 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist", default=None, help="histogram CSV to write")
     p.add_argument("--bins", type=int, default=40)
     p.add_argument("--out", default=None, help="stats text file to write")
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gax", help="optimize confidence-maximizing heatmaps")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--resize", type=_shape, default=None,
-                   help="H,W for ingesting raw class directories")
-    p.add_argument("--stack", action="store_true",
-                   help="stack grayscale images to 3 channels on ingest")
+    p = sub.add_parser("gax", parents=[inputs],
+                       help="optimize confidence-maximizing heatmaps")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--target-co", type=float, default=48.0)
     p.add_argument("--lr", type=float, default=0.1)
@@ -190,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=10)
     p.add_argument("--first-n", type=int, default=None,
                    help="optimize only the first N correct samples")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("toy-sweep", help="closed-form rotation sweep CSV")
     p.add_argument("--a1", type=float, default=0.95)
@@ -200,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float, default=np.pi)
     p.add_argument("--points", type=int, default=97)
     p.add_argument("--out", required=True, help="sweep CSV path")
-    p.add_argument("--seed", type=int, default=0)
 
+    for p in sub.choices.values():      # every subcommand takes a seed
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -238,12 +201,9 @@ def _cmd_attribute(args) -> int:
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, args.resize, args.stack)
     x = split.x[args.index]
-    if args.target is None:
-        heat = attribute_at_predicted(model, x, args.method,
-                                      abs_values=args.abs)
-    else:
-        heat = normalize(attribute(model, x, args.target, args.method,
-                                   abs_values=args.abs))
+    target = predict(model, x)[0] if args.target is None else args.target
+    heat = normalize(attribute(model, x, target, args.method,
+                               abs_values=args.abs))
     paths = export_heatmap(heat, args.out)
     print(f"sample {split.ids[args.index]}: method={args.method} "
           f"target={heat.target_class}; wrote {paths['raw']}")
@@ -287,11 +247,10 @@ def _cmd_gap_stats(args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    selected = [r for r in records
-                if (args.method is None or r.method == args.method)
-                and (args.variant is None or r.variant == args.variant)]
     if args.hist:
-        ax_mod.write_histogram_csv(selected, args.hist, bins=args.bins)
+        ax_mod.write_histogram_csv(
+            ax_mod.select_records(records, args.method, args.variant),
+            args.hist, bins=args.bins)
     return 0
 
 

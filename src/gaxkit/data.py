@@ -21,7 +21,6 @@ SPLITS = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    kind: str = "synthetic-blobs"
     class_count: int = 2
     train: int = 400
     val: int = 100
@@ -30,8 +29,6 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("synthetic-blobs", "image-dir"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if min(self.train, self.val, self.test) < 0:
@@ -183,35 +180,11 @@ def load_dataset(root) -> Dataset:
 
 def gen_data(spec: DatasetSpec, out_dir) -> Path:
     """Generate and persist a synthetic dataset; returns the manifest path."""
-    if spec.kind != "synthetic-blobs":
-        raise ValueError("gen_data only generates synthetic-blobs datasets")
     return write_dataset(make_blobs(spec), out_dir)
 
 
-def channel_affine(x: np.ndarray, mean, std) -> np.ndarray:
-    """Per-channel (x - mean) / std for (C, H, W) or (N, C, H, W) arrays.
-
-    Intended for classification paths only; heatmap optimization requires
-    raw [0, 1] inputs, so never feed affine-normalized data to it.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    channels = x.shape[0] if x.ndim == 3 else x.shape[1]
-    if mean.shape != (channels,) or std.shape != (channels,):
-        raise ValueError(
-            f"mean/std must have shape ({channels},), got {mean.shape} "
-            f"and {std.shape}")
-    if np.any(std == 0.0):
-        raise ValueError("std must be nonzero")
-    if x.ndim == 3:
-        return (x - mean[:, None, None]) / std[:, None, None]
-    if x.ndim == 4:
-        return (x - mean[None, :, None, None]) / std[None, :, None, None]
-    raise ValueError(f"expected (C, H, W) or (N, C, H, W), got {x.shape}")
-
-
-def _nearest_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+def nearest_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest-neighbour resize over the first two axes."""
     h, w = img.shape[:2]
     ri = np.minimum((np.arange(out_h) * h) // out_h, h - 1)
     ci = np.minimum((np.arange(out_w) * w) // out_w, w - 1)
@@ -242,7 +215,7 @@ def ingest_images(directory, resize_to: tuple[int, int],
             except ValueError as exc:
                 warnings.warn(f"skipping {f}: {exc}")
                 continue
-            img = _nearest_resize(img, out_h, out_w)
+            img = nearest_resize(img, out_h, out_w)
             if img.ndim == 2:
                 chans = np.repeat(img[None], 3, axis=0) if grayscale_stack \
                     else img[None]

@@ -25,6 +25,9 @@ from .optim import Adam
 from .formats import export_heatmap
 
 
+W_INIT, BIAS_INIT = 1.0, 0.01      # h starts at tanh(x) or tanh(x + 0.01)
+
+
 @dataclass(frozen=True)
 class GaxConfig:
     target_co: float = 48.0
@@ -35,8 +38,6 @@ class GaxConfig:
     similarity_factor: float = 100.0
     epsilon: float = 1e-4
     use_bias: bool = False
-    bias_init: float = 0.01
-    w_init: float = 1.0
     snapshot_every: int = 10
 
     def __post_init__(self):
@@ -127,13 +128,12 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
             "pass allow_misclassified=True to optimize anyway")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
     fx = model.scores(x[None])
-    w = np.full(x.shape, cfg.w_init)
-    b = np.full(x.shape, cfg.bias_init) if cfg.use_bias else None
+    w = np.full(x.shape, W_INIT)
+    b = np.full(x.shape, BIAS_INIT) if cfg.use_bias else None
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2)
     trace = GaxTrace(sample_id, [])
     snap_dir = Path(out_dir) / sample_id if out_dir is not None else None
-    heat = Heatmap(np.tanh(cfg.w_init * x + (0.0 if b is None else
-                                             cfg.bias_init)),
+    heat = Heatmap(np.tanh(W_INIT * x + (0.0 if b is None else BIAS_INIT)),
                    "gax", int(groundtruth))
 
     def snapshot(step: int, values: np.ndarray) -> None:
@@ -184,7 +184,8 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
     """Run GAX over the correctly-classified samples of a split.
 
     Misclassified samples are excluded (not errors).  Other per-sample
-    failures are logged and skipped.  Returns (traces, errors).
+    failures are logged and skipped; a run stopped by a non-finite loss
+    keeps its trace and is logged too.  Returns (traces, errors).
     """
     traces: list[GaxTrace] = []
     errors: list[tuple[str, str]] = []
@@ -203,9 +204,12 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
         try:
             trace, _ = gax_run(model, x, truth, cfg, sample_id=sid,
                                out_dir=out_dir)
-            traces.append(trace)
-        except Exception as exc:  # noqa: BLE001 - sweep must survive samples
+        except (ValueError, KeyError) as exc:  # data errors; bugs propagate
             errors.append((sid, str(exc)))
+            continue
+        traces.append(trace)
+        if trace.error is not None:
+            errors.append((sid, trace.error))
     return traces, errors
 
 

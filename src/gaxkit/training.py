@@ -74,20 +74,13 @@ def evaluate(model, split) -> Metrics:
     return Metrics(acc, float(np.mean(precisions)), float(np.mean(recalls)))
 
 
-def accuracy(model, split) -> float:
-    if len(split.y) == 0:
-        raise ValueError("accuracy: empty split")
-    pred = _batched_scores(model, split.x).argmax(axis=1)
-    return float((pred == split.y).mean())
-
-
 def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
-          batch_size: int = 32, seed: int = 0,
-          eval_split: str = "test") -> TrainResult:
+          batch_size: int = 32, seed: int = 0) -> TrainResult:
     """Fit ``model`` in place on ``dataset.train``; returns run metrics.
 
-    Model parameters stay on the float32 grid (see ``snap32``) so a
-    trained model serializes losslessly.
+    Metrics are taken on the test split (the validation split when the
+    test split is empty).  Model parameters stay on the float32 grid (see
+    ``snap32``) so a trained model serializes losslessly.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -120,16 +113,18 @@ def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
         iterations_run = it
         if (stop.target_val_accuracy is not None
                 and it % stop.val_every == 0 and it >= stop.min_iterations):
-            acc = accuracy(model, dataset.val)
+            acc = evaluate(model, dataset.val).accuracy
             val_history.append((it, acc))
             if acc >= stop.target_val_accuracy:
                 stop_reason = "target-accuracy"
                 break
 
-    held_out = getattr(dataset, eval_split)
-    if len(held_out.y) == 0:
-        held_out = dataset.val
-    final_val = accuracy(model, dataset.val) if len(dataset.val.y) else float("nan")
+    held_out = dataset.test if len(dataset.test.y) else dataset.val
+    if val_history and val_history[-1][0] == iterations_run:
+        final_val = val_history[-1][1]   # checked after the last update
+    else:
+        final_val = (evaluate(model, dataset.val).accuracy
+                     if len(dataset.val.y) else float("nan"))
     return TrainResult(
         metrics=evaluate(model, held_out),
         val_accuracy=final_val,

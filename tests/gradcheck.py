@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from gaxkit.autodiff import Tensor
 
 
 def numeric_gradient(f, arrays, index: int, step: float = 1e-6) -> np.ndarray:

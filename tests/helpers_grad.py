@@ -57,12 +57,6 @@ def op_cases():
         a, b = _smooth(rng, (2, 5)), _smooth(rng, (2, 5))
         return [a, b], lambda x, y: _scalarize(ad.mul(x, y))
 
-    @case("div")
-    def _(rng):
-        a = _smooth(rng, (6,))
-        b = _kink_safe(rng, (6,), margin=0.4)
-        return [a, b], lambda x, y: _scalarize(ad.div(x, y))
-
     @case("neg")
     def _(rng):
         a = _smooth(rng, (7,))
@@ -161,11 +155,6 @@ def op_cases():
         x = _distinct(rng, (1, 2, 5, 5))
         return [x], lambda a: _scalarize(
             ad.square(ad.max_pool2d(a, 2, stride=stride)))
-
-    @case("global_avg_pool")
-    def _(rng):
-        x = _smooth(rng, (2, 3, 4, 4))
-        return [x], lambda a: _scalarize(ad.square(ad.global_avg_pool(a)))
 
     @case("sum_all")
     def _(rng):

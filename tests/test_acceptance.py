@@ -20,7 +20,7 @@ from gaxkit.data import Split
 from gaxkit.formats import (read_gaxh, read_gaxm, read_pgm, read_ppm,
                             write_gaxh, write_gaxm, write_pgm, write_ppm)
 from gaxkit.gax import _loss_graph
-from gaxkit.gradcheck import (check_gradients, max_relative_error,
+from gradcheck import (check_gradients, max_relative_error,
                               numeric_gradient)
 from gaxkit.models import ForwardPass
 from gaxkit.toy import ToyInstance, closed_form_heatmap, delta_gradient, \

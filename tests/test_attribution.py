@@ -185,6 +185,36 @@ class TestInvariantsOnRandomNets:
         f0 = conv_model.scores(np.zeros_like(x)[None])[0, target]
         assert h.values.sum() == pytest.approx(fx - f0, rel=1e-6)
 
+    @pytest.mark.parametrize("sigma", ["sigmoid", "tanh", "leaky-relu"])
+    def test_deeplift_rescale_on_smooth_activations(self, sigma):
+        # the toy classifier's only nonlinearity is not a relu, so every
+        # rescale step takes the difference ratio or the near-zero fallback
+        rng = np.random.default_rng(14)
+        for theta in np.linspace(-3.0, 3.0, 7):
+            model = PerfectClassifier2D.rotation(theta, sigma=sigma,
+                                                 slope=0.2)
+            base = rng.normal(size=2)
+            fb = model.scores(base[None])[0]
+            for target in (0, 1):
+                # a step along the other class's column of W leaves the
+                # target's pre-activation at the baseline's value
+                level = base + 0.7 * model.W[:, 1 - target]
+                for x in (3.0 * rng.normal(size=2), level, base):
+                    h = attribute(model, x, target, "deeplift",
+                                  deeplift_baseline=base).values
+                    fx = model.scores(x[None])[0]
+                    assert abs(h.sum() - (fx[target] - fb[target])) <= 1e-12
+                # near-zero fallback: the local derivative at the baseline
+                h = attribute(model, level, target, "deeplift",
+                              deeplift_baseline=base).values
+                pre = (model.W_inv @ base)[target]
+                local = {"sigmoid": fb[target] * (1.0 - fb[target]),
+                         "tanh": 1.0 - fb[target] ** 2,
+                         "leaky-relu": 1.0 if pre > 0 else 0.2}[sigma]
+                np.testing.assert_allclose(
+                    h, (level - base) * local * model.W_inv[target],
+                    rtol=1e-12, atol=1e-15)
+
 
 class TestValidation:
     def test_unknown_method(self, linear_model):

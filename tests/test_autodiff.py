@@ -7,7 +7,7 @@ import pytest
 from gaxkit import autodiff as ad
 from gaxkit.autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD,
                              ShapeError, Tensor)
-from gaxkit.gradcheck import check_gradients
+from gradcheck import check_gradients
 
 from helpers_grad import op_cases
 

@@ -165,6 +165,17 @@ class TestSweep:
         assert len(errors) == len(ds.test)
         assert all("nope" in msg for _, msg in errors)
 
+    def test_programming_error_propagates(self, tiny, monkeypatch):
+        import gaxkit.attribution
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken attribution")
+
+        monkeypatch.setattr(gaxkit.attribution, "_gradient_heatmap", broken)
+        model, ds = tiny
+        with pytest.raises(TypeError, match="broken attribution"):
+            ax_sweep(model, ds.test, ["saliency"], ["sum"])
+
 
 class TestGapStats:
     def _records(self, correct_scores, wrong_scores):

@@ -141,6 +141,26 @@ def test_gax_subcommand_paper_style_flags(tiny_run, tmp_path):
     assert len(traces) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gax_logs_nonfinite_runs(tiny_run, tmp_path, capsys):
+    from gaxkit.models import MiniConvNet
+
+    data, model_path = tiny_run
+    model = MiniConvNet.load(model_path)
+    model.params["fc.b"] = np.array([np.inf, 0.0])
+    bad = tmp_path / "inf.gaxm"
+    model.save(bad)
+    out = tmp_path / "g"
+    assert main(["gax", "--model", str(bad), "--data", str(data),
+                 "--max-iterations", "3", "--out", str(out)]) == 0
+    runs = (out / "manifest.csv").read_text().splitlines()[1:]
+    log = (out / "errors.log").read_text().splitlines()
+    assert runs and len(log) == len(runs)
+    assert all(line.endswith(": non-finite loss at step 0") for line in log)
+    assert capsys.readouterr().out == (
+        f"0/{len(runs)} runs reached co >= 48.0; outputs under {out}\n")
+
+
 def test_gax_bias_defaults_on_for_dark_split(tiny_run, tmp_path, capsys,
                                              monkeypatch):
     # mostly-zero pixels trigger the automatic bias unless overridden

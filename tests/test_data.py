@@ -18,7 +18,7 @@ class TestSpec:
             DatasetSpec(class_count=1)
         with pytest.raises(ValueError):
             DatasetSpec(train=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DatasetSpec(kind="bogus")
 
 

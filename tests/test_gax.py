@@ -5,7 +5,7 @@ import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, LinearModel, MiniConvNet,
                     gax_loss, gax_run, gax_sweep, make_blobs, predict)
-from gaxkit.gradcheck import max_relative_error, numeric_gradient
+from gradcheck import max_relative_error, numeric_gradient
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,30 @@ class TestSweepAndExport:
         cfg = GaxConfig(target_co=-1e9, max_iterations=0)
         traces, _ = gax_sweep(model, tiny_ds.test, cfg)
         assert len(traces) == correct
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_loss_reported_as_error(self, tiny_ds):
+        # an infinite class-0 bias: class-0 samples count as correct, and
+        # the score difference inf - inf is NaN from the first step
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=41)
+        model.params["fc.b"] = np.array([np.inf, 0.0])
+        traces, errors = gax_sweep(model, tiny_ds.test,
+                                   GaxConfig(max_iterations=5))
+        assert traces
+        assert all(t.error == "non-finite loss at step 0"
+                   and not t.iterations for t in traces)
+        assert errors == [(t.sample_id, t.error) for t in traces]
+
+    def test_programming_error_propagates(self, tiny_model, tiny_ds,
+                                          monkeypatch):
+        import gaxkit.gax
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken loss")
+
+        monkeypatch.setattr(gaxkit.gax, "_loss_graph", broken)
+        with pytest.raises(TypeError, match="broken loss"):
+            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(max_iterations=1))
 
     def test_trace_csv_and_manifest(self, tiny_model, tiny_ds, tmp_path):
         from gaxkit import write_manifest, write_trace_csv

@@ -6,7 +6,7 @@ import pytest
 
 from gaxkit import (Adam, DatasetSpec, MiniConvNet, StopRule, evaluate,
                     make_blobs, train)
-from gaxkit.training import TrainingError, accuracy
+from gaxkit.training import TrainingError
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,7 @@ def test_separable_data_reaches_target(small_ds):
                             val_every=50), seed=2)
     assert result.val_accuracy >= 0.99
     assert result.stop_reason == "target-accuracy"
+    assert result.val_accuracy == result.val_history[-1][1]
 
 
 def test_zero_iterations_is_a_no_op(small_ds):
