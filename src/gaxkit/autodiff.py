@@ -302,13 +302,26 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     cout, cin, kh, kw = k.shape
     oh = _out_size(h, kh, stride, pad, "conv2d")
     ow = _out_size(w, kw, stride, pad, "conv2d")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if pad:
+        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad: pad + h, pad: pad + w] = x.data
+    else:
+        xp = x.data
     cols = _window_view(xp, kh, kw, stride, oh, ow)
-    out = np.einsum("ncijhw,ocij->nohw", cols, k.data, optimize=True)
+    # One GEMM per product over depth = cin*kh*kw, with the operand order and
+    # output layout of the einsum formulation kept in tests/test_conv_parity.py,
+    # so results match it bit for bit without einsum's per-call planning.
+    depth = cin * kh * kw
+    kmat = k.data.reshape(cout, depth)
+    out = (kmat @ cols.transpose(1, 2, 3, 0, 4, 5).reshape(depth, -1)
+           ).reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
     def vjp(g, rule):
-        gk = np.einsum("ncijhw,nohw->ocij", cols, g, optimize=True)
-        dcols = np.einsum("ocij,nohw->ncijhw", k.data, g, optimize=True)
+        gk = (g.transpose(1, 0, 2, 3).reshape(cout, -1)
+              @ cols.transpose(0, 4, 5, 1, 2, 3).reshape(-1, depth)
+              ).reshape(k.shape)
+        dcols = (g.transpose(0, 2, 3, 1).reshape(-1, cout) @ kmat
+                 ).reshape(n, oh, ow, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):

@@ -95,8 +95,13 @@ class GapStats:
     auroc: float | None           # co-score as a ranking of correctness
 
 
-def co_score(model, x, h, groundtruth: int, variant: str = "sum") -> float:
-    """CO score of heatmap ``h`` for one sample against its groundtruth."""
+def co_score(model, x, h, groundtruth: int, variant: str = "sum", *,
+             fx=None) -> float:
+    """CO score of heatmap ``h`` for one sample against its groundtruth.
+
+    ``fx`` is the model's raw-score vector f(x), shape (C,), when the caller
+    already has it (``predict`` returns it); otherwise it is computed here.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
     x = np.asarray(x, dtype=np.float64)
@@ -109,8 +114,11 @@ def co_score(model, x, h, groundtruth: int, variant: str = "sum") -> float:
         raise ShapeError(f"heatmap shape {values.shape} != input shape {x.shape}")
     combined = x + values if variant == "sum" else x * values
     constants = ScoreConstants(model.num_classes, int(groundtruth))
-    diff = model.scores(combined[None])[0] - model.scores(x[None])[0]
-    return constants.apply(diff)
+    if fx is None:
+        fx = model.scores(x[None])[0]
+    elif np.shape(fx) != (model.num_classes,):
+        raise ShapeError(f"fx shape {np.shape(fx)} != ({model.num_classes},)")
+    return constants.apply(model.scores(combined[None])[0] - fx)
 
 
 def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
@@ -130,12 +138,16 @@ def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
         sid = split.ids[i]
         x = split.x[i]
         truth = int(split.y[i])
+        try:
+            pred, raw = predict(model, x)
+        except (ValueError, KeyError) as exc:
+            errors.extend((sid, f"{method}: {exc}") for method in methods)
+            continue
         for method in methods:
             try:
-                pred, _ = predict(model, x)
                 heat = normalize(attribute(model, x, pred, method, **kwargs))
                 for variant in variants:
-                    score = co_score(model, x, heat, truth, variant)
+                    score = co_score(model, x, heat, truth, variant, fx=raw)
                     records.append(ScoreRecord(sid, method, variant, score,
                                                pred, truth))
             except (ValueError, KeyError) as exc:  # data errors; bugs propagate

@@ -200,6 +200,9 @@ def _cmd_train(args) -> int:
 def _cmd_attribute(args) -> int:
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, args.resize, args.stack)
+    if not 0 <= args.index < len(split):
+        raise ValueError(f"--index {args.index} out of range for a split "
+                         f"of {len(split)} samples")
     x = split.x[args.index]
     target = predict(model, x)[0] if args.target is None else args.target
     heat = normalize(attribute(model, x, target, args.method,

@@ -121,13 +121,13 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
     """
     x = np.asarray(x, dtype=np.float64)
     _check_unit_interval(x)
-    pred, _ = predict(model, x)
+    pred, raw = predict(model, x)
     if pred != int(groundtruth) and not allow_misclassified:
         raise ValueError(
             f"model predicts {pred} for a sample labeled {groundtruth}; "
             "pass allow_misclassified=True to optimize anyway")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
-    fx = model.scores(x[None])
+    fx = raw[None]
     w = np.full(x.shape, W_INIT)
     b = np.full(x.shape, BIAS_INIT) if cfg.use_bias else None
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2)

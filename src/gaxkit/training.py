@@ -28,6 +28,14 @@ class StopRule:
     min_iterations: int = 0
     val_every: int = 100
 
+    def __post_init__(self):
+        if self.val_every < 1:
+            raise ValueError(f"val_every must be >= 1, got {self.val_every}")
+        if self.max_iterations < 0 or self.min_iterations < 0:
+            raise ValueError(
+                "max_iterations and min_iterations must be >= 0, got "
+                f"{self.max_iterations} and {self.min_iterations}")
+
 
 @dataclass(frozen=True)
 class Metrics:

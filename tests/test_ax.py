@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaxkit import (DatasetSpec, Heatmap, LinearModel, MiniConvNet,
+from gaxkit import (METHODS, DatasetSpec, Heatmap, LinearModel, MiniConvNet,
                     PerfectClassifier2D, ScoreConstants, ScoreRecord, ax_sweep,
                     co_score, gap_stats, make_blobs, read_scores_csv,
                     write_histogram_csv, write_scores_csv)
@@ -29,6 +29,19 @@ class _ShiftedModel:
         from gaxkit import autodiff as ad
         shifted = ad.shift(fp.scores, self.c)
         return ForwardPass(shifted, fp.activations, fp.params)
+
+
+def _count_rows(monkeypatch, model) -> list[int]:
+    """Record the batch size of every forward pass the model runs."""
+    rows: list[int] = []
+    inner = model.forward_graph
+
+    def counting(x):
+        rows.append(len(getattr(x, "data", x)))
+        return inner(x)
+
+    monkeypatch.setattr(model, "forward_graph", counting)
+    return rows
 
 
 class TestScoreConstants:
@@ -120,6 +133,19 @@ class TestCoScore:
         with pytest.raises(ShapeError):
             co_score(model, np.zeros(2), Heatmap(np.zeros(3), "m", 0), 0)
 
+    def test_precomputed_fx_is_bitwise_equal(self):
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, size=(3, 8, 8))
+        h = Heatmap(rng.normal(0, 0.2, size=(3, 8, 8)), "saliency", 1)
+        fx = model.scores(x[None])[0]
+        for variant in ("sum", "mul"):
+            assert (co_score(model, x, h, 1, variant, fx=fx)
+                    == co_score(model, x, h, 1, variant))
+        for bad in (fx[None], np.zeros(3)):
+            with pytest.raises(ShapeError, match="fx shape"):
+                co_score(model, x, h, 1, fx=bad)
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -164,6 +190,26 @@ class TestSweep:
         assert len(records) == len(ds.test)      # saliency still swept
         assert len(errors) == len(ds.test)
         assert all("nope" in msg for _, msg in errors)
+
+    def test_one_forward_row_for_fx_per_sample(self, tiny, monkeypatch):
+        # per sample: f(x) once, 6 attributions, the DeepLIFT baseline and
+        # one f(g(x, h)) per score
+        model, ds = tiny
+        rows = _count_rows(monkeypatch, model)
+        records, errors = ax_sweep(model, ds.test, METHODS, ["sum", "mul"])
+        assert len(METHODS) == 6 and not errors
+        assert len(records) == 12 * len(ds.test)
+        assert sum(rows) == 20 * len(ds.test)
+
+    def test_failed_prediction_is_an_error_per_method(self, tiny):
+        _, ds = tiny
+        model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=10)
+        records, errors = ax_sweep(model, ds.test, ["saliency", "deeplift"],
+                                   ["sum"])
+        assert not records
+        assert len(errors) == 2 * len(ds.test)
+        assert all(msg.startswith(("saliency: predict", "deeplift: predict"))
+                   for _, msg in errors)
 
     def test_programming_error_propagates(self, tiny, monkeypatch):
         import gaxkit.attribution

@@ -123,6 +123,32 @@ def test_attribute_exports_heatmap(tiny_run, tmp_path):
     assert np.abs(values).max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("index", ["16", "99", "-1"])
+def test_attribute_index_out_of_range_is_one_line(tiny_run, tmp_path, capsys,
+                                                  index):
+    data, model = tiny_run
+    code = main(["attribute", "--model", str(model), "--data", str(data),
+                 "--split", "test", "--index", index, "--method", "saliency",
+                 "--out", str(tmp_path / "heat")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: --index {index} out of range for a split "
+                   "of 16 samples")
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_val_every_zero_is_one_line(tiny_run, tmp_path, capsys):
+    data, _ = tiny_run
+    out = tmp_path / "m.gaxm"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 "--val-every", "0", "--max-iterations", "5"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: val_every must be >= 1")
+    assert "\n" not in err
+    assert not out.exists()
+
+
 def test_gax_subcommand_paper_style_flags(tiny_run, tmp_path):
     data, model = tiny_run
     out = tmp_path / "gaxout"

@@ -119,6 +119,22 @@ class TestRun:
         assert len(trace.iterations) == 1
         assert trace.final_co == trace.iterations[0][2]
 
+    def test_one_forward_per_step_plus_fx(self, tiny_model, tiny_ds,
+                                          monkeypatch):
+        x, truth = self._correct_sample(tiny_model, tiny_ds)
+        calls = []
+        inner = tiny_model.forward_graph
+
+        def counting(t):
+            calls.append(t)
+            return inner(t)
+
+        monkeypatch.setattr(tiny_model, "forward_graph", counting)
+        cfg = GaxConfig(target_co=1e9, max_iterations=4)
+        trace, _ = gax_run(tiny_model, x, truth, cfg)
+        # f(x) once for the prediction and the score base, then one per step
+        assert len(calls) == 1 + len(trace.iterations)
+
     def test_heatmap_stays_in_tanh_range(self, tiny_model, tiny_ds):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         cfg = GaxConfig(target_co=3.0, max_iterations=100)

@@ -16,6 +16,14 @@ def small_ds():
     return make_blobs(spec)
 
 
+@pytest.mark.parametrize("kwargs", [{"val_every": 0}, {"val_every": -5},
+                                    {"max_iterations": -1},
+                                    {"min_iterations": -1}])
+def test_stop_rule_rejects_bad_counts(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        StopRule(**kwargs)
+
+
 def test_separable_data_reaches_target(small_ds):
     model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=1)
     result = train(model, small_ds,
