@@ -105,10 +105,8 @@ def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
     ad.select(fp.scores, 0, target).backward(rule=RULE_STANDARD)
     weights = act.grad.mean(axis=(2, 3))           # (1, K) spatially averaged
     cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1), 0.0)
-    if x.ndim == 3:
-        plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
-        return np.broadcast_to(plane, x.shape).copy()
-    return nearest_resize(cam[0], 1, x.shape[0])[0]
+    plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
+    return np.broadcast_to(plane, x.shape).copy()
 
 
 def attribute(model, x, target: int, method: str, *,
@@ -140,7 +138,7 @@ def attribute(model, x, target: int, method: str, *,
     return Heatmap(values=values, method=method, target_class=target)
 
 
-def attribute_at_predicted(model, x, method: str, **kwargs) -> Heatmap:
+def attribute_at_predicted(model, x, method: str) -> Heatmap:
     """Heatmap for the model's own prediction, normalized to peak one."""
     pred, _ = predict(model, x)
-    return normalize(attribute(model, x, pred, method, **kwargs))
+    return normalize(attribute(model, x, pred, method))

@@ -425,17 +425,17 @@ def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
 # contribution backward pass (rescale rule)
 
 _RESCALE_OPS = ("relu", "leaky-relu", "sigmoid", "tanh")
+_NEAR_ZERO = 1e-9
 
 
-def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed,
-                        near_zero: float = 1e-9) -> None:
+def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed) -> None:
     """Backward pass computing rescale-rule contribution multipliers.
 
     Requires two structurally identical graphs: one evaluated at the input
     of interest, one at the baseline.  Elementwise nonlinearities propagate
     the finite-difference ratio (out - out_baseline) / (in - in_baseline),
     falling back to the local derivative where the input difference is
-    within ``near_zero``; all other ops propagate like standard gradients.
+    within ``_NEAR_ZERO``; all other ops propagate like standard gradients.
 
     Like :meth:`Tensor.backward`, fills ``grad`` on every node of the main
     graph with that node's accumulated multiplier.
@@ -453,7 +453,7 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed,
         node_b = twin[id(node)]
         din = node.parents[0].data - node_b.parents[0].data
         dout = node.data - node_b.data
-        small = np.abs(din) < near_zero
+        small = np.abs(din) < _NEAR_ZERO
         local = node._vjp(np.ones_like(node.data), RULE_STANDARD)[0]
         return (node.grad * np.where(small, local,
                                      dout / np.where(small, 1.0, din)),)

@@ -121,8 +121,7 @@ def co_score(model, x, h, groundtruth: int, variant: str = "sum", *,
     return constants.apply(model.scores(combined[None])[0] - fx)
 
 
-def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
-             attribute_kwargs: dict | None = None
+def ax_sweep(model, split, methods, variants=("sum", "mul")
              ) -> tuple[list[ScoreRecord], list[tuple[str, str]]]:
     """Score every (sample, method, variant) combination of a split.
 
@@ -130,7 +129,6 @@ def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
     Per-sample failures are collected, not fatal; returns (records, errors)
     with records sorted for deterministic export.
     """
-    kwargs = attribute_kwargs or {}
     records: list[ScoreRecord] = []
     errors: list[tuple[str, str]] = []
     order = np.argsort(np.asarray(split.ids))
@@ -145,7 +143,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul"), *,
             continue
         for method in methods:
             try:
-                heat = normalize(attribute(model, x, pred, method, **kwargs))
+                heat = normalize(attribute(model, x, pred, method))
                 for variant in variants:
                     score = co_score(model, x, heat, truth, variant, fx=raw)
                     records.append(ScoreRecord(sid, method, variant, score,

@@ -2,9 +2,7 @@
 
 Subcommands map one-to-one onto the library operations: ``gen-data``,
 ``train``, ``attribute``, ``ax-sweep``, ``gap-stats``, ``gax`` and
-``toy-sweep``.  A flat ``key=value`` config file can seed any flag
-(``--config``); explicit command-line flags win over config values, which
-win over built-in defaults.  Every run is reproducible from its seed.
+``toy-sweep``.  Every run is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import numpy as np
 from . import ax as ax_mod
 from . import gax as gax_mod
 from . import toy as toy_mod
-from .attribution import METHODS, attribute, normalize
-from .data import DatasetSpec, gen_data, ingest_images, load_dataset
+from .attribution import METHODS, attribute, normalize, parse_method
+from .data import SPLITS, DatasetSpec, gen_data, ingest_images, load_dataset
 from .formats import export_heatmap
 from .gax import GaxConfig
 from .models import MiniConvNet, predict
@@ -27,42 +25,30 @@ from .optim import Adam
 from .training import StopRule, train
 
 
-def _parse_config_value(raw: str):
-    text = raw.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_config(path) -> dict:
-    """Flat key=value file; '#' starts a comment line."""
-    values = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {line!r}")
-        key, raw = line.split("=", maxsplit=1)
-        values[key.strip().replace("-", "_")] = _parse_config_value(raw)
-    return values
-
-
 def _shape(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace("x", ",").split(","))
 
 
-def _csv_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _csv_list(check):
+    """argparse type: a comma-separated list whose entries pass ``check``."""
+    def parse(text: str) -> list[str]:
+        items = [part.strip() for part in text.split(",") if part.strip()]
+        try:
+            for item in items:
+                check(item)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return items
+    return parse
 
 
-def _load_split(data_dir: str, split: str, resize=None, stack=False):
+def _check_variant(variant: str) -> None:
+    if variant not in ax_mod.VARIANTS:
+        raise ValueError(
+            f"unknown variant {variant!r}; expected {ax_mod.VARIANTS}")
+
+
+def _load_split(data_dir: str, split: str, resize, stack: bool):
     root = Path(data_dir)
     if (root / "manifest.txt").exists():
         ds = load_dataset(root)
@@ -78,13 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaxkit",
         description="Confidence-optimization scoring and generative heatmaps.")
-    parser.add_argument("--config", help="key=value config file seeding flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--model", required=True)
     inputs.add_argument("--data", required=True)
-    inputs.add_argument("--split", default="test")
+    inputs.add_argument("--split", default="test", choices=SPLITS)
     inputs.add_argument("--resize", type=_shape, default=None,
                         help="H,W for ingesting raw class directories")
     inputs.add_argument("--stack", action="store_true",
@@ -124,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ax-sweep", parents=[inputs],
                        help="compute CO scores over a split")
-    p.add_argument("--methods", type=_csv_list, default=list(METHODS))
-    p.add_argument("--variants", type=_csv_list, default=["sum", "mul"])
+    p.add_argument("--methods", type=_csv_list(parse_method),
+                   default=list(METHODS))
+    p.add_argument("--variants", type=_csv_list(_check_variant),
+                   default=list(ax_mod.VARIANTS))
     p.add_argument("--out", required=True, help="scores CSV path")
 
     p = sub.add_parser("gap-stats", help="gap statistics from a scores CSV")
@@ -310,29 +297,9 @@ _COMMANDS = {
 }
 
 
-def _extract_config_path(argv) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                return None
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", maxsplit=1)[1]
-    return None
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    config_path = _extract_config_path(argv)
-    if config_path:
-        try:
-            parser.set_defaults(**load_config(config_path))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -67,12 +67,11 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 
 def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
-               noise_scale: float = 0.25, sigma_frac: float = 0.18,
-               center_jitter: int = 2) -> Dataset:
+               noise_scale: float = 0.25) -> Dataset:
     """Generate the class-conditional blob dataset described by ``spec``."""
     rng = np.random.default_rng(spec.seed)
     c, h, w = spec.image_shape
-    sigma = sigma_frac * min(h, w)
+    sigma = 0.18 * min(h, w)
     radius = 0.28 * min(h, w)
     angles = 2.0 * np.pi * np.arange(spec.class_count) / spec.class_count
     centers = np.stack([h / 2.0 + radius * np.sin(angles),
@@ -90,8 +89,8 @@ def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
         images = np.empty((count, c, h, w))
         for i, label in enumerate(labels):
             cy, cx = centers[label]
-            cy += rng.uniform(-center_jitter, center_jitter)
-            cx += rng.uniform(-center_jitter, center_jitter)
+            cy += rng.uniform(-2, 2)
+            cx += rng.uniform(-2, 2)
             amp = blob_amplitude * rng.uniform(0.85, 1.15)
             blob = amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2)
                                 / (2.0 * sigma * sigma))

@@ -187,6 +187,8 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
     failures are logged and skipped; a run stopped by a non-finite loss
     keeps its trace and is logged too.  Returns (traces, errors).
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     traces: list[GaxTrace] = []
     errors: list[tuple[str, str]] = []
     order = np.argsort(np.asarray(split.ids))
@@ -226,11 +228,11 @@ def write_trace_csv(trace: GaxTrace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_manifest(traces, path, trace_paths: dict[str, str] | None = None) -> None:
+def write_manifest(traces, path, trace_paths: dict[str, str]) -> None:
     """One line per run: id, convergence, final score, trace and snapshots."""
     lines = ["sample_id,converged,final_co,steps,trace_path,snapshots"]
     for t in traces:
-        ref = (trace_paths or {}).get(t.sample_id, "")
+        ref = trace_paths.get(t.sample_id, "")
         flag = "true" if t.converged else "false"
         snaps = ";".join(p for _, p in t.snapshots)
         lines.append(f"{t.sample_id},{flag},{t.final_co:.9g},"

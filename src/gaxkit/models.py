@@ -95,11 +95,6 @@ class PerfectClassifier2D:
         c, s = np.cos(theta), np.sin(theta)
         return cls(np.array([[c, -s], [s, c]]), sigma=sigma, slope=slope)
 
-    @property
-    def theta(self) -> float:
-        """Rotation angle, meaningful when W is a rotation matrix."""
-        return float(np.arctan2(self.W[1, 0], self.W[0, 0]))
-
     def forward_graph(self, x) -> ForwardPass:
         t = _as_batch(x, self.input_shape, "PerfectClassifier2D")
         pre = ad.matmul(t, Tensor(self.W_inv.T))

@@ -6,6 +6,8 @@ import numpy as np
 
 from .autodiff import ShapeError
 
+EPS = 1e-8          # added to sqrt(v_hat) so the step stays finite
+
 
 class Adam:
     """Adaptive moment estimation over a dict of named parameter arrays.
@@ -16,11 +18,10 @@ class Adam:
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999):
         self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -48,5 +49,5 @@ class Adam:
             self._v[name] = v
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
-            out[name] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            out[name] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         return out

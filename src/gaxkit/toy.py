@@ -39,9 +39,6 @@ def rotation(theta: float) -> np.ndarray:
 
 def _w_and_inverse(theta: float) -> tuple[np.ndarray, np.ndarray]:
     w = rotation(theta)
-    det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-    if abs(det) <= 1e-12:
-        raise ValueError("singular mixing matrix")
     return w, np.linalg.inv(w)
 
 

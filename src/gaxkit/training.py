@@ -54,8 +54,12 @@ class TrainResult:
     val_history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _batched_scores(model, x: np.ndarray, chunk: int = 64) -> np.ndarray:
-    outs = [model.scores(x[i: i + chunk]) for i in range(0, len(x), chunk)]
+_EVAL_CHUNK = 64        # samples per forward pass in evaluate
+
+
+def _batched_scores(model, x: np.ndarray) -> np.ndarray:
+    outs = [model.scores(x[i: i + _EVAL_CHUNK])
+            for i in range(0, len(x), _EVAL_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 

@@ -1,9 +1,9 @@
-"""CLI surface: flags, config precedence, determinism, error contract."""
+"""CLI surface: flags, determinism, error contract."""
 
 import numpy as np
 import pytest
 
-from gaxkit.cli import load_config, main
+from gaxkit.cli import main
 from gaxkit.formats import read_gaxh
 
 
@@ -235,27 +235,65 @@ def test_ax_sweep_ingests_raw_class_directories(tiny_run, tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
-def test_config_file_precedence(tmp_path):
+def test_config_flag_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("a1=0.7\nketa=2.0\npoints=5\n")
-    out1 = tmp_path / "c1.csv"
-    # config seeds a1/keta/points; the explicit flag overrides points
-    assert main(["--config", str(cfg), "toy-sweep", "--points", "3",
-                 "--out", str(out1)]) == 0
-    lines = out1.read_text().splitlines()
-    assert len(lines) == 4
-    # config-provided a1 took effect (default would be 0.95)
-    first_theta_row = lines[1].split(",")
-    assert first_theta_row[0] == f"{-np.pi:.9g}"
+    cfg.write_text("a1=0.7\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(cfg), "toy-sweep", "--out", str(out)]) != 0
+    assert "usage" in capsys.readouterr().err.lower()
+    assert not out.exists()
 
 
-def test_load_config_parsing(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("# comment\nlr=0.5\nbias=true\nname=plain\nmax-iterations=7\n")
-    values = load_config(cfg)
-    assert values == {"lr": 0.5, "bias": True, "name": "plain",
-                      "max_iterations": 7}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("oops\n")
-    with pytest.raises(ValueError):
-        load_config(bad)
+@pytest.mark.parametrize("flag, value, bad", [
+    ("--methods", "saliency,bogus", "unknown method 'bogus'"),
+    ("--methods", "saliency:conv1", "only layer-gradcam accepts a layer"),
+    ("--variants", "sum,bogus", "unknown variant 'bogus'"),
+])
+def test_ax_sweep_rejects_unknown_entries_up_front(tiny_run, tmp_path, capsys,
+                                                   flag, value, bad):
+    data, model = tiny_run
+    out = tmp_path / "s.csv"
+    code = main(["ax-sweep", "--model", str(model), "--data", str(data),
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower()
+    assert f"argument {flag}: {bad}" in err
+    assert not out.exists()
+
+
+def test_ax_sweep_unknown_gradcam_layer_is_per_sample(tiny_run, tmp_path,
+                                                      capsys):
+    data, model = tiny_run
+    out = tmp_path / "s.csv"
+    code = main(["ax-sweep", "--model", str(model), "--data", str(data),
+                 "--methods", "saliency,layer-gradcam:nope",
+                 "--variants", "sum", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 16
+    log = out.with_suffix(".errors.log").read_text().splitlines()
+    assert len(log) == 16
+    assert all(": layer-gradcam:nope: " in line
+               and "unknown layer 'nope'" in line for line in log)
+
+
+@pytest.mark.parametrize("command", ["attribute", "ax-sweep", "gax"])
+def test_unknown_split_rejected(tiny_run, tmp_path, capsys, command):
+    data, model = tiny_run
+    code = main([command, "--model", str(model), "--data", str(data),
+                 "--split", "bogus", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --split: invalid choice: 'bogus'" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("first_n", ["0", "-1"])
+def test_gax_first_n_below_one_is_one_line(tiny_run, tmp_path, capsys,
+                                           first_n):
+    data, model = tiny_run
+    code = main(["gax", "--model", str(model), "--data", str(data),
+                 "--first-n", first_n, "--out", str(tmp_path / "g")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: limit must be at least 1, got {first_n}"

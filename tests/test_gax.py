@@ -206,6 +206,11 @@ class TestSweepAndExport:
         traces, _ = gax_sweep(model, tiny_ds.test, cfg)
         assert len(traces) == correct
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tiny_model, tiny_ds, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(), limit=limit)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_reported_as_error(self, tiny_ds):
         # an infinite class-0 bias: class-0 samples count as correct, and
