@@ -17,8 +17,8 @@ from .ax import (GapStats, ScoreConstants, ScoreRecord, ax_sweep, co_score,
                  write_scores_csv)
 from .data import (Dataset, DatasetSpec, Split, gen_data, ingest_images,
                    load_dataset, make_blobs, write_dataset)
-from .gax import (GaxConfig, GaxTrace, gax_loss, gax_run, gax_sweep,
-                  write_manifest, write_trace_csv)
+from .gax import (GaxConfig, GaxTrace, gax_run, gax_sweep, write_manifest,
+                  write_trace_csv)
 from .models import LinearModel, MiniConvNet, PerfectClassifier2D, predict
 from .optim import Adam
 from .toy import (ToyInstance, closed_form_heatmap, delta, delta_gradient,
@@ -34,8 +34,7 @@ __all__ = [
     "RULE_STANDARD", "ScoreConstants", "ScoreRecord", "ShapeError", "Split",
     "StopRule", "Tensor", "ToyInstance", "TrainResult", "attribute",
     "attribute_at_predicted", "ax_sweep", "closed_form_heatmap", "co_score",
-    "delta", "delta_gradient", "evaluate", "gap_stats", "gax_loss", "gax_run",
-    "gax_sweep", "gen_data", "ingest_images", "load_dataset", "make_blobs",
+    "delta", "delta_gradient", "evaluate", "gap_stats", "gax_run", "gax_sweep", "gen_data", "ingest_images", "load_dataset", "make_blobs",
     "normalize", "predict", "read_scores_csv", "rotation_sweep", "train",
     "write_dataset", "write_histogram_csv", "write_manifest",
     "write_scores_csv", "write_sweep_csv", "write_trace_csv",

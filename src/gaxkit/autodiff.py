@@ -146,10 +146,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(ad * bd, (a, b), "mul", lambda g, r: (g * bd, g * ad))
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), "neg", lambda g, r: (-g,))
-
-
 def shift(a: Tensor, c: float) -> Tensor:
     """Add a python scalar elementwise."""
     return Tensor(a.data + float(c), (a,), "shift", lambda g, r: (g,))
@@ -215,24 +211,11 @@ def tanh(a: Tensor) -> Tensor:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2D@2D, 2D@1D and 1D@2D operands."""
+    """Matrix product of two 2D operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return Tensor(ad @ bd, (a, b), "matmul",
-                      lambda g, r: (g @ bd.T, ad.T @ g))
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return Tensor(ad @ bd, (a, b), "matmul",
-                      lambda g, r: (np.outer(g, bd), ad.T @ g))
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-        return Tensor(ad @ bd, (a, b), "matmul",
-                      lambda g, r: (bd @ g, np.outer(ad, g)))
-    raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
+    return Tensor(ad @ bd, (a, b), "matmul", lambda g, r: (g @ bd.T, ad.T @ g))
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -277,37 +260,37 @@ def _out_size(n: int, k: int, stride: int, pad: int, op: str) -> int:
     return span // stride + 1
 
 
-def _window_view(xp: np.ndarray, kh: int, kw: int, stride: int,
+def _window_view(xp: np.ndarray, kh: int, kw: int,
                  oh: int, ow: int) -> np.ndarray:
-    """Gather (N, C, kh, kw, oh, ow) sliding windows from padded input."""
+    """Gather (N, C, kh, kw, oh, ow) stride-1 windows from padded input."""
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i: i + stride * oh: stride,
-                                  j: j + stride * ow: stride]
+            cols[:, :, i, j] = xp[:, :, i: i + oh, j: j + ow]
     return cols
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of (N, C_in, H, W) with kernel (C_out, C_in, KH, KW)."""
+def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of (N, C_in, H, W) with kernel
+    (C_out, C_in, KH, KW)."""
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernel {k.shape}")
     if x.shape[1] != k.shape[1]:
         raise ShapeError(
             f"conv2d: input channels {x.shape[1]} != kernel channels {k.shape[1]}")
-    if stride < 1 or pad < 0:
-        raise ValueError("conv2d: stride must be >= 1 and pad >= 0")
+    if pad < 0:
+        raise ValueError("conv2d: pad must be >= 0")
     n, _, h, w = x.shape
     cout, cin, kh, kw = k.shape
-    oh = _out_size(h, kh, stride, pad, "conv2d")
-    ow = _out_size(w, kw, stride, pad, "conv2d")
+    oh = _out_size(h, kh, 1, pad, "conv2d")
+    ow = _out_size(w, kw, 1, pad, "conv2d")
     if pad:
         xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
         xp[:, :, pad: pad + h, pad: pad + w] = x.data
     else:
         xp = x.data
-    cols = _window_view(xp, kh, kw, stride, oh, ow)
+    cols = _window_view(xp, kh, kw, oh, ow)
     # One GEMM per product over depth = cin*kh*kw, with the operand order and
     # output layout of the einsum formulation kept in tests/test_conv_parity.py,
     # so results match it bit for bit without einsum's per-call planning.
@@ -325,27 +308,26 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i: i + stride * oh: stride,
-                    j: j + stride * ow: stride] += dcols[:, :, i, j]
+                gxp[:, :, i: i + oh, j: j + ow] += dcols[:, :, i, j]
         gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
         return (gx, gk)
 
     return Tensor(out, (x, k), "conv2d", vjp)
 
 
-def max_pool2d(x: Tensor, size: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling; ties route the gradient to the first maximum in scan order."""
+def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
+    """Non-overlapping max pooling (stride = size); ties route the gradient
+    to the first maximum in scan order."""
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4D input, got {x.shape}")
-    stride = size if stride is None else stride
     n, c, h, w = x.shape
-    oh = _out_size(h, size, stride, 0, "max_pool2d")
-    ow = _out_size(w, size, stride, 0, "max_pool2d")
+    oh = _out_size(h, size, size, 0, "max_pool2d")
+    ow = _out_size(w, size, size, 0, "max_pool2d")
     windows = np.empty((n, c, oh, ow, size * size), dtype=np.float64)
     for i in range(size):
         for j in range(size):
-            windows[..., i * size + j] = x.data[:, :, i: i + stride * oh: stride,
-                                                j: j + stride * ow: stride]
+            windows[..., i * size + j] = x.data[:, :, i: i + size * oh: size,
+                                                j: j + size * ow: size]
     # argmax over the row-major window = first maximal element in scan order
     idx = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
@@ -353,8 +335,8 @@ def max_pool2d(x: Tensor, size: int = 2, stride: int | None = None) -> Tensor:
     def vjp(g, rule):
         gx = np.zeros_like(x.data)
         ni, ci, ohi, owi = np.indices(idx.shape)
-        hi = ohi * stride + idx // size
-        wi = owi * stride + idx % size
+        hi = ohi * size + idx // size
+        wi = owi * size + idx % size
         np.add.at(gx, (ni, ci, hi, wi), g)
         return (gx,)
 
@@ -363,11 +345,6 @@ def max_pool2d(x: Tensor, size: int = 2, stride: int | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions and selections
-
-def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.data.sum(), (a,), "sum",
-                  lambda g, r: (np.full_like(a.data, float(g)),))
-
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size

@@ -49,9 +49,6 @@ class ScoreConstants:
         w[self.groundtruth] = self.num_classes - 1.0
         return w
 
-    def as_array(self) -> np.ndarray:
-        return self.int_weights() / (self.num_classes - 1.0)
-
     def apply(self, diff: np.ndarray) -> float:
         diff = np.asarray(diff, dtype=np.float64)
         if diff.shape != (self.num_classes,):

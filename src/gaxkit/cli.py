@@ -25,8 +25,15 @@ from .optim import Adam
 from .training import StopRule, train
 
 
-def _shape(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace("x", ",").split(","))
+def _shape(names: str):
+    """argparse type: the integers ``names`` lists, split by ',' or 'x'."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.replace("x", ",").split(",")
+        if len(parts) != len(names.split(",")):
+            raise argparse.ArgumentTypeError(f"expected {names}, got {text!r}")
+        return tuple(int(p) for p in parts)
+    parse.__name__ = names      # argparse: "invalid C,H,W value: '3,a,8'"
+    return parse
 
 
 def _csv_list(check):
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--model", required=True)
     inputs.add_argument("--data", required=True)
     inputs.add_argument("--split", default="test", choices=SPLITS)
-    inputs.add_argument("--resize", type=_shape, default=None,
+    inputs.add_argument("--resize", type=_shape("H,W"), default=None,
                         help="H,W for ingesting raw class directories")
     inputs.add_argument("--stack", action="store_true",
                         help="stack grayscale images to 3 channels on ingest")
@@ -81,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=400)
     p.add_argument("--val", type=int, default=100)
     p.add_argument("--test", type=int, default=250)
-    p.add_argument("--shape", type=_shape, default=(3, 32, 32),
+    p.add_argument("--shape", type=_shape("C,H,W"), default=(3, 32, 32),
                    help="image shape C,H,W")
 
     p = sub.add_parser("train", help="train the small conv net on a dataset")
@@ -259,9 +266,9 @@ def _cmd_gax(args) -> int:
                     epsilon=args.epsilon, use_bias=use_bias,
                     snapshot_every=args.snapshot_every)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     traces, errors = gax_mod.gax_sweep(model, split, cfg, out_dir=out,
                                        limit=args.first_n)
+    out.mkdir(parents=True, exist_ok=True)   # after the sweep checks inputs
     trace_paths = {}
     for trace in traces:
         rel = f"{trace.sample_id}.trace.csv"

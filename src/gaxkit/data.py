@@ -110,6 +110,10 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
     """
     out = Path(out_dir)
     c, h, w = ds.image_shape
+    if c not in (1, 3):
+        raise ValueError(f"cannot write {c}-channel images; image_shape "
+                         "needs 1 (PGM) or 3 (PPM) channels")
+    ext, write = ("ppm", write_ppm) if c == 3 else ("pgm", write_pgm)
     lines = [
         f"class_count={ds.class_count}",
         f"image_shape={c}x{h}x{w}",
@@ -123,15 +127,8 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
         for i, sid in enumerate(split.ids):
             label = int(split.y[i])
             img = np.rint(split.x[i] * 255.0).astype(np.uint8)
-            ext = "ppm" if c == 3 else "pgm"
             rel = f"{split_name}/class_{label}/{sid}.{ext}"
-            path = out / rel
-            if c == 3:
-                write_ppm(path, np.moveaxis(img, 0, 2))
-            elif c == 1:
-                write_pgm(path, img[0])
-            else:
-                raise ValueError(f"cannot write {c}-channel images")
+            write(out / rel, np.moveaxis(img, 0, 2) if c == 3 else img[0])
             lines.append(f"sample,{split_name},{label},{rel}")
     manifest = out / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -146,11 +143,23 @@ def load_dataset(root) -> Dataset:
         raise FileNotFoundError(f"no manifest.txt under {root}")
     header: dict[str, str] = {}
     samples: dict[str, list[tuple[int, str]]] = {s: [] for s in SPLITS}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
+        where = f"{manifest} line {lineno}"
         if line.startswith("sample,"):
-            _, split_name, label, rel = line.split(",", maxsplit=3)
+            parts = line.split(",", maxsplit=3)
+            if len(parts) != 4:
+                raise ValueError(f"{where}: expected sample,<split>,<label>,"
+                                 f"<path>, got {len(parts)} fields")
+            _, split_name, label, rel = parts
+            if split_name not in samples:
+                raise ValueError(f"{where}: unknown split {split_name!r}; "
+                                 f"expected one of {SPLITS}")
+            if not label.isdecimal():
+                raise ValueError(f"{where}: label {label!r} is not a "
+                                 "class index")
             samples[split_name].append((int(label), rel))
         else:
             key, value = line.split("=", maxsplit=1)
@@ -166,11 +175,12 @@ def load_dataset(root) -> Dataset:
         y = np.empty(len(entries), dtype=np.int64)
         ids = []
         for i, (label, rel) in enumerate(entries):
-            img = read_pnm(root / rel)
+            path = root / rel
+            img = read_pnm(path)
             arr = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
             x[i] = arr / 255.0
             y[i] = label
-            ids.append(Path(rel).stem)
+            ids.append(_sample_id(path.stem, path))
         return Split(x, y, ids)
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
@@ -180,6 +190,14 @@ def load_dataset(root) -> Dataset:
 def gen_data(spec: DatasetSpec, out_dir) -> Path:
     """Generate and persist a synthetic dataset; returns the manifest path."""
     return write_dataset(make_blobs(spec), out_dir)
+
+
+def _sample_id(sid: str, source) -> str:
+    """``sid`` if the CSV outputs can hold it: no comma, no line break."""
+    if "," in sid or sid.splitlines() != [sid]:
+        raise ValueError(f"{source}: sample id {sid!r} contains a comma or a "
+                         "line break, which the CSV outputs cannot hold")
+    return sid
 
 
 def nearest_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -222,7 +240,7 @@ def ingest_images(directory, resize_to: tuple[int, int],
                 chans = np.moveaxis(img, 2, 0)
             images.append(chans / 255.0)
             labels.append(label)
-            ids.append(f"{cdir.name}/{f.stem}")
+            ids.append(_sample_id(f"{cdir.name}/{f.stem}", f))
             loaded += 1
         if loaded == 0:
             raise ValueError(f"empty class folder: {cdir}")

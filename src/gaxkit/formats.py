@@ -12,6 +12,7 @@ Binary layouts (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -91,20 +92,6 @@ def read_pnm(path) -> np.ndarray:
     return a.reshape(h, w) if channels == 1 else a.reshape(h, w, 3)
 
 
-def read_pgm(path) -> np.ndarray:
-    a = read_pnm(path)
-    if a.ndim != 2:
-        raise ValueError(f"{path} is not a PGM")
-    return a
-
-
-def read_ppm(path) -> np.ndarray:
-    a = read_pnm(path)
-    if a.ndim != 3:
-        raise ValueError(f"{path} is not a PPM")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # raw tensors and weights
 
@@ -116,15 +103,36 @@ def _pack_array(arr: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_array(data: bytes, pos: int) -> tuple[np.ndarray, int]:
-    (rank,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    shape = struct.unpack_from(f"<{rank}I", data, pos)
-    pos += 4 * rank
-    count = int(np.prod(shape)) if rank else 1
-    a = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-    pos += 4 * count
+def _take(data: bytes, pos: int, size: int, path, field: str):
+    """The ``size`` bytes at ``pos`` and the offset after them; a short file
+    raises ValueError naming the file, the offset and the field."""
+    if pos + size > len(data):
+        raise ValueError(f"{path} is truncated: {field} needs {size} bytes "
+                         f"at byte {pos}, {len(data) - pos} left")
+    return data[pos: pos + size], pos + size
+
+
+def _unpack_array(data: bytes, pos: int, path, label: str):
+    raw, pos = _take(data, pos, 4, path, f"{label} rank")
+    (rank,) = struct.unpack("<I", raw)
+    raw, pos = _take(data, pos, 4 * rank, path, f"{label} dims")
+    shape = struct.unpack(f"<{rank}I", raw)
+    raw, pos = _take(data, pos, 4 * math.prod(shape), path, f"{label} values")
+    a = np.frombuffer(raw, dtype="<f4")
     return a.reshape(shape).astype(np.float64), pos
+
+
+def _read_header(path, magic: bytes, kind: str) -> tuple[bytes, int]:
+    """File bytes and the offset after a checked magic and version."""
+    data = Path(path).read_bytes()
+    raw, pos = _take(data, 0, 4, path, "magic")
+    if raw != magic:
+        raise ValueError(f"{path} is not a {kind} file")
+    raw, pos = _take(data, pos, 2, path, "version")
+    (version,) = struct.unpack("<H", raw)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported {kind} format version {version}")
+    return data, pos
 
 
 def write_gaxh(path, values: np.ndarray) -> None:
@@ -135,13 +143,8 @@ def write_gaxh(path, values: np.ndarray) -> None:
 
 
 def read_gaxh(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] != HEATMAP_MAGIC:
-        raise ValueError(f"{path} is not a heatmap file")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported heatmap format version {version}")
-    arr, _ = _unpack_array(data, 6)
+    data, pos = _read_header(path, HEATMAP_MAGIC, "heatmap")
+    arr, _ = _unpack_array(data, pos, path, "heatmap")
     return arr
 
 
@@ -158,22 +161,16 @@ def write_gaxm(path, named: dict[str, np.ndarray]) -> None:
 
 
 def read_gaxm(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if data[:4] != WEIGHTS_MAGIC:
-        raise ValueError(f"{path} is not a weight file")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported weight format version {version}")
-    (count,) = struct.unpack_from("<I", data, 6)
-    pos = 10
+    data, pos = _read_header(path, WEIGHTS_MAGIC, "weight")
+    raw, pos = _take(data, pos, 4, path, "entry count")
+    (count,) = struct.unpack("<I", raw)
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos: pos + nlen].decode("utf-8")
-        pos += nlen
-        arr, pos = _unpack_array(data, pos)
-        out[name] = arr
+    for i in range(count):
+        raw, pos = _take(data, pos, 4, path, f"entry {i} name length")
+        (nlen,) = struct.unpack("<I", raw)
+        raw, pos = _take(data, pos, nlen, path, f"entry {i} name")
+        name = raw.decode("utf-8")
+        out[name], pos = _unpack_array(data, pos, path, repr(name))
     return out
 
 

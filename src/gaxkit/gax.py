@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attribution import Heatmap
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 from .ax import ScoreConstants
 from .models import predict
 from .optim import Adam
@@ -47,8 +47,12 @@ class GaxConfig:
             raise ValueError("similarity_factor must be non-negative")
         if not np.isfinite(self.target_co):
             raise ValueError("target_co must be finite")
-        if self.max_iterations < 0 or self.snapshot_every < 1:
-            raise ValueError("bad iteration settings")
+        if self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.snapshot_every < 1:
+            raise ValueError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}")
 
 
 @dataclass
@@ -85,93 +89,59 @@ def _loss_graph(model, x: np.ndarray, w: Tensor, b: Tensor | None,
     ratio = ad.mul(ad.square(dev), Tensor(1.0 / (x[None] + cfg.epsilon)))
     similarity = ad.scale(ad.reciprocal(ad.mean_all(ratio)),
                           cfg.similarity_factor)
-    loss = ad.add(ad.neg(co), similarity)
+    loss = ad.sub(similarity, co)
     return loss, co, h
 
 
-def gax_loss(model, x, w, b, groundtruth: int,
-             cfg: GaxConfig) -> tuple[float, float, Heatmap]:
-    """Evaluate the GAX loss at given parameters (no optimization)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_unit_interval(x)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != x.shape:
-        raise ShapeError(f"w shape {w.shape} != input shape {x.shape}")
-    b_t = None
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != x.shape:
-            raise ShapeError(f"b shape {b.shape} != input shape {x.shape}")
-        b_t = Tensor(b[None])
-    constants = ScoreConstants(model.num_classes, int(groundtruth))
-    fx = model.scores(x[None])
-    loss, co, h = _loss_graph(model, x, Tensor(w[None]), b_t, fx, constants, cfg)
-    heat = Heatmap(h.data[0].copy(), "gax", int(groundtruth))
-    return float(loss.data), float(co.data), heat
-
-
 def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
-            sample_id: str = "sample", out_dir=None,
-            allow_misclassified: bool = False) -> tuple[GaxTrace, Heatmap]:
+            sample_id: str = "sample", out_dir=None) -> tuple[GaxTrace, Heatmap]:
     """Optimize one sample's heatmap until the CO target or iteration cap.
 
-    The sample must be correctly classified unless ``allow_misclassified``
-    is set.  A trace records every iteration; snapshots of the evolving
-    heatmap are written under ``out_dir`` at the configured cadence.
+    The sample must be correctly classified.  A trace records every
+    iteration; snapshots of the evolving heatmap are written under
+    ``out_dir`` at the configured cadence and at convergence.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_unit_interval(x)
     pred, raw = predict(model, x)
-    if pred != int(groundtruth) and not allow_misclassified:
-        raise ValueError(
-            f"model predicts {pred} for a sample labeled {groundtruth}; "
-            "pass allow_misclassified=True to optimize anyway")
+    if pred != int(groundtruth):
+        raise ValueError(f"misclassified sample: model predicts {pred} for "
+                         f"a sample labeled {groundtruth}")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
     fx = raw[None]
-    w = np.full(x.shape, W_INIT)
-    b = np.full(x.shape, BIAS_INIT) if cfg.use_bias else None
+    params = {"w": np.full(x.shape, W_INIT)}
+    if cfg.use_bias:
+        params["b"] = np.full(x.shape, BIAS_INIT)
     opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2)
     trace = GaxTrace(sample_id, [])
-    snap_dir = Path(out_dir) / sample_id if out_dir is not None else None
-    heat = Heatmap(np.tanh(W_INIT * x + (0.0 if b is None else BIAS_INIT)),
+    heat = Heatmap(np.tanh(params["w"] * x + params.get("b", 0.0)),
                    "gax", int(groundtruth))
 
-    def snapshot(step: int, values: np.ndarray) -> None:
-        if snap_dir is None:
-            return
-        stem = snap_dir / f"step_{step:06d}"
-        export_heatmap(Heatmap(values, "gax", int(groundtruth)), stem)
-        # reference is relative to out_dir so sweep outputs stay relocatable
-        trace.snapshots.append((step, f"{sample_id}/step_{step:06d}.gaxh"))
-
     for step in range(cfg.max_iterations + 1):
-        w_t = Tensor(w[None])
-        b_t = Tensor(b[None]) if b is not None else None
-        loss, co, h = _loss_graph(model, x, w_t, b_t, fx, constants, cfg)
+        leaves = {name: Tensor(p[None]) for name, p in params.items()}
+        loss, co, h = _loss_graph(model, x, leaves["w"], leaves.get("b"), fx,
+                                  constants, cfg)
         loss_val, co_val = float(loss.data), float(co.data)
         if not np.isfinite(loss_val):
             trace.error = f"non-finite loss at step {step}"
             break
         trace.iterations.append((step, loss_val, co_val))
         heat = Heatmap(h.data[0].copy(), "gax", int(groundtruth))
-        if step % cfg.snapshot_every == 0:
-            snapshot(step, heat.values)
-        if co_val >= cfg.target_co:
+        converged = co_val >= cfg.target_co
+        if out_dir is not None and (step % cfg.snapshot_every == 0
+                                    or converged):
+            rel = f"{sample_id}/step_{step:06d}"
+            export_heatmap(heat, Path(out_dir) / rel)
+            # reference is relative to out_dir so sweep outputs stay relocatable
+            trace.snapshots.append((step, f"{rel}.gaxh"))
+        if converged:
             trace.converged = True
-            if step % cfg.snapshot_every != 0:
-                snapshot(step, heat.values)
             break
         if step == cfg.max_iterations:
             break
         loss.backward()
-        params = {"w": w}
-        grads = {"w": w_t.grad[0]}
-        if b is not None:
-            params["b"] = b
-            grads["b"] = b_t.grad[0]
-        updated = opt.step(params, grads)
-        w = updated["w"]
-        b = updated.get("b")
+        params = opt.step(params, {name: t.grad[0]
+                                   for name, t in leaves.items()})
 
     if trace.iterations:
         trace.final_co = trace.iterations[-1][2]

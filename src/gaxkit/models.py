@@ -89,12 +89,6 @@ class PerfectClassifier2D:
         self.sigma = sigma
         self.slope = float(slope)
 
-    @classmethod
-    def rotation(cls, theta: float, sigma: str = "identity",
-                 slope: float = 0.01) -> "PerfectClassifier2D":
-        c, s = np.cos(theta), np.sin(theta)
-        return cls(np.array([[c, -s], [s, c]]), sigma=sigma, slope=slope)
-
     def forward_graph(self, x) -> ForwardPass:
         t = _as_batch(x, self.input_shape, "PerfectClassifier2D")
         pre = ad.matmul(t, Tensor(self.W_inv.T))
@@ -122,13 +116,6 @@ class LinearModel:
                 f"input shape {self.input_shape} incompatible with M {M.shape}")
         self.num_classes = M.shape[0]
 
-    @classmethod
-    def init(cls, input_shape, num_classes: int, seed: int = 0) -> "LinearModel":
-        rng = np.random.default_rng(seed)
-        d = int(np.prod(input_shape))
-        M = rng.normal(0.0, 0.01, size=(num_classes, d))
-        return cls(M, input_shape=tuple(np.atleast_1d(input_shape)))
-
     def forward_graph(self, x) -> ForwardPass:
         t = _as_batch(x, self.input_shape, "LinearModel")
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
@@ -140,16 +127,6 @@ class LinearModel:
     def scores(self, x) -> np.ndarray:
         return self.forward_graph(x).scores.data
 
-    def save(self, path) -> None:
-        named = dict(self.params)
-        named["input_shape"] = np.asarray(self.input_shape, dtype=np.float64)
-        write_gaxm(path, named)
-
-    @classmethod
-    def load(cls, path) -> "LinearModel":
-        named = read_gaxm(path)
-        shape = tuple(int(v) for v in named.pop("input_shape"))
-        return cls(named["M"], named["b"], input_shape=shape)
 
 
 class MiniConvNet:
@@ -168,45 +145,29 @@ class MiniConvNet:
         self.kernel = int(kernel)
         cin, h, w = self.input_shape
         c1, c2 = self.channels
-        self.feature_dim = c2 * (h // 4) * (w // 4)
-        if params is not None:
-            self.params = {k: snap32(v) for k, v in params.items()}
-        else:
-            rng = np.random.default_rng(seed)
-
-            def he(shape, fan_in):
-                return snap32(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
-
-            k = self.kernel
-            self.params = {
-                "conv1.w": he((c1, cin, k, k), cin * k * k),
-                "conv1.b": np.zeros(c1),
-                "conv2.w": he((c2, c1, k, k), c1 * k * k),
-                "conv2.b": np.zeros(c2),
-                "fc.w": he((self.num_classes, self.feature_dim), self.feature_dim),
-                "fc.b": np.zeros(self.num_classes),
-            }
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        cin, _, _ = self.input_shape
-        c1, c2 = self.channels
         k = self.kernel
-        expected = {
+        self.feature_dim = c2 * (h // 4) * (w // 4)
+        shapes = {
             "conv1.w": (c1, cin, k, k), "conv1.b": (c1,),
             "conv2.w": (c2, c1, k, k), "conv2.b": (c2,),
             "fc.w": (self.num_classes, self.feature_dim),
             "fc.b": (self.num_classes,),
         }
-        for name, shape in expected.items():
+        if params is None:
+            # He init for the weights (fan-in: every axis after the first),
+            # zeros for the biases
+            rng = np.random.default_rng(seed)
+            params = {
+                name: rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])),
+                                 size=shape) if name.endswith(".w")
+                else np.zeros(shape)
+                for name, shape in shapes.items()}
+        self.params = {name: snap32(v) for name, v in params.items()}
+        for name, shape in shapes.items():
             if self.params[name].shape != shape:
                 raise ShapeError(
                     f"parameter {name!r} has shape {self.params[name].shape}, "
                     f"expected {shape}")
-
-    @property
-    def layer_names(self) -> tuple[str, ...]:
-        return ("conv1", "pool1", "conv2", "pool2", "fc")
 
     def forward_graph(self, x) -> ForwardPass:
         t = _as_batch(x, self.input_shape, "MiniConvNet")

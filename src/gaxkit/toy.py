@@ -37,29 +37,23 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _w_and_inverse(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    w = rotation(theta)
-    return w, np.linalg.inv(w)
-
-
 def sample_vector(inst: ToyInstance) -> np.ndarray:
     """The sample in pixel coordinates: W(theta) @ (a1, a2)."""
     return rotation(inst.theta) @ np.array([inst.a1, inst.a2])
 
 
 def delta(inst: ToyInstance, w=(1.0, 1.0)) -> float:
-    """A - B for heatmap weights ``w``: the score difference to maximize."""
-    wm, wi = _w_and_inverse(inst.theta)
-    w1, w2 = float(w[0]), float(w[1])
-    x1 = inst.a1 * wm[0, 0] + inst.a2 * wm[0, 1]
-    x2 = inst.a1 * wm[1, 0] + inst.a2 * wm[1, 1]
-    return (w1 * (wi[0, 0] - wi[1, 0]) * x1
-            - w2 * (wi[1, 1] - wi[0, 1]) * x2)
+    """A - B for heatmap weights ``w``: the score difference to maximize.
+
+    delta is linear in ``w``, so it is ``w`` dotted with its gradient.
+    """
+    return float(np.dot(w, delta_gradient(inst)))
 
 
 def delta_gradient(inst: ToyInstance) -> np.ndarray:
     """Gradient of delta w.r.t. the heatmap weights (constant in w)."""
-    wm, wi = _w_and_inverse(inst.theta)
+    wm = rotation(inst.theta)
+    wi = np.linalg.inv(wm)
     x1 = inst.a1 * wm[0, 0] + inst.a2 * wm[0, 1]
     x2 = inst.a1 * wm[1, 0] + inst.a2 * wm[1, 1]
     return np.array([(wi[0, 0] - wi[1, 0]) * x1,

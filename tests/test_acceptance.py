@@ -17,8 +17,8 @@ from gaxkit.ax import ScoreConstants
 from gaxkit.autodiff import Tensor
 from gaxkit.cli import main as cli_main
 from gaxkit.data import Split
-from gaxkit.formats import (read_gaxh, read_gaxm, read_pgm, read_ppm,
-                            write_gaxh, write_gaxm, write_pgm, write_ppm)
+from gaxkit.formats import (read_gaxh, read_gaxm, read_pnm, write_gaxh,
+                            write_gaxm, write_pgm, write_ppm)
 from gaxkit.gax import _loss_graph
 from gradcheck import (check_gradients, max_relative_error,
                               numeric_gradient)
@@ -329,11 +329,11 @@ def test_c10_format_round_trips(tmp_path):
         gray = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
         p = tmp_path / "t.pgm"
         write_pgm(p, gray)
-        np.testing.assert_array_equal(read_pgm(p), gray)
+        np.testing.assert_array_equal(read_pnm(p), gray)
 
     for i in range(100):
         h, w = (int(d) for d in rng.integers(1, 24, size=2))
         rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         p = tmp_path / "t.ppm"
         write_ppm(p, rgb)
-        np.testing.assert_array_equal(read_ppm(p), rgb)
+        np.testing.assert_array_equal(read_pnm(p), rgb)

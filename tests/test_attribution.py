@@ -7,6 +7,7 @@ from gaxkit import (Heatmap, LinearModel, MiniConvNet, PerfectClassifier2D,
                     attribute, attribute_at_predicted, normalize)
 from gaxkit.attribution import parse_method
 from gaxkit.autodiff import ShapeError
+from gaxkit.toy import rotation
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +192,8 @@ class TestInvariantsOnRandomNets:
         # rescale step takes the difference ratio or the near-zero fallback
         rng = np.random.default_rng(14)
         for theta in np.linspace(-3.0, 3.0, 7):
-            model = PerfectClassifier2D.rotation(theta, sigma=sigma,
-                                                 slope=0.2)
+            model = PerfectClassifier2D(rotation(theta), sigma=sigma,
+                                        slope=0.2)
             base = rng.normal(size=2)
             fb = model.scores(base[None])[0]
             for target in (0, 1):

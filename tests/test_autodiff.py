@@ -14,8 +14,8 @@ from helpers_grad import op_cases
 
 class TestForward:
     def test_matmul_identity(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor([3.0, 4.0]))
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
+        out = ad.matmul(Tensor(np.eye(2)), Tensor([[3.0], [4.0]]))
+        np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_relu_definition(self):
         out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -121,7 +121,7 @@ class TestBackwardRules:
 
     def test_scalar_root_default_seed(self):
         x = Tensor([1.0, 2.0, 3.0])
-        ad.sum_all(x).backward()
+        ad.weighted_sum(x, np.ones(3)).backward()
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
     def test_nonscalar_root_needs_seed(self):
@@ -130,7 +130,7 @@ class TestBackwardRules:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
-            ad.sum_all(Tensor([1.0])).backward(rule="nonsense")
+            ad.mean_all(Tensor([1.0])).backward(rule="nonsense")
 
     def test_gradient_accumulates_over_reuse(self):
         x = Tensor([3.0])
@@ -165,19 +165,20 @@ class TestMLPChainRule:
         xv = rng.normal(size=4)
         seed = rng.normal(size=2)
 
-        x = Tensor(xv)
-        z1 = ad.add(ad.matmul(Tensor(w1), x), Tensor(b1))
+        # one-row batch: x (1, 4) @ w1.T (4, 3), then a1 (1, 3) @ w2.T (3, 2)
+        x = Tensor(xv[None])
+        z1 = ad.bias_add(ad.matmul(x, Tensor(w1.T)), Tensor(b1))
         a1 = ad.relu(z1)
-        z2 = ad.add(ad.matmul(Tensor(w2), a1), Tensor(b2))
+        z2 = ad.bias_add(ad.matmul(a1, Tensor(w2.T)), Tensor(b2))
         out = ad.sigmoid(z2)
-        out.backward(seed)
+        out.backward(seed[None])
 
         # hand-derived chain rule product
         z1v = w1 @ xv + b1
         z2v = w2 @ np.maximum(z1v, 0.0) + b2
         s = 1.0 / (1.0 + np.exp(-z2v))
         g = w1.T @ ((w2.T @ (seed * s * (1.0 - s))) * (z1v > 0))
-        np.testing.assert_allclose(x.grad, g, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(x.grad[0], g, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("name,make", op_cases(), ids=[n for n, _ in op_cases()])

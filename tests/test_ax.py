@@ -52,7 +52,7 @@ class TestScoreConstants:
 
     def test_one_positive_entry_equal_to_one(self):
         sc = ScoreConstants(5, 3)
-        k = sc.as_array()
+        k = sc.int_weights() / (sc.num_classes - 1.0)
         assert k[3] == 1.0
         assert (k[np.arange(5) != 3] < 0).all()
         np.testing.assert_allclose(k[np.arange(5) != 3], -0.25)

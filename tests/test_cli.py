@@ -297,3 +297,60 @@ def test_gax_first_n_below_one_is_one_line(tiny_run, tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err == f"error: limit must be at least 1, got {first_n}"
+
+
+def test_gax_input_errors_leave_no_output_directory(tiny_run, tmp_path,
+                                                    capsys):
+    data, model = tiny_run
+    out = tmp_path / "g"
+    assert main(["gax", "--model", str(model), "--data", str(data),
+                 "--first-n", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+    gray = tmp_path / "gray"
+    assert main(["gen-data", "--out", str(gray), "--train", "0", "--val",
+                 "0", "--test", "2", "--shape", "1,8,8"]) == 0
+    assert main(["gax", "--model", str(model), "--data", str(gray),
+                 "--out", str(out)]) == 1
+    assert "predict: sample shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gax_snapshot_every_zero_names_the_field(tiny_run, tmp_path, capsys):
+    data, model = tiny_run
+    assert main(["gax", "--model", str(model), "--data", str(data),
+                 "--snapshot-every", "0", "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: snapshot_every must be >= 1, got 0"
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen-data", "--shape", "8,8"], "--shape: expected C,H,W, got '8,8'"),
+    (["gen-data", "--shape", "3,8,8,8"], "--shape: expected C,H,W, got"),
+    (["gen-data", "--shape", "3,a,8"], "--shape: invalid C,H,W value: '3,a,8'"),
+    (["ax-sweep", "--model", "m.gaxm", "--data", "d", "--resize", "8"],
+     "--resize: expected H,W, got '8'"),
+], ids=["shape-two", "shape-four", "shape-not-int", "resize-one"])
+def test_shape_flags_need_their_value_count(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"argument {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_data_unwritable_channel_count_writes_nothing(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--train", "2",
+                 "--val", "0", "--test", "0", "--shape", "2,8,8"]) == 1
+    assert "cannot write 2-channel images" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("size", [8, 200])
+def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
+    data, model = tiny_run
+    cut = tmp_path / "cut.gaxm"
+    cut.write_bytes(model.read_bytes()[:size])
+    assert main(["ax-sweep", "--model", str(cut), "--data", str(data),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {cut} is truncated: ")
+    assert "\n" not in err

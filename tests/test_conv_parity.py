@@ -15,36 +15,35 @@ from gaxkit import autodiff as ad
 from gaxkit.autodiff import RULE_STANDARD, Tensor, _out_size, _window_view
 
 
-def reference_conv2d(x, k, g, stride=1, pad=0):
+def reference_conv2d(x, k, g, pad=0):
     """(output, input gradient, kernel gradient) for upstream gradient g."""
     n, _, h, w = x.shape
     _, _, kh, kw = k.shape
-    oh = _out_size(h, kh, stride, pad, "conv2d")
-    ow = _out_size(w, kw, stride, pad, "conv2d")
+    oh = _out_size(h, kh, 1, pad, "conv2d")
+    ow = _out_size(w, kw, 1, pad, "conv2d")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _window_view(xp, kh, kw, stride, oh, ow)
+    cols = _window_view(xp, kh, kw, oh, ow)
     out = np.einsum("ncijhw,ocij->nohw", cols, k, optimize=True)
     gk = np.einsum("ncijhw,nohw->ocij", cols, g, optimize=True)
     dcols = np.einsum("ocij,nohw->ncijhw", k, g, optimize=True)
     gxp = np.zeros_like(xp)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i: i + stride * oh: stride,
-                j: j + stride * ow: stride] += dcols[:, :, i, j]
+            gxp[:, :, i: i + oh, j: j + ow] += dcols[:, :, i, j]
     gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
     return out, gx, gk
 
 
-def _case(rng, n, cin, h, w, cout, kh, kw, stride, pad):
+def _case(rng, n, cin, h, w, cout, kh, kw, pad):
     # relu-like zeros in x and g exercise the sign of zero in the sums
     x = np.maximum(rng.normal(size=(n, cin, h, w)), 0.0)
     k = rng.normal(size=(cout, cin, kh, kw))
-    oh = _out_size(h, kh, stride, pad, "conv2d")
-    ow = _out_size(w, kw, stride, pad, "conv2d")
+    oh = _out_size(h, kh, 1, pad, "conv2d")
+    ow = _out_size(w, kw, 1, pad, "conv2d")
     g = np.maximum(rng.normal(size=(n, cout, oh, ow)), 0.0)
-    t = ad.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad)
+    t = ad.conv2d(Tensor(x), Tensor(k), pad=pad)
     gx, gk = t._vjp(g, RULE_STANDARD)
-    return (t.data, gx, gk), reference_conv2d(x, k, g, stride, pad)
+    return (t.data, gx, gk), reference_conv2d(x, k, g, pad)
 
 
 # MiniConvNet's default conv1 and conv2: (cin, h, w, cout, k), pad k // 2
@@ -55,19 +54,18 @@ MODEL_CONVS = [(3, 32, 32, 8, 3), (8, 16, 16, 16, 3)]
 @pytest.mark.parametrize("cin,h,w,cout,k", MODEL_CONVS)
 def test_model_convs_are_byte_equal(n, cin, h, w, cout, k):
     rng = np.random.default_rng(n * 100 + cin)
-    got, want = _case(rng, n, cin, h, w, cout, k, k, 1, k // 2)
+    got, want = _case(rng, n, cin, h, w, cout, k, k, k // 2)
     for name, a, b in zip(("output", "gx", "gk"), got, want):
         assert a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_stride_pad_kernel_sweep_matches():
+def test_pad_kernel_sweep_matches():
     rng = np.random.default_rng(0)
-    for stride, pad, kh, kw in itertools.product((1, 2, 3), (0, 1, 2),
-                                                 (1, 3, 5), (1, 2, 5)):
+    for pad, kh, kw in itertools.product((0, 1, 2), (1, 3, 5), (1, 2, 5)):
         n, cin, cout = (int(v) for v in rng.integers(1, 4, size=3))
         h = max(kh - 2 * pad, 1) + int(rng.integers(0, 6))
         w = max(kw - 2 * pad, 1) + int(rng.integers(0, 6))
-        got, want = _case(rng, n, cin, h, w, cout, kh, kw, stride, pad)
+        got, want = _case(rng, n, cin, h, w, cout, kh, kw, pad)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)

@@ -39,7 +39,9 @@ class TestBlobs:
         spec = DatasetSpec(class_count=2, train=120, val=60, test=60,
                            image_shape=(3, 16, 16), seed=3)
         ds = make_blobs(spec)
-        probe = LinearModel.init((3, 16, 16), 2, seed=0)
+        probe = LinearModel(
+            np.random.default_rng(0).normal(0.0, 0.01, size=(2, 3 * 16 * 16)),
+            input_shape=(3, 16, 16))
         result = train(probe, ds,
                        StopRule(target_val_accuracy=None, max_iterations=300),
                        seed=0)
@@ -90,6 +92,37 @@ class TestDiskRoundTrip:
         assert (tmp_path / "test" / "class_1").is_dir()
 
 
+class TestManifestErrors:
+    """A malformed manifest line names manifest.txt, the line and the field."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("sample,bogus,0,x.ppm", "unknown split 'bogus'"),
+        ("sample,test", "expected sample,<split>,<label>,<path>, got 2 fields"),
+        ("sample,test,-1,x.ppm", "label '-1' is not a class index"),
+    ], ids=["split", "short-line", "label"])
+    def test_bad_line_named(self, tmp_path, line, message):
+        gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines() + [line]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(
+            f"{manifest} line {len(lines)}: {message}")
+
+    def test_sample_id_with_comma_rejected(self, tmp_path):
+        gen_data(DatasetSpec(train=1, val=0, test=0, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        (src,) = tmp_path.glob("train/class_*/*.pgm")
+        src.rename(src.with_name("a,b.pgm"))
+        text = manifest.read_text().replace(src.name, "a,b.pgm")
+        manifest.write_text(text)
+        with pytest.raises(ValueError, match="'a,b' contains a comma"):
+            load_dataset(tmp_path)
+
+
 class TestIngest:
     def _write_class_dirs(self, root, shapes, *, color=False):
         rng = np.random.default_rng(0)
@@ -133,6 +166,17 @@ class TestIngest:
         with pytest.warns(UserWarning, match="skipping"):
             split = ingest_images(tmp_path, (4, 4))
         assert len(split) == 4
+
+    @pytest.mark.parametrize("name", ["img,x.pgm", "img\nx.pgm"],
+                             ids=["comma", "line-break"])
+    def test_sample_id_the_csvs_cannot_hold_rejected(self, tmp_path, name):
+        self._write_class_dirs(tmp_path, [(4, 4)])
+        bad = tmp_path / "class_0" / name
+        (tmp_path / "class_0" / "s0.pgm").rename(bad)
+        with pytest.raises(ValueError) as info:
+            ingest_images(tmp_path, (4, 4))
+        assert str(info.value).startswith(f"{bad}: sample id ")
+        assert "comma or a line break" in str(info.value)
 
     def test_empty_class_folder_is_error(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4)])

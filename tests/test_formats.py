@@ -5,6 +5,7 @@ import pytest
 
 from gaxkit.attribution import Heatmap
 from gaxkit import formats
+from gaxkit.models import MiniConvNet
 
 
 class TestPnm:
@@ -13,20 +14,20 @@ class TestPnm:
         img = rng.integers(0, 256, size=(7, 5), dtype=np.uint8)
         p = tmp_path / "a.pgm"
         formats.write_pgm(p, img)
-        np.testing.assert_array_equal(formats.read_pgm(p), img)
+        np.testing.assert_array_equal(formats.read_pnm(p), img)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
         p = tmp_path / "a.ppm"
         formats.write_ppm(p, img)
-        np.testing.assert_array_equal(formats.read_ppm(p), img)
+        np.testing.assert_array_equal(formats.read_pnm(p), img)
 
     def test_reader_skips_comments(self, tmp_path):
         p = tmp_path / "c.pgm"
         raster = bytes(range(6))
         p.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + raster)
-        img = formats.read_pgm(p)
+        img = formats.read_pnm(p)
         assert img.shape == (2, 3)
         assert img.tobytes() == raster
 
@@ -34,7 +35,7 @@ class TestPnm:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n255\nshort")
         with pytest.raises(ValueError, match="truncated"):
-            formats.read_pgm(p)
+            formats.read_pnm(p)
 
     def test_unknown_magic_rejected(self, tmp_path):
         p = tmp_path / "x.pgm"
@@ -82,6 +83,51 @@ class TestRawTensor:
         assert int.from_bytes(raw[4:6], "little") == 1
 
 
+def _array_fields(pos, label, arr):
+    """(offset, field) of one packed array's rank, dims and values."""
+    return [(pos, f"{label} rank"), (pos + 4, f"{label} dims"),
+            (pos + 4 + 4 * arr.ndim, f"{label} values")]
+
+
+class TestTruncation:
+    """A file cut anywhere fails with a ValueError naming the file, the
+    field being read and its byte offset."""
+
+    @staticmethod
+    def _assert_every_cut_named(path, fields, read):
+        raw = path.read_bytes()
+        cut = path.with_name("cut" + path.suffix)
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            offset, field = max(f for f in fields if f[0] <= n)
+            with pytest.raises(ValueError) as info:
+                read(cut)
+            msg = str(info.value)
+            assert msg.startswith(f"{cut} is truncated: {field} needs "), msg
+            assert msg.endswith(f" at byte {offset}, {n - offset} left"), msg
+
+    def test_every_cut_of_a_saved_model(self, tmp_path):
+        path = tmp_path / "net.gaxm"
+        MiniConvNet(input_shape=(1, 4, 4), channels=(2, 2), seed=0).save(path)
+        fields, pos = [(0, "magic"), (4, "version"), (6, "entry count")], 10
+        for i, (name, arr) in enumerate(formats.read_gaxm(path).items()):
+            fields += [(pos, f"entry {i} name length"),
+                       (pos + 4, f"entry {i} name")]
+            pos += 4 + len(name.encode("utf-8"))
+            fields += _array_fields(pos, repr(name), arr)
+            pos += 4 + 4 * arr.ndim + 4 * arr.size
+        assert pos == path.stat().st_size
+        self._assert_every_cut_named(path, fields, formats.read_gaxm)
+
+    def test_every_cut_of_a_saved_heatmap(self, tmp_path):
+        path = tmp_path / "h.gaxh"
+        values = np.arange(6.0).reshape(2, 3)
+        formats.write_gaxh(path, values)
+        fields = [(0, "magic"), (4, "version"),
+                  *_array_fields(6, "heatmap", values)]
+        self._assert_every_cut_named(path, fields, formats.read_gaxh)
+
+
 class TestHeatmapRendering:
     def test_zero_map_renders_white(self, tmp_path):
         rgb = formats.heatmap_to_rgb(np.zeros((3, 3)))
@@ -105,12 +151,12 @@ class TestHeatmapRendering:
         assert "method=saliency" in sidecar
         assert "abs_max=1" in sidecar
         # channel 0 has the positive peak -> pure red at (0, 0)
-        img = formats.read_ppm(out["images"][0])
+        img = formats.read_pnm(out["images"][0])
         np.testing.assert_array_equal(img[0, 0], [255, 0, 0])
 
     def test_export_zero_map(self, tmp_path):
         h = Heatmap(np.zeros((2, 2)), "saliency", 0)
         out = formats.export_heatmap(h, tmp_path / "zero")
-        img = formats.read_ppm(out["images"][0])
+        img = formats.read_pnm(out["images"][0])
         assert (img == 255).all()
         assert "abs_max=0" in out["sidecar"].read_text()

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, LinearModel, MiniConvNet,
-                    gax_loss, gax_run, gax_sweep, make_blobs, predict)
+                    gax_run, gax_sweep, make_blobs, predict)
+from gaxkit.autodiff import Tensor
+from gaxkit.ax import ScoreConstants
+from gaxkit.gax import _loss_graph
 from gradcheck import max_relative_error, numeric_gradient
 
 
@@ -19,13 +22,22 @@ def tiny_ds():
                                   image_shape=(3, 8, 8), seed=42))
 
 
+def _loss(model, x, w, b, truth, cfg):
+    """(loss, co, h) of the GAX loss graph at fixed w and b (None: no bias)."""
+    fx = model.scores(x[None])
+    loss, co, h = _loss_graph(model, x, Tensor(w[None]),
+                              None if b is None else Tensor(b[None]), fx,
+                              ScoreConstants(model.num_classes, truth), cfg)
+    return float(loss.data), float(co.data), h.data[0]
+
+
 class TestLoss:
     def test_similarity_term_positive_for_unit_inputs(self, tiny_model):
         rng = np.random.default_rng(0)
         x = rng.uniform(0.05, 1.0, size=(3, 8, 8))
         cfg = GaxConfig()
-        loss, co, h = gax_loss(tiny_model, x, np.ones_like(x), None, 0, cfg)
-        np.testing.assert_allclose(h.values, np.tanh(x))
+        loss, co, h = _loss(tiny_model, x, np.ones_like(x), None, 0, cfg)
+        np.testing.assert_allclose(h, np.tanh(x))
         similarity = loss + co           # loss = -co + similarity
         assert similarity > 0.0
         assert np.isfinite(loss)
@@ -46,8 +58,8 @@ class TestLoss:
         model = LinearModel(np.array([[1.0], [-1.0]]), input_shape=(1,))
         x = np.array([0.5])
         cfg = GaxConfig(similarity_factor=100.0, epsilon=1e-4)
-        loss, co, h = gax_loss(model, x, np.array([0.0]), None, 0, cfg)
-        assert h.values[0] == 0.0
+        loss, co, h = _loss(model, x, np.array([0.0]), None, 0, cfg)
+        assert h[0] == 0.0
         assert co == pytest.approx(0.0)  # h = 0 changes nothing
         expected_sim = 100.0 / ((0.0 - 0.5 + 1e-4) ** 2 / (0.5 + 1e-4))
         assert loss == pytest.approx(-0.0 + expected_sim, rel=1e-12)
@@ -56,7 +68,7 @@ class TestLoss:
         cfg = GaxConfig()
         x = np.full((3, 8, 8), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            gax_loss(tiny_model, x, np.ones_like(x), None, 0, cfg)
+            gax_run(tiny_model, x, 0, cfg)
 
     def test_bias_enters_preactivation(self, tiny_model):
         rng = np.random.default_rng(2)
@@ -64,14 +76,11 @@ class TestLoss:
         cfg = GaxConfig(use_bias=True)
         w = np.ones_like(x)
         b = np.full_like(x, 0.01)
-        _, _, h = gax_loss(tiny_model, x, w, b, 0, cfg)
-        np.testing.assert_allclose(h.values, np.tanh(x + 0.01))
+        _, _, h = _loss(tiny_model, x, w, b, 0, cfg)
+        np.testing.assert_allclose(h, np.tanh(x + 0.01))
 
     def test_loss_gradient_matches_finite_differences(self, tiny_model):
         # the full composite loss, including the inverse-mean penalty
-        from gaxkit.autodiff import Tensor
-        from gaxkit.ax import ScoreConstants
-        from gaxkit.gax import _loss_graph
         rng = np.random.default_rng(3)
         cfg = GaxConfig(similarity_factor=10.0)
         constants = ScoreConstants(2, 0)
@@ -157,9 +166,6 @@ class TestRun:
                 cfg = GaxConfig(target_co=1.0, max_iterations=5)
                 with pytest.raises(ValueError, match="misclassif"):
                     gax_run(tiny_model, x, truth, cfg)
-                trace, _ = gax_run(tiny_model, x, truth, cfg,
-                                   allow_misclassified=True)
-                assert trace.iterations
                 return
         pytest.skip("untrained model classified everything correctly")
 
@@ -183,7 +189,7 @@ class TestRun:
         truth = predict(model, x)[0]
         cfg = GaxConfig(target_co=1e9, max_iterations=1, learning_rate=1e-4,
                         similarity_factor=0.0)
-        trace, _ = gax_run(model, x, truth, cfg, allow_misclassified=False)
+        trace, _ = gax_run(model, x, truth, cfg)
         assert len(trace.iterations) == 2
         assert trace.iterations[1][2] > trace.iterations[0][2]
 

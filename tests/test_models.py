@@ -6,6 +6,7 @@ import pytest
 from gaxkit.autodiff import ShapeError
 from gaxkit.models import (LinearModel, MiniConvNet, PerfectClassifier2D,
                            predict)
+from gaxkit.toy import rotation
 
 
 def _sigmoid(v):
@@ -20,7 +21,7 @@ class TestPerfectClassifier:
 
     def test_quarter_turn_swaps_roles(self):
         # with a quarter-turn mixing, the canonical unit vectors swap class
-        model = PerfectClassifier2D.rotation(np.pi / 2)
+        model = PerfectClassifier2D(rotation(np.pi / 2))
         cls_e2, scores = predict(model, np.array([0.0, 1.0]))
         assert cls_e2 == 0 and scores[0] == pytest.approx(1.0)
         x = model.W @ np.array([0.0, 1.0])          # = (-1, 0)
@@ -30,7 +31,7 @@ class TestPerfectClassifier:
         np.testing.assert_allclose(scores, [0.0, 1.0], atol=1e-15)
 
     def test_rotation_with_sigmoid(self):
-        model = PerfectClassifier2D.rotation(0.3, sigma="sigmoid")
+        model = PerfectClassifier2D(rotation(0.3), sigma="sigmoid")
         x = model.W @ np.array([0.7, 0.3])
         out = model.scores(x[None])[0]
         np.testing.assert_allclose(out, [_sigmoid(0.7), _sigmoid(0.3)],
@@ -102,21 +103,12 @@ class TestSerialization:
         x = rng.uniform(0, 1, size=(2, 1, 8, 8))
         np.testing.assert_array_equal(model.scores(x), loaded.scores(x))
 
-    def test_linear_model_round_trip(self, tmp_path):
-        model = LinearModel.init((3, 4, 4), num_classes=2, seed=9)
-        path = tmp_path / "probe.gaxm"
-        model.save(path)
-        loaded = LinearModel.load(path)
-        x = np.random.default_rng(1).uniform(0, 1, size=(3, 3, 4, 4))
-        np.testing.assert_array_equal(model.scores(x), loaded.scores(x))
-
 
 class TestMiniConvNet:
     def test_layer_names_unique(self):
         model = MiniConvNet(input_shape=(3, 16, 16))
-        names = model.layer_names
-        assert len(names) == len(set(names))
-        assert "conv1" in names and "fc" in names
+        names = list(model.forward_graph(np.zeros((1, 3, 16, 16))).activations)
+        assert names == ["conv1", "pool1", "conv2", "pool2", "fc"]
 
     def test_raw_output_head(self):
         # scores are unbounded raw values, not probabilities
