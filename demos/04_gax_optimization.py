@@ -7,14 +7,10 @@ keeps h visually distinct from x.  Per-iteration traces and heatmap
 snapshots land under gax_runs/.
 """
 
-from pathlib import Path
-
-import numpy as np
-
 from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, StopRule, gax_sweep,
-                    make_blobs, train, write_manifest, write_trace_csv)
+                    make_blobs, train)
 
-OUT = Path("gax_runs")
+OUT = "gax_runs"
 
 spec = DatasetSpec(class_count=2, train=400, val=120, test=60,
                    image_shape=(3, 32, 32), seed=11)
@@ -30,16 +26,11 @@ print(f"optimizing until co >= {cfg.target_co} "
       f"(lr {cfg.learning_rate}, similarity factor {cfg.similarity_factor})")
 traces, errors = gax_sweep(model, ds.test, cfg, out_dir=OUT, limit=8)
 
-trace_paths = {}
 for trace in traces:
-    rel = f"{trace.sample_id}.trace.csv"
-    write_trace_csv(trace, OUT / rel)
-    trace_paths[trace.sample_id] = rel
     first = trace.iterations[0][2]
     mark = "converged" if trace.converged else "hit the iteration cap"
     print(f"  {trace.sample_id}: co {first:7.3f} -> {trace.final_co:7.3f} "
           f"in {len(trace.iterations) - 1:3d} steps ({mark})")
-write_manifest(traces, OUT / "manifest.csv", trace_paths)
 
 print(f"\n{sum(t.converged for t in traces)}/{len(traces)} runs converged; "
       f"traces, snapshots and manifest under {OUT}/")

@@ -97,7 +97,7 @@ def _deeplift(model, x: np.ndarray, target: int,
 def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
     fp = model.forward_graph(x[None])
     if layer not in fp.activations:
-        raise KeyError(
+        raise ValueError(
             f"unknown layer {layer!r}; model layers: {sorted(fp.activations)}")
     act = fp.activations[layer]
     if act.data.ndim != 4:

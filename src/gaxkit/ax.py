@@ -20,6 +20,7 @@ import numpy as np
 
 from .attribution import Heatmap, attribute, normalize
 from .autodiff import ShapeError
+from .formats import parse_number, write_rows
 from .models import predict
 
 VARIANTS = ("sum", "mul")
@@ -135,7 +136,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         truth = int(split.y[i])
         try:
             pred, raw = predict(model, x)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             errors.extend((sid, f"{method}: {exc}") for method in methods)
             continue
         for method in methods:
@@ -145,7 +146,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
                     score = co_score(model, x, heat, truth, variant, fx=raw)
                     records.append(ScoreRecord(sid, method, variant, score,
                                                pred, truth))
-            except (ValueError, KeyError) as exc:  # data errors; bugs propagate
+            except ValueError as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
     records.sort(key=lambda r: (r.sample_id, r.method, r.variant))
     return records, errors
@@ -210,12 +211,9 @@ SCORES_HEADER = "sample_id,method,variant,co_score,pred,truth,correct"
 
 
 def write_scores_csv(records, path) -> None:
-    lines = [SCORES_HEADER]
-    for r in records:
-        flag = "true" if r.correct else "false"
-        lines.append(f"{r.sample_id},{r.method},{r.variant},{r.co_score:.9g},"
-                     f"{r.predicted},{r.groundtruth},{flag}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, SCORES_HEADER,
+               ((r.sample_id, r.method, r.variant, r.co_score, r.predicted,
+                 r.groundtruth, r.correct) for r in records))
 
 
 def read_scores_csv(path) -> list[ScoreRecord]:
@@ -223,12 +221,20 @@ def read_scores_csv(path) -> list[ScoreRecord]:
     if not lines or lines[0] != SCORES_HEADER:
         raise ValueError(f"{path} is not a scores CSV")
     records = []
-    for line in lines[1:]:
+    width = SCORES_HEADER.count(",") + 1
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        sid, method, variant, score, pred, truth, _ = line.split(",")
-        records.append(ScoreRecord(sid, method, variant, float(score),
-                                   int(pred), int(truth)))
+        where = f"{path} line {lineno}"
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{where}: expected {width} fields, "
+                             f"got {len(fields)}")
+        sid, method, variant, score, pred, truth, _ = fields
+        records.append(ScoreRecord(
+            sid, method, variant, parse_number(score, float, where, "co_score"),
+            parse_number(pred, int, where, "pred"),
+            parse_number(truth, int, where, "truth")))
     return records
 
 
@@ -245,8 +251,5 @@ def write_histogram_csv(records, path, bins: int = 40) -> None:
     wrong = np.array([r.co_score for r in records if not r.correct])
     count_c, _ = np.histogram(correct, bins=edges)
     count_w, _ = np.histogram(wrong, bins=edges)
-    lines = ["bin_lo,bin_hi,count_correct,count_wrong"]
-    for i in range(bins):
-        lines.append(f"{edges[i]:.9g},{edges[i + 1]:.9g},"
-                     f"{count_c[i]},{count_w[i]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, "bin_lo,bin_hi,count_correct,count_wrong",
+               zip(edges[:-1], edges[1:], count_c, count_w))

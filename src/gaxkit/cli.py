@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import gax as gax_mod
 from . import toy as toy_mod
 from .attribution import METHODS, attribute, normalize, parse_method
 from .data import SPLITS, DatasetSpec, gen_data, ingest_images, load_dataset
-from .formats import export_heatmap
+from .formats import export_heatmap, format_value, write_lines
 from .gax import GaxConfig
 from .models import MiniConvNet, predict
 from .optim import Adam
@@ -215,8 +216,7 @@ def _cmd_ax_sweep(args) -> int:
     ax_mod.write_scores_csv(records, args.out)
     if errors:
         log = Path(args.out).with_suffix(".errors.log")
-        log.write_text("\n".join(f"{sid}: {msg}" for sid, msg in errors) + "\n",
-                       encoding="utf-8")
+        write_lines(log, (f"{sid}: {msg}" for sid, msg in errors))
         print(f"{len(errors)} sample failures logged to {log}",
               file=sys.stderr)
     print(f"wrote {len(records)} records to {args.out}")
@@ -227,23 +227,17 @@ def _cmd_gap_stats(args) -> int:
     records = ax_mod.read_scores_csv(args.scores)
     stats = ax_mod.gap_stats(records, method=args.method,
                              variant=args.variant)
-    lines = []
+    values = {}
     for group_name, summary in (("correct", stats.correct),
                                 ("wrong", stats.wrong)):
-        if summary is None:
-            lines.append(f"{group_name}_count=0")
-            continue
-        lines.append(f"{group_name}_count={summary.count}")
-        for field_name in ("min", "q1", "median", "q3", "max"):
-            value = getattr(summary, field_name)
-            lines.append(f"{group_name}_{field_name}={value:.9g}")
+        fields = {"count": 0} if summary is None else asdict(summary)
+        values.update((f"{group_name}_{k}", v) for k, v in fields.items())
     if stats.separation is not None:
-        lines.append(f"separation={stats.separation:.9g}")
-        lines.append(f"auroc={stats.auroc:.9g}")
-    text = "\n".join(lines) + "\n"
+        values.update(separation=stats.separation, auroc=stats.auroc)
+    lines = [f"{k}={format_value(v)}" for k, v in values.items()]
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+        write_lines(args.out, lines)
+    print(*lines, sep="\n")
     if args.hist:
         ax_mod.write_histogram_csv(
             ax_mod.select_records(records, args.method, args.variant),
@@ -265,23 +259,11 @@ def _cmd_gax(args) -> int:
                     similarity_factor=args.similarity_factor,
                     epsilon=args.epsilon, use_bias=use_bias,
                     snapshot_every=args.snapshot_every)
-    out = Path(args.out)
-    traces, errors = gax_mod.gax_sweep(model, split, cfg, out_dir=out,
-                                       limit=args.first_n)
-    out.mkdir(parents=True, exist_ok=True)   # after the sweep checks inputs
-    trace_paths = {}
-    for trace in traces:
-        rel = f"{trace.sample_id}.trace.csv"
-        gax_mod.write_trace_csv(trace, out / rel)
-        trace_paths[trace.sample_id] = rel       # run-relative, relocatable
-    gax_mod.write_manifest(traces, out / "manifest.csv", trace_paths)
-    if errors:
-        (out / "errors.log").write_text(
-            "\n".join(f"{sid}: {msg}" for sid, msg in errors) + "\n",
-            encoding="utf-8")
+    traces, _ = gax_mod.gax_sweep(model, split, cfg, out_dir=args.out,
+                                  limit=args.first_n)
     converged = sum(t.converged for t in traces)
     print(f"{converged}/{len(traces)} runs reached co >= {cfg.target_co}; "
-          f"outputs under {out}")
+          f"outputs under {Path(args.out)}")
     return 0
 
 
@@ -311,7 +293,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

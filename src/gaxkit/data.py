@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import read_pnm, write_pgm, write_ppm
+from .formats import (parse_number, read_pnm, write_lines, write_pgm,
+                      write_ppm)
 
 SPLITS = ("train", "val", "test")
 
@@ -131,7 +132,7 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
             write(out / rel, np.moveaxis(img, 0, 2) if c == 3 else img[0])
             lines.append(f"sample,{split_name},{label},{rel}")
     manifest = out / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(manifest, lines)
     return manifest
 
 
@@ -162,9 +163,23 @@ def load_dataset(root) -> Dataset:
                                  "class index")
             samples[split_name].append((int(label), rel))
         else:
-            key, value = line.split("=", maxsplit=1)
-            header[key] = value
-    shape = tuple(int(v) for v in header["image_shape"].split("x"))
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{where}: expected <key>=<value> or "
+                                 f"sample,<split>,<label>,<path>, got {line!r}")
+            if key == "image_shape":
+                dims = value.split("x")
+                if len(dims) != 3:
+                    raise ValueError(f"{where}: image_shape {value!r} is not "
+                                     "<C>x<H>x<W>")
+                header[key] = tuple(parse_number(d, int, where, key)
+                                    for d in dims)
+            elif key in ("class_count", "seed"):
+                header[key] = parse_number(value, int, where, key)
+    for key in ("image_shape", "class_count"):
+        if key not in header:
+            raise ValueError(f"{manifest}: no {key}= line")
+    shape = header["image_shape"]
     c, h, w = shape
 
     def load_split(name: str) -> Split:
@@ -178,13 +193,17 @@ def load_dataset(root) -> Dataset:
             path = root / rel
             img = read_pnm(path)
             arr = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
+            if arr.shape != shape:
+                raise ValueError(
+                    f"{path}: image is {'x'.join(map(str, arr.shape))}, but "
+                    f"{manifest} gives image_shape {c}x{h}x{w}")
             x[i] = arr / 255.0
             y[i] = label
             ids.append(_sample_id(path.stem, path))
         return Split(x, y, ids)
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
-                   int(header["class_count"]), shape, int(header.get("seed", 0)))
+                   header["class_count"], shape, header.get("seed", 0))
 
 
 def gen_data(spec: DatasetSpec, out_dir) -> Path:
@@ -229,8 +248,8 @@ def ingest_images(directory, resize_to: tuple[int, int],
                 continue
             try:
                 img = read_pnm(f)
-            except ValueError as exc:
-                warnings.warn(f"skipping {f}: {exc}")
+            except ValueError as exc:   # the message names the file
+                warnings.warn(f"skipping {exc}")
                 continue
             img = nearest_resize(img, out_h, out_w)
             if img.ndim == 2:

@@ -1,4 +1,5 @@
-"""Dependency-free file formats: PGM/PPM images, raw heatmaps, model weights.
+"""Dependency-free file formats: PGM/PPM images, raw heatmaps, model weights,
+and the text writers every CSV, manifest, sidecar and log goes through.
 
 Binary layouts (all integers little-endian):
 
@@ -24,6 +25,42 @@ FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
+# text
+
+def format_value(v) -> str:
+    """One text field: ``true``/``false``, a float to 9 significant digits
+    (``np.float64`` included), anything else as ``str``."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.9g}"
+    return str(v)
+
+
+def parse_number(text, kind, where, field: str):
+    """``kind(text)`` for ``kind`` int or float; a bad value raises one
+    ValueError naming ``where`` (file and line) and ``field``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {field} {text!r} is not {noun}") from None
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` as UTF-8, each one ended by a LF."""
+    Path(path).write_bytes("".join(f"{line}\n" for line in lines)
+                          .encode("utf-8"))
+
+
+def write_rows(path, header: str, rows) -> None:
+    """A CSV: the header line, then each row's formatted fields joined by
+    commas."""
+    write_lines(path, [header, *(",".join(map(format_value, row))
+                                 for row in rows)])
+
+
+# ---------------------------------------------------------------------------
 # PGM / PPM
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -31,11 +68,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     a = np.asarray(gray)
     if a.ndim != 2:
         raise ValueError(f"write_pgm: expected (H, W), got {a.shape}")
-    a = a.astype(np.uint8)
-    h, w = a.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(a.tobytes())
+    _write_pnm(path, b"P5", a)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -43,14 +76,16 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3:
         raise ValueError(f"write_ppm: expected (H, W, 3), got {a.shape}")
-    a = a.astype(np.uint8)
+    _write_pnm(path, b"P6", a)
+
+
+def _write_pnm(path, magic: bytes, a: np.ndarray) -> None:
     h, w = a.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(a.tobytes())
+    Path(path).write_bytes(magic + f"\n{w} {h}\n255\n".encode("ascii")
+                           + a.astype(np.uint8).tobytes())
 
 
-def _read_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _read_pnm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     # skip whitespace and '#' comment lines between header fields
     while pos < len(data):
         c = data[pos: pos + 1]
@@ -65,29 +100,29 @@ def _read_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < len(data) and not data[pos: pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise ValueError("truncated PNM header")
+        raise ValueError(f"{path}: truncated PNM header")
     return data[start:pos], pos
 
 
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM or PPM; returns uint8 (H, W) or (H, W, 3)."""
     data = Path(path).read_bytes()
-    magic, pos = _read_pnm_token(data, 0)
+    magic, pos = _read_pnm_token(data, 0, path)
     if magic not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
+        raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
     fields = []
-    for _ in range(3):
-        tok, pos = _read_pnm_token(data, pos)
-        fields.append(int(tok))
+    for name in ("width", "height", "maxval"):
+        tok, pos = _read_pnm_token(data, pos, path)
+        fields.append(parse_number(tok.decode("latin-1"), int, path, name))
     w, h, maxval = fields
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval} in {path}")
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
     channels = 1 if magic == b"P5" else 3
     need = w * h * channels
     raster = data[pos: pos + need]
     if len(raster) != need:
-        raise ValueError(f"truncated raster in {path}")
+        raise ValueError(f"{path}: truncated raster")
     a = np.frombuffer(raster, dtype=np.uint8)
     return a.reshape(h, w) if channels == 1 else a.reshape(h, w, 3)
 
@@ -205,24 +240,18 @@ def export_heatmap(heatmap, stem) -> dict[str, object]:
     """Write a heatmap as raw tensor + per-channel PPMs + text sidecar.
 
     ``stem`` is a path without extension; produces ``<stem>.gaxh``,
-    ``<stem>.ch<i>.ppm`` (one per channel; a single ``<stem>.ppm`` for 2D
-    maps) and ``<stem>.txt``.  Returns the written paths.
+    ``<stem>.ch<i>.ppm`` (one per channel; a single ``<stem>.ppm`` for a
+    2D or one-channel map) and ``<stem>.txt``.  Returns the written paths.
     """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     values = np.asarray(heatmap.values, dtype=np.float64)
+    if values.ndim not in (2, 3):
+        raise ValueError(f"cannot render heatmap of shape {values.shape}")
     raw_path = stem.with_name(stem.name + ".gaxh")
     write_gaxh(raw_path, values)
 
-    if values.ndim == 1:
-        channels = values.reshape(1, 1, -1)
-    elif values.ndim == 2:
-        channels = values[None]
-    elif values.ndim == 3:
-        channels = values
-    else:
-        raise ValueError(f"cannot render heatmap of shape {values.shape}")
-
+    channels = values[None] if values.ndim == 2 else values
     abs_max = float(np.abs(values).max())
     image_paths = []
     for i, chan in enumerate(channels):
@@ -232,12 +261,8 @@ def export_heatmap(heatmap, stem) -> dict[str, object]:
         image_paths.append(p)
 
     sidecar = stem.with_name(stem.name + ".txt")
-    shape_txt = "x".join(str(d) for d in values.shape)
-    sidecar.write_text(
-        f"method={heatmap.method}\n"
-        f"target_class={heatmap.target_class}\n"
-        f"normalized={'true' if heatmap.normalized else 'false'}\n"
-        f"abs_max={abs_max:.9g}\n"
-        f"shape={shape_txt}\n",
-        encoding="utf-8")
+    fields = {"method": heatmap.method, "target_class": heatmap.target_class,
+              "normalized": heatmap.normalized, "abs_max": abs_max,
+              "shape": "x".join(str(d) for d in values.shape)}
+    write_lines(sidecar, (f"{k}={format_value(v)}" for k, v in fields.items()))
     return {"raw": raw_path, "images": image_paths, "sidecar": sidecar}

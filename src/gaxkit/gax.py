@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .ax import ScoreConstants
 from .models import predict
 from .optim import Adam
-from .formats import export_heatmap
+from .formats import export_heatmap, write_lines, write_rows
 
 
 W_INIT, BIAS_INIT = 1.0, 0.01      # h starts at tanh(x) or tanh(x + 0.01)
@@ -156,6 +156,10 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
     Misclassified samples are excluded (not errors).  Other per-sample
     failures are logged and skipped; a run stopped by a non-finite loss
     keeps its trace and is logged too.  Returns (traces, errors).
+
+    With ``out_dir`` set, the run directory holds each run's snapshots,
+    ``<id>.trace.csv``, ``manifest.csv`` and, if any run failed,
+    ``errors.log``; invalid inputs raise before anything is written.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -176,12 +180,21 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
         try:
             trace, _ = gax_run(model, x, truth, cfg, sample_id=sid,
                                out_dir=out_dir)
-        except (ValueError, KeyError) as exc:  # data errors; bugs propagate
+        except ValueError as exc:  # data errors; bugs propagate
             errors.append((sid, str(exc)))
             continue
         traces.append(trace)
         if trace.error is not None:
             errors.append((sid, trace.error))
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for trace in traces:
+            write_trace_csv(trace, out / f"{trace.sample_id}.trace.csv")
+        write_manifest(traces, out / "manifest.csv")
+        if errors:
+            write_lines(out / "errors.log",
+                        (f"{sid}: {msg}" for sid, msg in errors))
     return traces, errors
 
 
@@ -192,19 +205,13 @@ TRACE_HEADER = "step,loss,co_score"
 
 
 def write_trace_csv(trace: GaxTrace, path) -> None:
-    lines = [TRACE_HEADER]
-    for step, loss, co in trace.iterations:
-        lines.append(f"{step},{loss:.9g},{co:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, TRACE_HEADER, trace.iterations)
 
 
-def write_manifest(traces, path, trace_paths: dict[str, str]) -> None:
-    """One line per run: id, convergence, final score, trace and snapshots."""
-    lines = ["sample_id,converged,final_co,steps,trace_path,snapshots"]
-    for t in traces:
-        ref = trace_paths.get(t.sample_id, "")
-        flag = "true" if t.converged else "false"
-        snaps = ";".join(p for _, p in t.snapshots)
-        lines.append(f"{t.sample_id},{flag},{t.final_co:.9g},"
-                     f"{len(t.iterations)},{ref},{snaps}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_manifest(traces, path) -> None:
+    """One line per run: id, convergence, final score, trace and snapshots;
+    the trace is ``<id>.trace.csv`` next to the manifest."""
+    write_rows(path, "sample_id,converged,final_co,steps,trace_path,snapshots",
+               ((t.sample_id, t.converged, t.final_co, len(t.iterations),
+                 f"{t.sample_id}.trace.csv", ";".join(p for _, p in t.snapshots))
+                for t in traces))

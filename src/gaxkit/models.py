@@ -198,6 +198,14 @@ class MiniConvNet:
     @classmethod
     def load(cls, path) -> "MiniConvNet":
         named = read_gaxm(path)
+        for name in ("input_shape", "kernel", "conv1.w", "conv1.b", "conv2.w",
+                     "conv2.b", "fc.w", "fc.b"):
+            if name not in named:
+                raise ValueError(f"{path}: no {name!r} entry")
+        for name, arr in named.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: entry {name!r} holds a non-finite "
+                                 "value")
         input_shape = tuple(int(v) for v in named.pop("input_shape"))
         kernel = int(named.pop("kernel")[0])
         channels = (named["conv1.w"].shape[0], named["conv2.w"].shape[0])

@@ -15,9 +15,9 @@ rotation sweeps of both, all in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
+
+from .formats import write_rows
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,4 @@ SWEEP_HEADER = "theta,x1,x2,h1,h2"
 
 
 def write_sweep_csv(rows: np.ndarray, path) -> None:
-    lines = [SWEEP_HEADER]
-    for theta, x1, x2, h1, h2 in rows:
-        lines.append(f"{theta:.9g},{x1:.9g},{x2:.9g},{h1:.9g},{h2:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, SWEEP_HEADER, rows)

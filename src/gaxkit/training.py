@@ -17,10 +17,6 @@ from .models import snap32
 from .optim import Adam
 
 
-class TrainingError(RuntimeError):
-    """Raised when optimization cannot proceed (e.g. non-finite loss)."""
-
-
 @dataclass(frozen=True)
 class StopRule:
     target_val_accuracy: float | None = 0.99
@@ -115,7 +111,7 @@ def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
         loss = ad.cross_entropy(fp.scores, train_split.y[idx])
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
-            raise TrainingError(f"non-finite loss at iteration {it}")
+            raise ValueError(f"non-finite loss at iteration {it}")
         loss.backward()
         grads = {name: leaf.grad for name, leaf in fp.params.items()}
         updated = opt.step(model.params, grads)

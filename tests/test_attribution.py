@@ -142,7 +142,7 @@ class TestGradCam:
         x = rng.uniform(0, 1, size=(3, 16, 16))
         h1 = attribute(conv_model, x, 0, "layer-gradcam:conv2")
         assert h1.method == "layer-gradcam:conv2"
-        with pytest.raises(KeyError, match="unknown layer"):
+        with pytest.raises(ValueError, match="unknown layer"):
             attribute(conv_model, x, 0, "layer-gradcam:conv9")
 
     def test_upsampling_covers_input(self, conv_model):

@@ -222,6 +222,18 @@ class TestSweep:
         with pytest.raises(TypeError, match="broken attribution"):
             ax_sweep(model, ds.test, ["saliency"], ["sum"])
 
+    def test_key_error_from_a_bug_propagates(self, tiny, monkeypatch):
+        # only ValueError is an expected per-sample error
+        import gaxkit.attribution
+
+        def broken(*args, **kwargs):
+            raise KeyError("conv9")
+
+        monkeypatch.setattr(gaxkit.attribution, "_gradient_heatmap", broken)
+        model, ds = tiny
+        with pytest.raises(KeyError, match="conv9"):
+            ax_sweep(model, ds.test, ["saliency"], ["sum"])
+
 
 class TestGapStats:
     def _records(self, correct_scores, wrong_scores):
@@ -306,6 +318,20 @@ class TestCsv:
         p = tmp_path / "scores.csv"
         write_scores_csv(recs, p)
         assert "0.333333333" in p.read_text()
+
+    @pytest.mark.parametrize("row,message", [
+        ("a,saliency,sum", "expected 7 fields, got 3"),
+        ("a,saliency,sum,1.5,0,0,true,x", "expected 7 fields, got 8"),
+        ("a,saliency,sum,high,0,0,true", "co_score 'high' is not a number"),
+        ("a,saliency,sum,1.5,0.5,0,false", "pred '0.5' is not an integer"),
+    ], ids=["short", "long", "score", "pred"])
+    def test_bad_row_names_file_line_and_field(self, tmp_path, row, message):
+        p = tmp_path / "scores.csv"
+        write_scores_csv([ScoreRecord("z", "saliency", "sum", 1.0, 0, 0)], p)
+        p.write_text(p.read_text() + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_scores_csv(p)
+        assert str(info.value) == f"{p} line 3: {message}"
 
     def test_histogram_shape_and_counts(self, tmp_path):
         recs = ([ScoreRecord(f"c{i}", "m", "sum", float(i), 1, 1)

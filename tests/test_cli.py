@@ -169,15 +169,11 @@ def test_gax_subcommand_paper_style_flags(tiny_run, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gax_logs_nonfinite_runs(tiny_run, tmp_path, capsys):
-    from gaxkit.models import MiniConvNet
-
-    data, model_path = tiny_run
-    model = MiniConvNet.load(model_path)
-    model.params["fc.b"] = np.array([np.inf, 0.0])
-    bad = tmp_path / "inf.gaxm"
-    model.save(bad)
+    # a similarity factor this large overflows the loss at step 0
+    data, model = tiny_run
     out = tmp_path / "g"
-    assert main(["gax", "--model", str(bad), "--data", str(data),
+    assert main(["gax", "--model", str(model), "--data", str(data),
+                 "--similarity-factor", "1e308",
                  "--max-iterations", "3", "--out", str(out)]) == 0
     runs = (out / "manifest.csv").read_text().splitlines()[1:]
     log = (out / "errors.log").read_text().splitlines()
@@ -273,8 +269,9 @@ def test_ax_sweep_unknown_gradcam_layer_is_per_sample(tiny_run, tmp_path,
     assert len(out.read_text().splitlines()) == 1 + 16
     log = out.with_suffix(".errors.log").read_text().splitlines()
     assert len(log) == 16
-    assert all(": layer-gradcam:nope: " in line
-               and "unknown layer 'nope'" in line for line in log)
+    assert all(line.endswith(": layer-gradcam:nope: unknown layer 'nope'; "
+                             "model layers: ['conv1', 'conv2', 'fc', 'pool1', "
+                             "'pool2']") for line in log)
 
 
 @pytest.mark.parametrize("command", ["attribute", "ax-sweep", "gax"])
@@ -354,3 +351,36 @@ def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {cut} is truncated: ")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("entry", ["input_shape", "fc.w"])
+def test_unusable_model_is_one_line(tiny_run, tmp_path, capsys, entry):
+    from gaxkit.formats import read_gaxm, write_gaxm
+
+    data, model = tiny_run
+    named = read_gaxm(model)
+    if entry == "input_shape":
+        del named[entry]
+        message = "no 'input_shape' entry"
+    else:
+        named[entry][0, 0] = np.nan
+        message = "entry 'fc.w' holds a non-finite value"
+    bad = tmp_path / "bad.gaxm"
+    write_gaxm(bad, named)
+    out = tmp_path / "s.csv"
+    assert main(["ax-sweep", "--model", str(bad), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_nonfinite_loss_is_one_line(tiny_run, tmp_path, capsys):
+    data, _ = tiny_run
+    out = tmp_path / "m.gaxm"
+    assert main(["train", "--data", str(data), "--out", str(out),
+                 "--lr", "1e300", "--max-iterations", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at iteration ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -99,7 +99,13 @@ class TestManifestErrors:
         ("sample,bogus,0,x.ppm", "unknown split 'bogus'"),
         ("sample,test", "expected sample,<split>,<label>,<path>, got 2 fields"),
         ("sample,test,-1,x.ppm", "label '-1' is not a class index"),
-    ], ids=["split", "short-line", "label"])
+        ("seed 3", "expected <key>=<value> or sample,<split>,<label>,<path>, "
+                   "got 'seed 3'"),
+        ("image_shape=3x32", "image_shape '3x32' is not <C>x<H>x<W>"),
+        ("image_shape=3x32xa", "image_shape 'a' is not an integer"),
+        ("class_count=two", "class_count 'two' is not an integer"),
+    ], ids=["split", "short-line", "label", "no-equals", "shape-dims",
+            "shape-int", "class-count"])
     def test_bad_line_named(self, tmp_path, line, message):
         gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
                              seed=0), tmp_path)
@@ -110,6 +116,30 @@ class TestManifestErrors:
             load_dataset(tmp_path)
         assert str(info.value).startswith(
             f"{manifest} line {len(lines)}: {message}")
+
+    @pytest.mark.parametrize("key", ["image_shape", "class_count"])
+    def test_missing_header_named(self, tmp_path, key):
+        gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = [line for line in manifest.read_text().splitlines()
+                 if not line.startswith(key + "=")]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{manifest}: no {key}= line"
+
+    def test_image_of_another_size_named(self, tmp_path):
+        gen_data(DatasetSpec(train=1, val=0, test=0, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "image_shape=1x4x4", "image_shape=1x8x8"))
+        (image,) = tmp_path.glob("train/class_*/*.pgm")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == (f"{image}: image is 1x4x4, but {manifest} "
+                                   "gives image_shape 1x8x8")
 
     def test_sample_id_with_comma_rejected(self, tmp_path):
         gen_data(DatasetSpec(train=1, val=0, test=0, image_shape=(1, 4, 4),
@@ -162,10 +192,13 @@ class TestIngest:
 
     def test_corrupt_file_skipped_with_warning(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4), (4, 4)])
-        (tmp_path / "class_0" / "bad.pgm").write_bytes(b"not an image")
-        with pytest.warns(UserWarning, match="skipping"):
+        bad = tmp_path / "class_0" / "bad.pgm"
+        bad.write_bytes(b"not an image")
+        with pytest.warns(UserWarning) as record:
             split = ingest_images(tmp_path, (4, 4))
         assert len(split) == 4
+        assert [str(w.message) for w in record] == [
+            f"skipping {bad}: unsupported PNM magic b'not'"]
 
     @pytest.mark.parametrize("name", ["img,x.pgm", "img\nx.pgm"],
                              ids=["comma", "line-break"])

@@ -43,6 +43,20 @@ class TestPnm:
         with pytest.raises(ValueError, match="magic"):
             formats.read_pnm(p)
 
+    @pytest.mark.parametrize("raw,message", [
+        (b"", "truncated PNM header"),
+        (b"P5\n4 4\n", "truncated PNM header"),
+        (b"P5\n3x 4\n255\n", "width '3x' is not an integer"),
+        (b"P6\n4 4\n65535\n", "only maxval 255 supported, got 65535"),
+        (b"P5\n4 4\n255\nshort", "truncated raster"),
+    ], ids=["empty", "no-maxval", "width", "maxval", "raster"])
+    def test_bad_file_named(self, tmp_path, raw, message):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            formats.read_pnm(p)
+        assert str(info.value) == f"{p}: {message}"
+
 
 class TestRawTensor:
     def test_heatmap_file_round_trip(self, tmp_path):

@@ -256,8 +256,9 @@ class TestSweepAndExport:
         assert lines[0] == "step,loss,co_score"
         assert len(lines) == len(trace.iterations) + 1
         m = tmp_path / "manifest.csv"
-        write_manifest([trace], m, {"s9": str(p)})
+        write_manifest([trace], m)
         text = m.read_text()
         assert text.splitlines()[0] == \
             "sample_id,converged,final_co,steps,trace_path,snapshots"
         assert "s9,false," in text
+        assert ",s9.trace.csv," in text

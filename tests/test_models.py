@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaxkit.autodiff import ShapeError
+from gaxkit.formats import read_gaxm, write_gaxm
 from gaxkit.models import (LinearModel, MiniConvNet, PerfectClassifier2D,
                            predict)
 from gaxkit.toy import rotation
@@ -102,6 +103,36 @@ class TestSerialization:
         loaded = MiniConvNet.load(path)
         x = rng.uniform(0, 1, size=(2, 1, 8, 8))
         np.testing.assert_array_equal(model.scores(x), loaded.scores(x))
+
+
+class TestLoadChecks:
+    """A weight file that cannot make a working model fails on load with a
+    message naming the file and the entry."""
+
+    @pytest.fixture
+    def named(self, tmp_path):
+        path = tmp_path / "net.gaxm"
+        MiniConvNet(input_shape=(1, 8, 8), seed=0).save(path)
+        return path, read_gaxm(path)
+
+    def test_missing_entry(self, named):
+        path, entries = named
+        del entries["input_shape"]
+        write_gaxm(path, entries)
+        with pytest.raises(ValueError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == f"{path}: no 'input_shape' entry"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_value(self, named, value):
+        path, entries = named
+        entries["fc.w"][1, 3] = value
+        write_gaxm(path, entries)
+        with pytest.raises(ValueError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == \
+            f"{path}: entry 'fc.w' holds a non-finite value"
 
 
 class TestMiniConvNet:
