@@ -30,8 +30,10 @@ from .autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD, ShapeError,
 from .data import nearest_resize
 from .models import predict
 
-METHODS = ("saliency", "input-x-gradient", "deconvolution", "guided-backprop",
-           "deeplift", "layer-gradcam")
+# the plain-gradient methods differ only in the rectifier's backward rule
+_GRADIENT_RULES = {"saliency": RULE_STANDARD, "input-x-gradient": RULE_STANDARD,
+                   "deconvolution": RULE_DECONV, "guided-backprop": RULE_GUIDED}
+METHODS = (*_GRADIENT_RULES, "deeplift", "layer-gradcam")
 
 DEFAULT_GRADCAM_LAYER = "conv1"
 
@@ -71,10 +73,17 @@ def _check_target(model, target: int) -> int:
     return target
 
 
+def _one_hot(scores: Tensor, target: int) -> np.ndarray:
+    """Backward seed that explains class ``target`` of a (1, C) score row."""
+    seed = np.zeros(scores.shape)
+    seed[0, target] = 1.0
+    return seed
+
+
 def _gradient_heatmap(model, x: np.ndarray, target: int, rule: str) -> np.ndarray:
     leaf = Tensor(x[None])
     fp = model.forward_graph(leaf)
-    ad.select(fp.scores, 0, target).backward(rule=rule)
+    fp.scores.backward(_one_hot(fp.scores, target), rule)
     return leaf.grad[0].copy()
 
 
@@ -88,9 +97,7 @@ def _deeplift(model, x: np.ndarray, target: int,
     fp = model.forward_graph(leaf)
     leaf_b = Tensor(base[None])
     fp_b = model.forward_graph(leaf_b)
-    seed = np.zeros(fp.scores.shape)
-    seed[0, target] = 1.0
-    ad.rescale_multipliers(fp.scores, fp_b.scores, seed)
+    ad.rescale_multipliers(fp.scores, fp_b.scores, _one_hot(fp.scores, target))
     return ((x - base) * leaf.grad[0]).copy()
 
 
@@ -102,7 +109,7 @@ def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
     act = fp.activations[layer]
     if act.data.ndim != 4:
         raise ValueError(f"layer {layer!r} is not spatial (shape {act.shape})")
-    ad.select(fp.scores, 0, target).backward(rule=RULE_STANDARD)
+    fp.scores.backward(_one_hot(fp.scores, target), RULE_STANDARD)
     weights = act.grad.mean(axis=(2, 3))           # (1, K) spatially averaged
     cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1), 0.0)
     plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
@@ -120,14 +127,10 @@ def attribute(model, x, target: int, method: str, *,
         raise ShapeError(
             f"input shape {x.shape} != model input {model.input_shape}")
 
-    if kind == "saliency":
-        values = _gradient_heatmap(model, x, target, RULE_STANDARD)
-    elif kind == "input-x-gradient":
-        values = x * _gradient_heatmap(model, x, target, RULE_STANDARD)
-    elif kind == "deconvolution":
-        values = _gradient_heatmap(model, x, target, RULE_DECONV)
-    elif kind == "guided-backprop":
-        values = _gradient_heatmap(model, x, target, RULE_GUIDED)
+    if kind in _GRADIENT_RULES:
+        values = _gradient_heatmap(model, x, target, _GRADIENT_RULES[kind])
+        if kind == "input-x-gradient":
+            values = x * values
     elif kind == "deeplift":
         values = _deeplift(model, x, target, deeplift_baseline)
     else:

@@ -20,6 +20,7 @@ Only plain ``relu`` nodes are affected by the overrides; every other op
 :meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
 rule) share one reverse sweep, and both fill ``grad`` on every graph node.
 Their finite-difference checker lives with the tests (``tests/gradcheck.py``).
+Attribution explains one class by seeding either sweep with a one-hot row.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ def _backprop(root: Tensor, order: list[Tensor], seed, pull) -> None:
         if node._vjp is None:
             continue
         for parent, pg in zip(node.parents, pull(node)):
-            if pg is not None:
-                parent.grad += pg
+            parent.grad += pg
 
 
 def _topo(root: Tensor) -> list[Tensor]:
@@ -237,17 +237,13 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-channel bias to a (N, C) or (N, C, H, W) tensor."""
     if b.data.ndim != 1:
         raise ShapeError(f"bias_add: bias must be 1D, got {b.shape}")
-    if x.data.ndim == 2:
-        if x.shape[1] != b.shape[0]:
-            raise ShapeError(f"bias_add: {x.shape} with bias {b.shape}")
-        return Tensor(x.data + b.data[None, :], (x, b), "bias-add",
-                      lambda g, r: (g, g.sum(axis=0)))
-    if x.data.ndim == 4:
-        if x.shape[1] != b.shape[0]:
-            raise ShapeError(f"bias_add: {x.shape} with bias {b.shape}")
-        return Tensor(x.data + b.data[None, :, None, None], (x, b), "bias-add",
-                      lambda g, r: (g, g.sum(axis=(0, 2, 3))))
-    raise ShapeError(f"bias_add: expected 2D or 4D input, got {x.shape}")
+    if x.data.ndim not in (2, 4):
+        raise ShapeError(f"bias_add: expected 2D or 4D input, got {x.shape}")
+    if x.shape[1] != b.shape[0]:
+        raise ShapeError(f"bias_add: {x.shape} with bias {b.shape}")
+    rest = tuple(range(2, x.data.ndim))
+    return Tensor(x.data + b.data.reshape((1, -1) + (1,) * len(rest)), (x, b),
+                  "bias-add", lambda g, r: (g, g.sum(axis=(0, *rest))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +340,12 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and selections
+# reductions
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     return Tensor(a.data.mean(), (a,), "mean",
                   lambda g, r: (np.full_like(a.data, float(g) / n),))
-
-
-def select(a: Tensor, row: int, col: int) -> Tensor:
-    """Pick a single scalar entry from a 2D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"select: expected 2D input, got {a.shape}")
-    value = a.data[row, col]
-
-    def vjp(g, rule):
-        out = np.zeros_like(a.data)
-        out[row, col] = float(g)
-        return (out,)
-
-    return Tensor(value, (a,), "select", vjp)
 
 
 def weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:

@@ -93,7 +93,7 @@ class GapStats:
     auroc: float | None           # co-score as a ranking of correctness
 
 
-def co_score(model, x, h, groundtruth: int, variant: str = "sum", *,
+def co_score(model, x, h: Heatmap, groundtruth: int, variant: str = "sum", *,
              fx=None) -> float:
     """CO score of heatmap ``h`` for one sample against its groundtruth.
 
@@ -103,8 +103,7 @@ def co_score(model, x, h, groundtruth: int, variant: str = "sum", *,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
     x = np.asarray(x, dtype=np.float64)
-    values = h.values if isinstance(h, Heatmap) else np.asarray(h,
-                                                                dtype=np.float64)
+    values = h.values
     if x.shape != tuple(model.input_shape):
         raise ShapeError(f"input shape {x.shape} != model input "
                          f"{model.input_shape}")
@@ -124,8 +123,9 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
     """Score every (sample, method, variant) combination of a split.
 
     Heatmaps target the predicted class and enter the score normalized.
-    Per-sample failures are collected, not fatal; returns (records, errors)
-    with records sorted for deterministic export.
+    Per-method failures are collected, not fatal; returns (records, errors)
+    with records sorted for deterministic export.  A split whose samples do
+    not fit the model raises ``predict``'s ``ShapeError``.
     """
     records: list[ScoreRecord] = []
     errors: list[tuple[str, str]] = []
@@ -134,11 +134,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         sid = split.ids[i]
         x = split.x[i]
         truth = int(split.y[i])
-        try:
-            pred, raw = predict(model, x)
-        except ValueError as exc:
-            errors.extend((sid, f"{method}: {exc}") for method in methods)
-            continue
+        pred, raw = predict(model, x)
         for method in methods:
             try:
                 heat = normalize(attribute(model, x, pred, method))
@@ -160,16 +156,10 @@ def _summary(scores: np.ndarray) -> GroupSummary:
 def _auroc(positive: np.ndarray, negative: np.ndarray) -> float:
     """Rank-based AUROC (ties get half credit via average ranks)."""
     scores = np.concatenate([positive, negative])
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    # a group of tied scores holds 1-based ranks cumsum - counts + 1 .. cumsum
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     n_pos, n_neg = len(positive), len(negative)
     r_pos = ranks[:n_pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -192,6 +182,11 @@ def gap_stats(records, method: str | None = None,
     selected = select_records(records, method, variant)
     if not selected:
         raise ValueError("gap_stats: no records match the filter")
+    for r in selected:
+        if not np.isfinite(r.co_score):
+            raise ValueError(f"gap_stats: sample {r.sample_id} method "
+                             f"{r.method} variant {r.variant} has a "
+                             f"non-finite co_score {r.co_score}")
     correct = np.array([r.co_score for r in selected if r.correct])
     wrong = np.array([r.co_score for r in selected if not r.correct])
     summary_c = _summary(correct) if len(correct) else None

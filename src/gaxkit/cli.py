@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the library operations: ``gen-data``,
 ``train``, ``attribute``, ``ax-sweep``, ``gap-stats``, ``gax`` and
-``toy-sweep``.  Every run is reproducible from its seed.
+``toy-sweep``; only ``gen-data`` and ``train`` draw from a ``--seed``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=int, default=250)
     p.add_argument("--shape", type=_shape("C,H,W"), default=(3, 32, 32),
                    help="image shape C,H,W")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train", help="train the small conv net on a dataset")
     p.add_argument("--data", required=True)
@@ -103,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--beta1", type=float, default=0.5)
     p.add_argument("--beta2", type=float, default=0.999)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("attribute", parents=[inputs],
                        help="export one heatmap for one sample")
@@ -157,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float, default=np.pi)
     p.add_argument("--points", type=int, default=97)
     p.add_argument("--out", required=True, help="sweep CSV path")
-
-    for p in sub.choices.values():      # every subcommand takes a seed
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 

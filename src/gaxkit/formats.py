@@ -166,8 +166,13 @@ def _read_header(path, magic: bytes, kind: str) -> tuple[bytes, int]:
     raw, pos = _take(data, pos, 2, path, "version")
     (version,) = struct.unpack("<H", raw)
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported {kind} format version {version}")
+        raise ValueError(f"{path}: unsupported {kind} format version {version}")
     return data, pos
+
+
+def _check_end(data: bytes, pos: int, path) -> None:
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} trailing bytes")
 
 
 def write_gaxh(path, values: np.ndarray) -> None:
@@ -179,7 +184,8 @@ def write_gaxh(path, values: np.ndarray) -> None:
 
 def read_gaxh(path) -> np.ndarray:
     data, pos = _read_header(path, HEATMAP_MAGIC, "heatmap")
-    arr, _ = _unpack_array(data, pos, path, "heatmap")
+    arr, pos = _unpack_array(data, pos, path, "heatmap")
+    _check_end(data, pos, path)
     return arr
 
 
@@ -206,6 +212,7 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
         raw, pos = _take(data, pos, nlen, path, f"entry {i} name")
         name = raw.decode("utf-8")
         out[name], pos = _unpack_array(data, pos, path, repr(name))
+    _check_end(data, pos, path)
     return out
 
 

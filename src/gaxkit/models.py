@@ -206,12 +206,26 @@ class MiniConvNet:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: entry {name!r} holds a non-finite "
                                  "value")
-        input_shape = tuple(int(v) for v in named.pop("input_shape"))
-        kernel = int(named.pop("kernel")[0])
+        input_shape = _positive_ints(path, named, "input_shape", 3)
+        (kernel,) = _positive_ints(path, named, "kernel", 1)
         channels = (named["conv1.w"].shape[0], named["conv2.w"].shape[0])
-        return cls(input_shape=input_shape,
-                   num_classes=named["fc.b"].shape[0],
-                   channels=channels, kernel=kernel, params=named)
+        try:
+            return cls(input_shape=input_shape,
+                       num_classes=named["fc.b"].shape[0],
+                       channels=channels, kernel=kernel, params=named)
+        except ShapeError as exc:
+            raise ShapeError(f"{path}: {exc}") from None
+
+
+def _positive_ints(path, named, name: str, count: int) -> tuple[int, ...]:
+    """Pop entry ``name`` of a weight file, which must hold ``count``
+    positive integers."""
+    arr = named.pop(name)
+    if arr.shape != (count,) or not (arr >= 1).all() or (arr % 1).any():
+        noun = "integer" if count == 1 else "integers"
+        raise ValueError(f"{path}: entry {name!r} must hold {count} positive "
+                         f"{noun}, got {arr.tolist()}")
+    return tuple(int(v) for v in arr)
 
 
 def predict(model, x) -> tuple[int, np.ndarray]:

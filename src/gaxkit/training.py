@@ -114,9 +114,13 @@ def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
             raise ValueError(f"non-finite loss at iteration {it}")
         loss.backward()
         grads = {name: leaf.grad for name, leaf in fp.params.items()}
-        updated = opt.step(model.params, grads)
-        for name, arr in updated.items():
-            model.params[name] = snap32(arr)
+        for name, arr in opt.step(model.params, grads).items():
+            with np.errstate(over="ignore"):    # an overflow is the inf below
+                arr = snap32(arr)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite parameter {name!r} after the "
+                                 f"update at iteration {it}")
+            model.params[name] = arr
         losses.append(loss_val)
         iterations_run = it
         if (stop.target_val_accuracy is not None

@@ -143,13 +143,6 @@ def op_cases():
         a = _smooth(rng, (3, 4))
         return [a], lambda x: ad.mean_all(ad.square(x))
 
-    @case("select")
-    def _(rng):
-        a = _smooth(rng, (3, 4))
-        i = int(rng.integers(0, 3))
-        j = int(rng.integers(0, 4))
-        return [a], lambda x: ad.select(ad.square(x), i, j)
-
     @case("weighted_sum")
     def _(rng):
         a = _smooth(rng, (2, 5))

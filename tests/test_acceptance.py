@@ -278,15 +278,13 @@ def test_c09_subcommand_determinism(tmp_path):
                          "--val-every", "25", "--seed", "2"]) == 0
         assert cli_main(["ax-sweep", "--model", str(model), "--data",
                          str(data), "--methods", "saliency,deeplift",
-                         "--variants", "sum,mul", "--out", str(scores),
-                         "--seed", "3"]) == 0
+                         "--variants", "sum,mul", "--out", str(scores)]) == 0
         assert cli_main(["gap-stats", "--scores", str(scores), "--method",
                          "saliency", "--variant", "sum", "--hist", str(hist),
                          "--out", str(stats)]) == 0
         assert cli_main(["gax", "--model", str(model), "--data", str(data),
                          "--target-co", "3", "--lr", "0.1", "--first-n", "3",
-                         "--max-iterations", "40", "--out", str(gax_dir),
-                         "--seed", "0"]) == 0
+                         "--max-iterations", "40", "--out", str(gax_dir)]) == 0
         assert cli_main(["toy-sweep", "--a1", "0.95", "--a2", "0.05",
                          "--keta", "1.2", "--out", str(sweep)]) == 0
         collected = {}

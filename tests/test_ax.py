@@ -201,15 +201,12 @@ class TestSweep:
         assert len(records) == 12 * len(ds.test)
         assert sum(rows) == 20 * len(ds.test)
 
-    def test_failed_prediction_is_an_error_per_method(self, tiny):
+    def test_shape_mismatch_stops_the_sweep(self, tiny):
+        # every sample of a split has one shape: the mismatch is the split's
         _, ds = tiny
         model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=10)
-        records, errors = ax_sweep(model, ds.test, ["saliency", "deeplift"],
-                                   ["sum"])
-        assert not records
-        assert len(errors) == 2 * len(ds.test)
-        assert all(msg.startswith(("saliency: predict", "deeplift: predict"))
-                   for _, msg in errors)
+        with pytest.raises(ShapeError, match="predict: sample shape"):
+            ax_sweep(model, ds.test, ["saliency", "deeplift"], ["sum"])
 
     def test_programming_error_propagates(self, tiny, monkeypatch):
         import gaxkit.attribution
@@ -276,6 +273,16 @@ class TestGapStats:
     def test_empty_filter_rejected(self):
         with pytest.raises(ValueError):
             gap_stats(self._records([1], [0]), method="other")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_score_rejected(self, bad):
+        recs = self._records([1, 2], [0])
+        recs.append(ScoreRecord("w9", "m", "mul", bad, 0, 1))
+        with pytest.raises(ValueError) as info:
+            gap_stats(recs)
+        assert str(info.value) == ("gap_stats: sample w9 method m variant mul "
+                                   f"has a non-finite co_score {bad}")
+        assert gap_stats(recs, variant="sum").auroc == 1.0
 
     def test_auroc_matches_pairwise_oracle(self):
         rng = np.random.default_rng(11)

@@ -142,6 +142,68 @@ class TestTruncation:
         self._assert_every_cut_named(path, fields, formats.read_gaxh)
 
 
+# both files end with a (2, 3) array: rank, two dims, six values
+def _weights_file(path):
+    formats.write_gaxm(path, {"a": np.arange(3.0),
+                              "b": np.arange(6.0).reshape(2, 3)})
+    return formats.read_gaxm, "weight"
+
+
+def _heatmap_file(path):
+    formats.write_gaxh(path, np.arange(6.0).reshape(2, 3))
+    return formats.read_gaxh, "heatmap"
+
+
+@pytest.mark.parametrize("make", [_weights_file, _heatmap_file],
+                         ids=["gaxm", "gaxh"])
+class TestCorruption:
+    """A corrupt weight or heatmap file fails with one ValueError that
+    starts with the file name."""
+
+    @staticmethod
+    def _error(path, read, raw) -> str:
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            read(path)
+        return str(info.value)
+
+    def test_bad_magic(self, tmp_path, make):
+        path = tmp_path / "f.bin"
+        read, kind = make(path)
+        raw = b"GAXX" + path.read_bytes()[4:]
+        assert self._error(path, read, raw) == f"{path} is not a {kind} file"
+
+    def test_bad_version(self, tmp_path, make):
+        path = tmp_path / "f.bin"
+        read, kind = make(path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (2).to_bytes(2, "little")
+        assert self._error(path, read, bytes(raw)) == \
+            f"{path}: unsupported {kind} format version 2"
+
+    @pytest.mark.parametrize("extra", [b"\0", b"GAXH" * 5])
+    def test_trailing_bytes(self, tmp_path, make, extra):
+        path = tmp_path / "f.bin"
+        read, _ = make(path)
+        raw = path.read_bytes() + extra
+        assert self._error(path, read, raw) == \
+            f"{path}: {len(extra)} trailing bytes"
+
+    @pytest.mark.parametrize("field", ["rank", "dims"])
+    def test_huge_rank_or_dims(self, tmp_path, make, field):
+        # the last array's rank (or its first dim) set to 2**32 - 1: the
+        # reader must report the missing bytes, not try to allocate them
+        path = tmp_path / "f.bin"
+        read, _ = make(path)
+        raw = bytearray(path.read_bytes())
+        rank_at = len(raw) - (4 + 4 * 2 + 4 * 6)
+        assert int.from_bytes(raw[rank_at: rank_at + 4], "little") == 2
+        at = rank_at if field == "rank" else rank_at + 4
+        raw[at: at + 4] = b"\xff" * 4
+        msg = self._error(path, read, bytes(raw))
+        assert msg.startswith(f"{path} is truncated: "), msg
+
+
 class TestHeatmapRendering:
     def test_zero_map_renders_white(self, tmp_path):
         rgb = formats.heatmap_to_rgb(np.zeros((3, 3)))

@@ -88,9 +88,10 @@ def test_empty_training_split_rejected(small_ds):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_aborts_with_diagnostic(small_ds):
     model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=8)
-    # a huge learning rate overflows the forward pass within a few steps
+    # a huge learning rate overflows the float32 grid on the first update
     opt = Adam(learning_rate=1e150)
-    with pytest.raises(ValueError, match="non-finite loss at iteration"):
+    with pytest.raises(ValueError, match="non-finite parameter 'conv1.w' "
+                       "after the update at iteration 1"):
         train(model, small_ds,
               StopRule(target_val_accuracy=None, max_iterations=200),
               optimizer=opt, seed=1)
