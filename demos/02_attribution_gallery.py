@@ -8,7 +8,7 @@ Outputs land under attribution_gallery/.
 
 from pathlib import Path
 
-from gaxkit import (METHODS, DatasetSpec, MiniConvNet, StopRule,
+from gaxkit import (METHODS, DatasetSpec, MiniConvNet, TrainConfig,
                     attribute_at_predicted, make_blobs, predict, train)
 from gaxkit.formats import export_heatmap, write_ppm
 import numpy as np
@@ -19,9 +19,9 @@ spec = DatasetSpec(class_count=2, train=300, val=100, test=50,
                    image_shape=(3, 32, 32), seed=11)
 ds = make_blobs(spec)
 model = MiniConvNet(input_shape=spec.image_shape, num_classes=2, seed=7)
-result = train(model, ds, StopRule(target_val_accuracy=0.98,
-                                   max_iterations=1500, min_iterations=100,
-                                   val_every=50), seed=3)
+result = train(model, ds, TrainConfig(target_val_accuracy=0.98,
+                                      max_iterations=1500, min_iterations=100,
+                                      val_every=50, seed=3))
 print(f"trained to validation accuracy {result.val_accuracy:.3f} "
       f"in {result.iterations_run} iterations")
 

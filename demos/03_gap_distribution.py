@@ -13,7 +13,7 @@ Writes gap_scores.csv and gap_histogram.csv.
 
 import numpy as np
 
-from gaxkit import (DatasetSpec, MiniConvNet, StopRule, ax_sweep, gap_stats,
+from gaxkit import (DatasetSpec, MiniConvNet, TrainConfig, ax_sweep, gap_stats,
                     make_blobs, train, write_histogram_csv, write_scores_csv)
 from gaxkit.data import Split
 
@@ -21,9 +21,9 @@ spec = DatasetSpec(class_count=2, train=400, val=120, test=250,
                    image_shape=(3, 32, 32), seed=11)
 ds = make_blobs(spec)
 model = MiniConvNet(input_shape=spec.image_shape, num_classes=2, seed=7)
-result = train(model, ds, StopRule(target_val_accuracy=0.98,
-                                   max_iterations=1500, min_iterations=100,
-                                   val_every=50), seed=3)
+result = train(model, ds, TrainConfig(target_val_accuracy=0.98,
+                                      max_iterations=1500, min_iterations=100,
+                                      val_every=50, seed=3))
 print(f"trained to validation accuracy {result.val_accuracy:.3f}")
 
 # flip a few labels so the "wrong prediction" group is populated

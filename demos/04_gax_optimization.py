@@ -7,8 +7,8 @@ keeps h visually distinct from x.  Per-iteration traces and heatmap
 snapshots land under gax_runs/.
 """
 
-from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, StopRule, gax_sweep,
-                    make_blobs, train)
+from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, TrainConfig,
+                    gax_sweep, make_blobs, train)
 
 OUT = "gax_runs"
 
@@ -16,9 +16,9 @@ spec = DatasetSpec(class_count=2, train=400, val=120, test=60,
                    image_shape=(3, 32, 32), seed=11)
 ds = make_blobs(spec)
 model = MiniConvNet(input_shape=spec.image_shape, num_classes=2, seed=7)
-result = train(model, ds, StopRule(target_val_accuracy=0.98,
-                                   max_iterations=1500, min_iterations=100,
-                                   val_every=50), seed=3)
+result = train(model, ds, TrainConfig(target_val_accuracy=0.98,
+                                      max_iterations=1500, min_iterations=100,
+                                      val_every=50, seed=3))
 print(f"trained to validation accuracy {result.val_accuracy:.3f}\n")
 
 cfg = GaxConfig(target_co=5.0, max_iterations=500, snapshot_every=10)

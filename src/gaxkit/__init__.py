@@ -23,7 +23,7 @@ from .models import LinearModel, MiniConvNet, PerfectClassifier2D, predict
 from .optim import Adam
 from .toy import (ToyInstance, closed_form_heatmap, delta, delta_gradient,
                   rotation_sweep, write_sweep_csv)
-from .training import Metrics, StopRule, TrainResult, evaluate, train
+from .training import Metrics, TrainConfig, TrainResult, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "GaxConfig", "GaxTrace", "Heatmap", "LinearModel", "METHODS", "Metrics",
     "MiniConvNet", "PerfectClassifier2D", "RULE_DECONV", "RULE_GUIDED",
     "RULE_STANDARD", "ScoreConstants", "ScoreRecord", "ShapeError", "Split",
-    "StopRule", "Tensor", "ToyInstance", "TrainResult", "attribute",
+    "Tensor", "ToyInstance", "TrainConfig", "TrainResult", "attribute",
     "attribute_at_predicted", "ax_sweep", "closed_form_heatmap", "co_score",
     "delta", "delta_gradient", "evaluate", "gap_stats", "gax_run", "gax_sweep", "gen_data", "ingest_images", "load_dataset", "make_blobs",
     "normalize", "predict", "read_scores_csv", "rotation_sweep", "train",

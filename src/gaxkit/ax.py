@@ -233,8 +233,10 @@ def read_scores_csv(path) -> list[ScoreRecord]:
     return records
 
 
-def write_histogram_csv(records, path, bins: int = 40) -> None:
+def write_histogram_csv(records, path, bins: int) -> None:
     """Shared-bin histogram of CO scores for the correct and wrong groups."""
+    if bins < 1:
+        raise ValueError(f"write_histogram_csv: bins must be >= 1, got {bins}")
     if not records:
         raise ValueError("write_histogram_csv: no records")
     scores = np.array([r.co_score for r in records])

@@ -3,6 +3,7 @@
 Subcommands map one-to-one onto the library operations: ``gen-data``,
 ``train``, ``attribute``, ``ax-sweep``, ``gap-stats``, ``gax`` and
 ``toy-sweep``; only ``gen-data`` and ``train`` draw from a ``--seed``.
+Flag defaults come from the fields of DatasetSpec, TrainConfig, GaxConfig.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import ax as ax_mod
 from . import gax as gax_mod
 from . import toy as toy_mod
@@ -22,8 +21,7 @@ from .data import SPLITS, DatasetSpec, gen_data, ingest_images, load_dataset
 from .formats import export_heatmap, format_value, write_lines
 from .gax import GaxConfig
 from .models import MiniConvNet, predict
-from .optim import Adam
-from .training import StopRule, train
+from .training import TrainConfig, train
 
 
 def _shape(names: str):
@@ -41,6 +39,8 @@ def _csv_list(check):
     """argparse type: a comma-separated list whose entries pass ``check``."""
     def parse(text: str) -> list[str]:
         items = [part.strip() for part in text.split(",") if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("expected at least one entry")
         try:
             for item in items:
                 check(item)
@@ -48,6 +48,14 @@ def _csv_list(check):
             raise argparse.ArgumentTypeError(str(exc)) from None
         return items
     return parse
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _check_variant(variant: str) -> None:
@@ -85,26 +93,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic blob dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--train", type=int, default=400)
-    p.add_argument("--val", type=int, default=100)
-    p.add_argument("--test", type=int, default=250)
-    p.add_argument("--shape", type=_shape("C,H,W"), default=(3, 32, 32),
-                   help="image shape C,H,W")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=DatasetSpec.class_count)
+    p.add_argument("--train", type=int, default=DatasetSpec.train)
+    p.add_argument("--val", type=int, default=DatasetSpec.val)
+    p.add_argument("--test", type=int, default=DatasetSpec.test)
+    p.add_argument("--shape", type=_shape("C,H,W"),
+                   default=DatasetSpec.image_shape, help="image shape C,H,W")
+    p.add_argument("--seed", type=int, default=DatasetSpec.seed)
 
     p = sub.add_parser("train", help="train the small conv net on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="weight file to write")
-    p.add_argument("--target-val-acc", type=float, default=0.99)
-    p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--min-iterations", type=int, default=0)
-    p.add_argument("--val-every", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target-val-acc", type=float,
+                   default=TrainConfig.target_val_accuracy)
+    p.add_argument("--max-iterations", type=int,
+                   default=TrainConfig.max_iterations)
+    p.add_argument("--min-iterations", type=int,
+                   default=TrainConfig.min_iterations)
+    p.add_argument("--val-every", type=int, default=TrainConfig.val_every)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
     p = sub.add_parser("attribute", parents=[inputs],
                        help="export one heatmap for one sample")
@@ -130,24 +139,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default=None)
     p.add_argument("--variant", default=None)
     p.add_argument("--hist", default=None, help="histogram CSV to write")
-    p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--bins", type=_positive_int, default=40)
     p.add_argument("--out", default=None, help="stats text file to write")
 
     p = sub.add_parser("gax", parents=[inputs],
                        help="optimize confidence-maximizing heatmaps")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--target-co", type=float, default=48.0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--similarity-factor", type=float, default=100.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--target-co", type=float, default=GaxConfig.target_co)
+    p.add_argument("--lr", type=float, default=GaxConfig.learning_rate)
+    p.add_argument("--max-iterations", type=int,
+                   default=GaxConfig.max_iterations)
+    p.add_argument("--similarity-factor", type=float,
+                   default=GaxConfig.similarity_factor)
     p.add_argument("--bias", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="trainable bias; defaults on when the split is "
                         "mostly dark (many zero pixels)")
-    p.add_argument("--snapshot-every", type=int, default=10)
+    p.add_argument("--snapshot-every", type=int,
+                   default=GaxConfig.snapshot_every)
     p.add_argument("--first-n", type=int, default=None,
                    help="optimize only the first N correct samples")
 
@@ -155,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", type=float, default=0.95)
     p.add_argument("--a2", type=float, default=0.05)
     p.add_argument("--keta", type=float, default=1.2)
-    p.add_argument("--theta-min", type=float, default=-np.pi)
-    p.add_argument("--theta-max", type=float, default=np.pi)
-    p.add_argument("--points", type=int, default=97)
     p.add_argument("--out", required=True, help="sweep CSV path")
     return parser
 
@@ -172,16 +178,15 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = TrainConfig(target_val_accuracy=args.target_val_acc,
+                      max_iterations=args.max_iterations,
+                      min_iterations=args.min_iterations,
+                      val_every=args.val_every, batch_size=args.batch_size,
+                      learning_rate=args.lr, seed=args.seed)
     ds = load_dataset(args.data)
     model = MiniConvNet(input_shape=ds.image_shape,
-                        num_classes=ds.class_count, seed=args.seed)
-    stop = StopRule(target_val_accuracy=args.target_val_acc,
-                    max_iterations=args.max_iterations,
-                    min_iterations=args.min_iterations,
-                    val_every=args.val_every)
-    opt = Adam(args.lr, args.beta1, args.beta2)
-    result = train(model, ds, stop, optimizer=opt,
-                   batch_size=args.batch_size, seed=args.seed)
+                        num_classes=ds.class_count, seed=cfg.seed)
+    result = train(model, ds, cfg)
     model.save(args.out)
     m = result.metrics
     print(f"trained {result.iterations_run} iterations "
@@ -254,10 +259,9 @@ def _cmd_gax(args) -> int:
         use_bias = zero_fraction > 0.3
     cfg = GaxConfig(target_co=args.target_co,
                     max_iterations=args.max_iterations,
-                    learning_rate=args.lr, beta1=args.beta1, beta2=args.beta2,
+                    learning_rate=args.lr,
                     similarity_factor=args.similarity_factor,
-                    epsilon=args.epsilon, use_bias=use_bias,
-                    snapshot_every=args.snapshot_every)
+                    use_bias=use_bias, snapshot_every=args.snapshot_every)
     traces, _ = gax_mod.gax_sweep(model, split, cfg, out_dir=args.out,
                                   limit=args.first_n)
     converged = sum(t.converged for t in traces)
@@ -267,8 +271,7 @@ def _cmd_gax(args) -> int:
 
 
 def _cmd_toy_sweep(args) -> int:
-    thetas = np.linspace(args.theta_min, args.theta_max, args.points)
-    rows = toy_mod.rotation_sweep(args.a1, args.a2, args.keta, thetas)
+    rows = toy_mod.rotation_sweep(args.a1, args.a2, args.keta)
     toy_mod.write_sweep_csv(rows, args.out)
     print(f"wrote {rows.shape[0]} rows to {args.out}")
     return 0

@@ -26,6 +26,7 @@ from .formats import export_heatmap, write_lines, write_rows
 
 
 W_INIT, BIAS_INIT = 1.0, 0.01      # h starts at tanh(x) or tanh(x + 0.01)
+EPSILON = 1e-4      # the penalty's eps: finite where h == x or x == 0
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,13 @@ class GaxConfig:
     target_co: float = 48.0
     max_iterations: int = 500
     learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
     similarity_factor: float = 100.0
-    epsilon: float = 1e-4
     use_bias: bool = False
     snapshot_every: int = 10
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.similarity_factor < 0:
             raise ValueError("similarity_factor must be non-negative")
         if not np.isfinite(self.target_co):
@@ -85,8 +83,8 @@ def _loss_graph(model, x: np.ndarray, w: Tensor, b: Tensor | None,
     co = ad.scale(ad.weighted_sum(diff, constants.int_weights()[None]),
                   1.0 / (constants.num_classes - 1.0))
     # mean of (h - x + eps)^2 / (x + eps); the denominator is constant
-    dev = ad.shift(ad.sub(h, xc), cfg.epsilon)
-    ratio = ad.mul(ad.square(dev), Tensor(1.0 / (x[None] + cfg.epsilon)))
+    dev = ad.shift(ad.sub(h, xc), EPSILON)
+    ratio = ad.mul(ad.square(dev), Tensor(1.0 / (x[None] + EPSILON)))
     similarity = ad.scale(ad.reciprocal(ad.mean_all(ratio)),
                           cfg.similarity_factor)
     loss = ad.sub(similarity, co)
@@ -112,36 +110,38 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
     params = {"w": np.full(x.shape, W_INIT)}
     if cfg.use_bias:
         params["b"] = np.full(x.shape, BIAS_INIT)
-    opt = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2)
+    opt = Adam(cfg.learning_rate)
     trace = GaxTrace(sample_id, [])
     heat = Heatmap(np.tanh(params["w"] * x + params.get("b", 0.0)),
                    "gax", int(groundtruth))
 
-    for step in range(cfg.max_iterations + 1):
-        leaves = {name: Tensor(p[None]) for name, p in params.items()}
-        loss, co, h = _loss_graph(model, x, leaves["w"], leaves.get("b"), fx,
-                                  constants, cfg)
-        loss_val, co_val = float(loss.data), float(co.data)
-        if not np.isfinite(loss_val):
-            trace.error = f"non-finite loss at step {step}"
-            break
-        trace.iterations.append((step, loss_val, co_val))
-        heat = Heatmap(h.data[0].copy(), "gax", int(groundtruth))
-        converged = co_val >= cfg.target_co
-        if out_dir is not None and (step % cfg.snapshot_every == 0
-                                    or converged):
-            rel = f"{sample_id}/step_{step:06d}"
-            export_heatmap(heat, Path(out_dir) / rel)
-            # reference is relative to out_dir so sweep outputs stay relocatable
-            trace.snapshots.append((step, f"{rel}.gaxh"))
-        if converged:
-            trace.converged = True
-            break
-        if step == cfg.max_iterations:
-            break
-        loss.backward()
-        params = opt.step(params, {name: t.grad[0]
-                                   for name, t in leaves.items()})
+    # an overflow or NaN surfaces as the non-finite loss checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.max_iterations + 1):
+            leaves = {name: Tensor(p[None]) for name, p in params.items()}
+            loss, co, h = _loss_graph(model, x, leaves["w"], leaves.get("b"),
+                                      fx, constants, cfg)
+            loss_val, co_val = float(loss.data), float(co.data)
+            if not np.isfinite(loss_val):
+                trace.error = f"non-finite loss at step {step}"
+                break
+            trace.iterations.append((step, loss_val, co_val))
+            heat = Heatmap(h.data[0].copy(), "gax", int(groundtruth))
+            converged = co_val >= cfg.target_co
+            if out_dir is not None and (step % cfg.snapshot_every == 0
+                                        or converged):
+                rel = f"{sample_id}/step_{step:06d}"
+                export_heatmap(heat, Path(out_dir) / rel)
+                # relative to out_dir so sweep outputs stay relocatable
+                trace.snapshots.append((step, f"{rel}.gaxh"))
+            if converged:
+                trace.converged = True
+                break
+            if step == cfg.max_iterations:
+                break
+            loss.backward()
+            params = opt.step(params, {name: t.grad[0]
+                                       for name, t in leaves.items()})
 
     if trace.iterations:
         trace.final_co = trace.iterations[-1][2]

@@ -7,6 +7,7 @@ import numpy as np
 from .autodiff import ShapeError
 
 EPS = 1e-8          # added to sqrt(v_hat) so the step stays finite
+BETA2 = 0.999       # decay rate of the second-moment estimate
 
 
 class Adam:
@@ -17,11 +18,9 @@ class Adam:
     internal state.  There is deliberately no weight-decay term.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999):
+    def __init__(self, learning_rate: float, beta1: float = 0.9):
         self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -44,10 +43,10 @@ class Adam:
                 m = np.zeros_like(p, dtype=np.float64)
                 v = np.zeros_like(p, dtype=np.float64)
             m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
             self._m[name] = m
             self._v[name] = v
             m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
             out[name] = p - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         return out

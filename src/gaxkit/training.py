@@ -1,9 +1,11 @@
 """Training loop and evaluation metrics for the desk-scale classifiers.
 
-Training minimizes cross-entropy on raw scores with Adam.  Samples are
-drawn uniformly at random each iteration; validation accuracy is checked
-at a fixed cadence and the run stops once the target is reached (after a
-configurable minimum number of iterations) or at the iteration cap.
+Training minimizes cross-entropy on raw scores with Adam.  One frozen
+``TrainConfig`` holds the stop rule, batch size, learning rate and seed.
+Samples are drawn uniformly at random each iteration; validation accuracy
+is checked at a fixed cadence and the run stops once the target is
+reached (after a configurable minimum number of iterations) or at the
+iteration cap.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ from .optim import Adam
 
 
 @dataclass(frozen=True)
-class StopRule:
+class TrainConfig:
     target_val_accuracy: float | None = 0.99
     max_iterations: int = 20000
     min_iterations: int = 0
     val_every: int = 100
+    batch_size: int = 32
+    learning_rate: float = 0.001
+    seed: int = 0
 
     def __post_init__(self):
         if self.val_every < 1:
@@ -31,6 +36,10 @@ class StopRule:
             raise ValueError(
                 "max_iterations and min_iterations must be >= 0, got "
                 f"{self.max_iterations} and {self.min_iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,7 @@ class TrainResult:
 
 
 _EVAL_CHUNK = 64        # samples per forward pass in evaluate
+BETA1 = 0.5             # Adam's first-moment decay for training
 
 
 def _batched_scores(model, x: np.ndarray) -> np.ndarray:
@@ -82,31 +92,28 @@ def evaluate(model, split) -> Metrics:
     return Metrics(acc, float(np.mean(precisions)), float(np.mean(recalls)))
 
 
-def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
-          batch_size: int = 32, seed: int = 0) -> TrainResult:
+def train(model, dataset, cfg: TrainConfig) -> TrainResult:
     """Fit ``model`` in place on ``dataset.train``; returns run metrics.
 
     Metrics are taken on the test split (the validation split when the
     test split is empty).  Model parameters stay on the float32 grid (see
     ``snap32``) so a trained model serializes losslessly.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     train_split = dataset.train
     if len(train_split.y) == 0:
         raise ValueError("train: empty training split")
-    if stop.target_val_accuracy is not None and len(dataset.val.y) == 0:
+    if cfg.target_val_accuracy is not None and len(dataset.val.y) == 0:
         raise ValueError("train: empty validation split with a stop target set")
-    opt = optimizer or Adam(learning_rate=0.001, beta1=0.5, beta2=0.999)
-    rng = np.random.default_rng(seed)
+    opt = Adam(cfg.learning_rate, BETA1)
+    rng = np.random.default_rng(cfg.seed)
     n = len(train_split.y)
     losses: list[float] = []
     val_history: list[tuple[int, float]] = []
     stop_reason = "max-iterations"
     iterations_run = 0
 
-    for it in range(1, stop.max_iterations + 1):
-        idx = rng.integers(0, n, size=batch_size)
+    for it in range(1, cfg.max_iterations + 1):
+        idx = rng.integers(0, n, size=cfg.batch_size)
         fp = model.forward_graph(train_split.x[idx])
         loss = ad.cross_entropy(fp.scores, train_split.y[idx])
         loss_val = float(loss.data)
@@ -123,11 +130,11 @@ def train(model, dataset, stop: StopRule, *, optimizer: Adam | None = None,
             model.params[name] = arr
         losses.append(loss_val)
         iterations_run = it
-        if (stop.target_val_accuracy is not None
-                and it % stop.val_every == 0 and it >= stop.min_iterations):
+        if (cfg.target_val_accuracy is not None
+                and it % cfg.val_every == 0 and it >= cfg.min_iterations):
             acc = evaluate(model, dataset.val).accuracy
             val_history.append((it, acc))
-            if acc >= stop.target_val_accuracy:
+            if acc >= cfg.target_val_accuracy:
                 stop_reason = "target-accuracy"
                 break
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaxkit import DatasetSpec, MiniConvNet, StopRule, make_blobs, train
+from gaxkit import DatasetSpec, MiniConvNet, TrainConfig, make_blobs, train
 
 # one trained desk-scale classifier shared by the expensive suites
 MAIN_SPEC = DatasetSpec(class_count=2, train=400, val=120, test=250,
@@ -22,9 +22,9 @@ def trained_model(main_dataset):
     model = MiniConvNet(input_shape=MAIN_SPEC.image_shape, num_classes=2,
                         seed=MAIN_MODEL_SEED)
     result = train(model, main_dataset,
-                   StopRule(target_val_accuracy=0.98, max_iterations=1500,
-                            min_iterations=100, val_every=50),
-                   seed=MAIN_TRAIN_SEED)
+                   TrainConfig(target_val_accuracy=0.98, max_iterations=1500,
+                               min_iterations=100, val_every=50,
+                               seed=MAIN_TRAIN_SEED))
     assert result.val_accuracy >= 0.95, "fixture model failed to train"
     return model
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, Heatmap, LinearModel, MiniConvNet,
-                    PerfectClassifier2D, StopRule, attribute, ax_sweep,
+                    PerfectClassifier2D, TrainConfig, attribute, ax_sweep,
                     co_score, gap_stats, gax_sweep, make_blobs, predict, train)
 from gaxkit.ax import ScoreConstants
 from gaxkit.autodiff import Tensor
@@ -247,8 +247,8 @@ def test_c08_training_protocol_parity(trained_model, main_dataset):
     hard = make_blobs(hard_spec, blob_amplitude=0.2, noise_scale=0.8)
     sub = MiniConvNet(input_shape=(3, 32, 32), num_classes=2, seed=2)
     result = train(sub, hard,
-                   StopRule(target_val_accuracy=0.8, max_iterations=2000,
-                            min_iterations=10, val_every=10), seed=5)
+                   TrainConfig(target_val_accuracy=0.8, max_iterations=2000,
+                               min_iterations=10, val_every=10, seed=5))
     assert result.val_accuracy >= 0.8
     m = result.metrics
     assert np.isfinite([m.accuracy, m.precision, m.recall]).all()

@@ -353,3 +353,11 @@ class TestCsv:
         total_c = sum(int(line.split(",")[2]) for line in lines[1:])
         total_w = sum(int(line.split(",")[3]) for line in lines[1:])
         assert total_c == 10 and total_w == 5
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_histogram_bins_below_one_rejected(self, tmp_path, bins):
+        recs = [ScoreRecord("c", "m", "sum", 1.0, 1, 1)]
+        p = tmp_path / "hist.csv"
+        with pytest.raises(ValueError, match=f"bins must be >= 1, got {bins}"):
+            write_histogram_csv(recs, p, bins=bins)
+        assert not p.exists()

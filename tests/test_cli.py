@@ -168,7 +168,6 @@ def test_gax_subcommand_paper_style_flags(tiny_run, tmp_path):
     assert len(traces) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gax_logs_nonfinite_runs(tiny_run, tmp_path, capsys):
     # a similarity factor this large overflows the loss at step 0
     data, model = tiny_run
@@ -413,6 +412,87 @@ def test_train_nonfinite_loss_is_one_line(tiny_run, tmp_path, capsys):
     assert capsys.readouterr().err == ("error: non-finite parameter 'conv1.w' "
                                        "after the update at iteration 1\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["train", "gax"])
+def test_nonfinite_learning_rate_is_one_line(tiny_run, tmp_path, capsys,
+                                             command, lr):
+    data, model = tiny_run
+    argv = [command, "--data", str(data), "--lr", lr,
+            "--out", str(tmp_path / "o")]
+    if command == "gax":
+        argv += ["--model", str(model)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: learning_rate must be finite\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("ax-sweep", "--methods", ",", "expected at least one entry"),
+    ("ax-sweep", "--variants", " , ", "expected at least one entry"),
+    ("gap-stats", "--bins", "0", "expected an integer >= 1, got '0'"),
+    ("gap-stats", "--bins", "-3", "expected an integer >= 1, got '-3'"),
+], ids=["methods", "variants", "bins-zero", "bins-negative"])
+def test_empty_list_or_bins_below_one_is_a_usage_error(
+        tiny_run, tmp_path, capsys, command, flag, value, message):
+    data, model = tiny_run
+    scores = tmp_path / "scores.csv"
+    assert main(["ax-sweep", "--model", str(model), "--data", str(data),
+                 "--methods", "saliency", "--out", str(scores)]) == 0
+    capsys.readouterr()
+    inputs = {"ax-sweep": ["--model", str(model), "--data", str(data)],
+              "gap-stats": ["--scores", str(scores),
+                            "--hist", str(tmp_path / "h.csv")]}[command]
+    assert main([command, *inputs, flag, value,
+                 "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {message}\n" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def default_data(tmp_path_factory):
+    """A dataset written by ``gen-data`` with every default."""
+    data = tmp_path_factory.mktemp("defaults") / "data"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    return data
+
+
+def test_gen_data_defaults_are_dataset_spec_defaults(default_data, tmp_path):
+    from gaxkit import DatasetSpec, gen_data
+    gen_data(DatasetSpec(), tmp_path / "data")
+    assert _tree(tmp_path / "data") == _tree(default_data)
+
+
+def test_train_defaults_are_train_config_defaults(default_data, tmp_path):
+    from gaxkit import TrainConfig, load_dataset, train
+    cli_out, lib_out = tmp_path / "cli.gaxm", tmp_path / "lib.gaxm"
+    assert main(["train", "--data", str(default_data), "--out", str(cli_out),
+                 "--max-iterations", "30"]) == 0
+    ds = load_dataset(default_data)
+    model = MiniConvNet(input_shape=ds.image_shape,
+                        num_classes=ds.class_count)
+    train(model, ds, TrainConfig(max_iterations=30))
+    model.save(lib_out)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+def test_gax_defaults_are_gax_config_defaults(tiny_run, tmp_path):
+    from gaxkit import GaxConfig, gax_sweep, load_dataset
+    data, model = tiny_run
+    assert main(["gax", "--model", str(model), "--data", str(data),
+                 "--no-bias", "--max-iterations", "5",
+                 "--out", str(tmp_path / "cli")]) == 0
+    gax_sweep(MiniConvNet.load(model), load_dataset(data).test,
+              GaxConfig(max_iterations=5), out_dir=tmp_path / "lib")
+    assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
 
 
 def test_every_option_is_read_by_its_command():

@@ -35,7 +35,7 @@ class TestBlobs:
         np.testing.assert_array_equal(a.train.y, b.train.y)
 
     def test_linear_probe_learns_blobs(self):
-        from gaxkit import LinearModel, StopRule, train
+        from gaxkit import LinearModel, TrainConfig, train
         spec = DatasetSpec(class_count=2, train=120, val=60, test=60,
                            image_shape=(3, 16, 16), seed=3)
         ds = make_blobs(spec)
@@ -43,8 +43,8 @@ class TestBlobs:
             np.random.default_rng(0).normal(0.0, 0.01, size=(2, 3 * 16 * 16)),
             input_shape=(3, 16, 16))
         result = train(probe, ds,
-                       StopRule(target_val_accuracy=None, max_iterations=300),
-                       seed=0)
+                       TrainConfig(target_val_accuracy=None,
+                                   max_iterations=300, seed=0))
         assert result.val_accuracy > 0.9
 
     def test_balanced_labels(self):

@@ -7,7 +7,7 @@ from gaxkit import (DatasetSpec, GaxConfig, LinearModel, MiniConvNet,
                     gax_run, gax_sweep, make_blobs, predict)
 from gaxkit.autodiff import Tensor
 from gaxkit.ax import ScoreConstants
-from gaxkit.gax import _loss_graph
+from gaxkit.gax import EPSILON, _loss_graph
 from gradcheck import max_relative_error, numeric_gradient
 
 
@@ -49,7 +49,7 @@ class TestLoss:
         x = rng.uniform(0.2, 0.8, size=(3, 8, 8))
         cfg = GaxConfig()
         expected = cfg.similarity_factor / np.mean(
-            cfg.epsilon ** 2 / (x + cfg.epsilon))
+            EPSILON ** 2 / (x + EPSILON))
         assert expected > 1e6
 
     def test_single_pixel_closed_expression(self):
@@ -57,7 +57,7 @@ class TestLoss:
         # l_s / ((0 - 0.5 + eps)^2 / (0.5 + eps))
         model = LinearModel(np.array([[1.0], [-1.0]]), input_shape=(1,))
         x = np.array([0.5])
-        cfg = GaxConfig(similarity_factor=100.0, epsilon=1e-4)
+        cfg = GaxConfig(similarity_factor=100.0)
         loss, co, h = _loss(model, x, np.array([0.0]), None, 0, cfg)
         assert h[0] == 0.0
         assert co == pytest.approx(0.0)  # h = 0 changes nothing
@@ -217,7 +217,6 @@ class TestSweepAndExport:
         with pytest.raises(ValueError, match="limit must be at least 1"):
             gax_sweep(tiny_model, tiny_ds.test, GaxConfig(), limit=limit)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_reported_as_error(self, tiny_ds):
         # an infinite class-0 bias: class-0 samples count as correct, and
         # the score difference inf - inf is NaN from the first step

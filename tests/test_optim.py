@@ -17,7 +17,7 @@ def test_zero_gradient_leaves_params_unchanged():
 
 def test_first_step_moves_by_lr_against_gradient_sign():
     # bias correction makes the very first update -lr * sign(g), up to eps
-    opt = Adam(learning_rate=0.1, beta1=0.9, beta2=0.999)
+    opt = Adam(learning_rate=0.1, beta1=0.9)
     params = opt.step({"p": np.array([0.0])}, {"p": np.array([1.0])})
     assert params["p"][0] == pytest.approx(-0.1, abs=1e-7)
 

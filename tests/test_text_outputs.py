@@ -199,7 +199,6 @@ def test_ax_sweep_errors_log(tiny_files, tmp_path, capsys):
         f"1 sample failures logged to {log}\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gax_run_directory(tiny_files, tmp_path, capsys):
     # a similarity factor this large overflows the loss at step 0
     data, model = tiny_files
