@@ -256,17 +256,6 @@ def _out_size(n: int, k: int, stride: int, pad: int, op: str) -> int:
     return span // stride + 1
 
 
-def _window_view(xp: np.ndarray, kh: int, kw: int,
-                 oh: int, ow: int) -> np.ndarray:
-    """Gather (N, C, kh, kw, oh, ow) stride-1 windows from padded input."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i: i + oh, j: j + ow]
-    return cols
-
-
 def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 cross-correlation of (N, C_in, H, W) with kernel
     (C_out, C_in, KH, KW)."""
@@ -286,25 +275,29 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
         xp[:, :, pad: pad + h, pad: pad + w] = x.data
     else:
         xp = x.data
-    cols = _window_view(xp, kh, kw, oh, ow)
-    # One GEMM per product over depth = cin*kh*kw, with the operand order and
-    # output layout of the einsum formulation kept in tests/test_conv_parity.py,
-    # so results match it bit for bit without einsum's per-call planning.
-    depth = cin * kh * kw
-    kmat = k.data.reshape(cout, depth)
-    out = (kmat @ cols.transpose(1, 2, 3, 0, 4, 5).reshape(depth, -1)
-           ).reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
+    # The windows are gathered once, laid out (C, kh, kw, N, oh, ow): the
+    # operand every GEMM reads.  Results match the einsum reference in
+    # tests/test_conv_parity.py bit for bit.
+    cols = np.empty((cin, kh, kw, n, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp.transpose(1, 0, 2, 3)[:, :, i: i + oh, j: j + ow]
+    cols = cols.reshape(cin * kh * kw, n * oh * ow)
+    kmat = k.data.reshape(cout, -1)
+    out = (kmat @ cols).reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
 
     def vjp(g, rule):
-        gk = (g.transpose(1, 0, 2, 3).reshape(cout, -1)
-              @ cols.transpose(0, 4, 5, 1, 2, 3).reshape(-1, depth)
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        # BLAS sums a transposed view and a contiguous copy differently; gk
+        # keeps the layout that matches the einsum: a view only at N=1.
+        gk = (gmat @ (cols.T if n == 1 else np.ascontiguousarray(cols.T))
               ).reshape(k.shape)
-        dcols = (g.transpose(0, 2, 3, 1).reshape(-1, cout) @ kmat
-                 ).reshape(n, oh, ow, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+        dcols = (kmat.T @ gmat).reshape(cin, kh, kw, n, oh, ow)
         gxp = np.zeros_like(xp)
+        gxt = gxp.transpose(1, 0, 2, 3)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i: i + oh, j: j + ow] += dcols[:, :, i, j]
+                gxt[:, :, i: i + oh, j: j + ow] += dcols[:, i, j]
         gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
         return (gx, gk)
 
@@ -313,27 +306,33 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     """Non-overlapping max pooling (stride = size); ties route the gradient
-    to the first maximum in scan order."""
+    to the first maximum in scan order, and a NaN counts as the maximum."""
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4D input, got {x.shape}")
-    n, c, h, w = x.shape
-    oh = _out_size(h, size, size, 0, "max_pool2d")
-    ow = _out_size(w, size, size, 0, "max_pool2d")
-    windows = np.empty((n, c, oh, ow, size * size), dtype=np.float64)
-    for i in range(size):
-        for j in range(size):
-            windows[..., i * size + j] = x.data[:, :, i: i + size * oh: size,
-                                                j: j + size * ow: size]
-    # argmax over the row-major window = first maximal element in scan order
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    oh = _out_size(x.shape[2], size, size, 0, "max_pool2d")
+    ow = _out_size(x.shape[3], size, size, 0, "max_pool2d")
+    cells = [np.s_[:, :, i: size * oh: size, j: size * ow: size]
+             for i in range(size) for j in range(size)]
+    # np.maximum keeps the first NaN but may keep either of -0.0 and 0.0, so
+    # an input with a sign bit set takes the first maximum by comparison
+    signed = np.signbit(x.data).any()
+    out = x.data[cells[0]].copy()
+    for cell in cells[1:]:
+        v = x.data[cell]
+        if signed:
+            out = np.where(~(v <= out) & (out == out), v, out)
+        else:
+            np.maximum(out, v, out=out)
 
     def vjp(g, rule):
+        g0 = g + 0.0
         gx = np.zeros_like(x.data)
-        ni, ci, ohi, owi = np.indices(idx.shape)
-        hi = ohi * size + idx // size
-        wi = owi * size + idx % size
-        np.add.at(gx, (ni, ci, hi, wi), g)
+        claimed = np.zeros(out.shape, dtype=bool)
+        for cell in cells:
+            v = x.data[cell].copy()
+            hit = ((v == out) | (v != v)) & ~claimed
+            gx[cell] = np.where(hit, g0, 0.0)
+            claimed |= hit
         return (gx,)
 
     return Tensor(out, (x,), "max-pool", vjp)

@@ -41,8 +41,9 @@ class GaxConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
-        if self.similarity_factor < 0:
-            raise ValueError("similarity_factor must be non-negative")
+        if not 0 <= self.similarity_factor < np.inf:
+            raise ValueError("similarity_factor must be finite and >= 0, got "
+                             f"{self.similarity_factor}")
         if not np.isfinite(self.target_co):
             raise ValueError("target_co must be finite")
         if self.max_iterations < 0:

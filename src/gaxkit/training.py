@@ -40,6 +40,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not np.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
+        if self.target_val_accuracy != self.target_val_accuracy:   # NaN
+            raise ValueError("target_val_accuracy must not be NaN")
 
 
 @dataclass(frozen=True)

@@ -429,6 +429,28 @@ def test_nonfinite_learning_rate_is_one_line(tiny_run, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
+    ("gax", "--similarity-factor", "nan",
+     "similarity_factor must be finite and >= 0, got nan"),
+    ("gax", "--similarity-factor", "inf",
+     "similarity_factor must be finite and >= 0, got inf"),
+    ("gax", "--similarity-factor", "-1",
+     "similarity_factor must be finite and >= 0, got -1.0"),
+    ("train", "--target-val-acc", "nan",
+     "target_val_accuracy must not be NaN"),
+], ids=["gax-sf-nan", "gax-sf-inf", "gax-sf-negative", "train-target-nan"])
+def test_nan_or_negative_setting_is_one_line(tiny_run, tmp_path, capsys,
+                                             command, flag, value, message):
+    data, model = tiny_run
+    argv = [command, "--data", str(data), flag, value,
+            "--out", str(tmp_path / "o")]
+    if command == "gax":
+        argv += ["--model", str(model)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
     ("ax-sweep", "--methods", ",", "expected at least one entry"),
     ("ax-sweep", "--variants", " , ", "expected at least one entry"),
     ("gap-stats", "--bins", "0", "expected an integer >= 1, got '0'"),

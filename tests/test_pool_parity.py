@@ -1,0 +1,115 @@
+"""max_pool2d against its window-stack formulation.
+
+``reference_max_pool2d`` is the formulation max_pool2d used before it took
+strided maxima: stack every window into an (N, C, oh, ow, size*size) array,
+take the argmax (the first maximum in scan order, or the first NaN), and
+scatter the upstream gradient to it with ``np.add.at``.  The strided version
+must reproduce its output and input gradient byte for byte, including ties,
+signed zeros and NaN windows.
+"""
+
+import numpy as np
+import pytest
+
+from gaxkit import autodiff as ad
+from gaxkit.autodiff import RULE_STANDARD, Tensor
+
+
+def reference_max_pool2d(x, g, size):
+    """(output, input gradient) for upstream gradient g."""
+    n, c, h, w = x.shape
+    oh, ow = h // size, w // size
+    windows = np.empty((n, c, oh, ow, size * size))
+    for i in range(size):
+        for j in range(size):
+            windows[..., i * size + j] = x[:, :, i: i + size * oh: size,
+                                           j: j + size * ow: size]
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gx = np.zeros_like(x)
+    ni, ci, ohi, owi = np.indices(idx.shape)
+    np.add.at(gx, (ni, ci, ohi * size + idx // size, owi * size + idx % size),
+              g)
+    return out, gx
+
+
+def assert_byte_equal(x, g, size):
+    t = ad.max_pool2d(Tensor(x), size)
+    (gx,) = t._vjp(g, RULE_STANDARD)
+    want_out, want_gx = reference_max_pool2d(x, g, size)
+    for name, a, b in (("output", t.data, want_out), ("gx", gx, want_gx)):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _relu_case(rng, n, c, h, w, size):
+    # relu zeros make ties inside a window; g holds zeros of both signs
+    x = np.maximum(rng.normal(size=(n, c, h, w)), 0.0)
+    g = rng.normal(size=(n, c, h // size, w // size))
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    return x, g
+
+
+# MiniConvNet's default pool1 and pool2 inputs: (c, h, w), size 2
+MODEL_POOLS = [(8, 32, 32), (16, 16, 16)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+@pytest.mark.parametrize("c,h,w", MODEL_POOLS)
+def test_model_pools_are_byte_equal(n, c, h, w):
+    x, g = _relu_case(np.random.default_rng(n * 100 + c), n, c, h, w, 2)
+    assert_byte_equal(x, g, 2)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_odd_extent_leaves_the_remainder_at_zero(size):
+    x, g = _relu_case(np.random.default_rng(size), 3, 2, 5, 7, size)
+    assert_byte_equal(x, g, size)
+
+
+def test_ties_go_to_the_first_maximum():
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 2:, 2:] = [[1.0, 1.0], [1.0, 0.5]]
+    x[0, 0, :2, 2:] = [[0.0, 3.0], [3.0, 3.0]]
+    g = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
+    assert_byte_equal(x, g, 2)
+    (gx,) = ad.max_pool2d(Tensor(x), 2)._vjp(g, RULE_STANDARD)
+    assert gx[0, 0, 0, 0] == 1.0 and gx[0, 0, 0, 3] == 2.0
+    assert gx[0, 0, 2, 0] == 3.0 and gx[0, 0, 2, 2] == 4.0
+    assert np.count_nonzero(gx) == 4
+
+
+def test_signed_zeros_in_input_and_gradient():
+    x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, -0.0]]]])
+    for gv in (0.0, -0.0, -2.0):
+        g = np.full((1, 1, 1, 2), gv)
+        assert_byte_equal(x, g, 2)
+        assert_byte_equal(-x, g, 2)
+
+
+@pytest.mark.parametrize("nan_at", [[(0, 1)], [(1, 0), (1, 1)],
+                                    [(0, 0), (1, 1)]])
+def test_nan_windows_route_to_the_first_nan(nan_at):
+    rng = np.random.default_rng(len(nan_at))
+    x, g = _relu_case(rng, 2, 3, 6, 6, 2)
+    for i, j in nan_at:
+        x[1, 2, 2 + i, 4 + j] = np.nan
+    assert_byte_equal(x, g, 2)
+    t = ad.max_pool2d(Tensor(x), 2)
+    assert np.isnan(t.data[1, 2, 1, 2])
+    assert np.isnan(t.data).sum() == 1
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_signed_input_with_ties_and_nans(size):
+    # small integers tie often; -0.0, 0.0 and NaNs of both signs mix in
+    rng = np.random.default_rng(10 + size)
+    x = rng.integers(-2, 3, size=(4, 3, 7, 9)).astype(np.float64)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.03] = np.nan
+    x[rng.random(x.shape) < 0.03] = -np.nan
+    g = rng.normal(size=(4, 3, 7 // size, 9 // size))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    assert_byte_equal(x, g, size)
+    assert_byte_equal(np.abs(x), g, size)

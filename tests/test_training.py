@@ -18,7 +18,8 @@ def small_ds():
 @pytest.mark.parametrize("kwargs", [{"val_every": 0}, {"val_every": -5},
                                     {"max_iterations": -1},
                                     {"min_iterations": -1},
-                                    {"batch_size": 0}])
+                                    {"batch_size": 0},
+                                    {"target_val_accuracy": float("nan")}])
 def test_stop_rule_rejects_bad_counts(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         TrainConfig(**kwargs)
