@@ -73,43 +73,15 @@ def _check_target(model, target: int) -> int:
     return target
 
 
-def _one_hot(scores: Tensor, target: int) -> np.ndarray:
-    """Backward seed that explains class ``target`` of a (1, C) score row."""
-    seed = np.zeros(scores.shape)
-    seed[0, target] = 1.0
-    return seed
-
-
-def _gradient_heatmap(model, x: np.ndarray, target: int, rule: str) -> np.ndarray:
-    leaf = Tensor(x[None])
-    fp = model.forward_graph(leaf)
-    fp.scores.backward(_one_hot(fp.scores, target), rule)
-    return leaf.grad[0].copy()
-
-
-def _deeplift(model, x: np.ndarray, target: int,
-              baseline: np.ndarray | None) -> np.ndarray:
-    base = np.zeros_like(x) if baseline is None else np.asarray(baseline,
-                                                                dtype=np.float64)
-    if base.shape != x.shape:
-        raise ShapeError(f"baseline shape {base.shape} != input shape {x.shape}")
-    leaf = Tensor(x[None])
-    fp = model.forward_graph(leaf)
-    leaf_b = Tensor(base[None])
-    fp_b = model.forward_graph(leaf_b)
-    ad.rescale_multipliers(fp.scores, fp_b.scores, _one_hot(fp.scores, target))
-    return ((x - base) * leaf.grad[0]).copy()
-
-
-def _gradcam(model, x: np.ndarray, target: int, layer: str) -> np.ndarray:
-    fp = model.forward_graph(x[None])
+def _gradcam(fp, x: np.ndarray, layer: str) -> np.ndarray:
+    """Grad-CAM read off ``layer`` of a graph backpropagated with the
+    standard rule."""
     if layer not in fp.activations:
         raise ValueError(
             f"unknown layer {layer!r}; model layers: {sorted(fp.activations)}")
     act = fp.activations[layer]
     if act.data.ndim != 4:
         raise ValueError(f"layer {layer!r} is not spatial (shape {act.shape})")
-    fp.scores.backward(_one_hot(fp.scores, target), RULE_STANDARD)
     weights = act.grad.mean(axis=(2, 3))           # (1, K) spatially averaged
     cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1), 0.0)
     plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
@@ -127,14 +99,27 @@ def attribute(model, x, target: int, method: str, *,
         raise ShapeError(
             f"input shape {x.shape} != model input {model.input_shape}")
 
+    leaf = Tensor(x[None])
+    fp = model.forward_graph(leaf)
+    seed = np.zeros(fp.scores.shape)        # explains class ``target``
+    seed[0, target] = 1.0
     if kind in _GRADIENT_RULES:
-        values = _gradient_heatmap(model, x, target, _GRADIENT_RULES[kind])
+        fp.scores.backward(seed, _GRADIENT_RULES[kind])
+        values = leaf.grad[0]
         if kind == "input-x-gradient":
             values = x * values
     elif kind == "deeplift":
-        values = _deeplift(model, x, target, deeplift_baseline)
+        base = np.zeros_like(x) if deeplift_baseline is None else \
+            np.asarray(deeplift_baseline, dtype=np.float64)
+        if base.shape != x.shape:
+            raise ShapeError(
+                f"baseline shape {base.shape} != input shape {x.shape}")
+        ad.rescale_multipliers(
+            fp.scores, model.forward_graph(Tensor(base[None])).scores, seed)
+        values = (x - base) * leaf.grad[0]
     else:
-        values = _gradcam(model, x, target, layer or DEFAULT_GRADCAM_LAYER)
+        fp.scores.backward(seed, RULE_STANDARD)
+        values = _gradcam(fp, x, layer or DEFAULT_GRADCAM_LAYER)
 
     if abs_values:
         values = np.abs(values)

@@ -270,11 +270,8 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     cout, cin, kh, kw = k.shape
     oh = _out_size(h, kh, 1, pad, "conv2d")
     ow = _out_size(w, kw, 1, pad, "conv2d")
-    if pad:
-        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
-        xp[:, :, pad: pad + h, pad: pad + w] = x.data
-    else:
-        xp = x.data
+    xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad: pad + h, pad: pad + w] = x.data
     # The windows are gathered once, laid out (C, kh, kw, N, oh, ow): the
     # operand every GEMM reads.  Results match the einsum reference in
     # tests/test_conv_parity.py bit for bit.
@@ -298,8 +295,7 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
         for i in range(kh):
             for j in range(kw):
                 gxt[:, :, i: i + oh, j: j + ow] += dcols[:, i, j]
-        gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
-        return (gx, gk)
+        return (gxp[:, :, pad: pad + h, pad: pad + w], gk)
 
     return Tensor(out, (x, k), "conv2d", vjp)
 

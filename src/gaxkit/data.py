@@ -144,6 +144,7 @@ def load_dataset(root) -> Dataset:
         raise FileNotFoundError(f"no manifest.txt under {root}")
     header: dict[str, str] = {}
     samples: dict[str, list[tuple[int, str]]] = {s: [] for s in SPLITS}
+    label_lines: list[tuple[int, str]] = []
     lines = manifest.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -162,6 +163,7 @@ def load_dataset(root) -> Dataset:
                 raise ValueError(f"{where}: label {label!r} is not a "
                                  "class index")
             samples[split_name].append((int(label), rel))
+            label_lines.append((int(label), where))
         else:
             key, sep, value = line.partition("=")
             if not sep:
@@ -174,11 +176,22 @@ def load_dataset(root) -> Dataset:
                                      "<C>x<H>x<W>")
                 header[key] = tuple(parse_number(d, int, where, key)
                                     for d in dims)
+                if min(header[key]) < 1:
+                    raise ValueError(f"{where}: image_shape {value!r} has a "
+                                     "dimension below 1")
             elif key in ("class_count", "seed"):
                 header[key] = parse_number(value, int, where, key)
+                if key == "class_count" and header[key] < 2:
+                    raise ValueError(f"{where}: class_count {value!r} is "
+                                     "below 2")
     for key in ("image_shape", "class_count"):
         if key not in header:
             raise ValueError(f"{manifest}: no {key}= line")
+    # a class_count= line may follow the sample lines
+    for label, where in label_lines:
+        if label >= header["class_count"]:
+            raise ValueError(f"{where}: label {label} is out of range for "
+                             f"class_count {header['class_count']}")
     shape = header["image_shape"]
     c, h, w = shape
 

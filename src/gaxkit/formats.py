@@ -114,6 +114,8 @@ def read_pnm(path) -> np.ndarray:
     for name in ("width", "height", "maxval"):
         tok, pos = _read_pnm_token(data, pos, path)
         fields.append(parse_number(tok.decode("latin-1"), int, path, name))
+        if name != "maxval" and fields[-1] < 1:
+            raise ValueError(f"{path}: {name} {fields[-1]} is below 1")
     w, h, maxval = fields
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")

@@ -28,8 +28,11 @@ class ToyInstance:
     k_eta: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k_eta < 0:
-            raise ValueError("k_eta must be non-negative")
+            raise ValueError(f"k_eta must be >= 0, got {self.k_eta}")
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -209,24 +209,24 @@ class TestSweep:
             ax_sweep(model, ds.test, ["saliency", "deeplift"], ["sum"])
 
     def test_programming_error_propagates(self, tiny, monkeypatch):
-        import gaxkit.attribution
+        import gaxkit.ax
 
         def broken(*args, **kwargs):
             raise TypeError("broken attribution")
 
-        monkeypatch.setattr(gaxkit.attribution, "_gradient_heatmap", broken)
+        monkeypatch.setattr(gaxkit.ax, "attribute", broken)
         model, ds = tiny
         with pytest.raises(TypeError, match="broken attribution"):
             ax_sweep(model, ds.test, ["saliency"], ["sum"])
 
     def test_key_error_from_a_bug_propagates(self, tiny, monkeypatch):
         # only ValueError is an expected per-sample error
-        import gaxkit.attribution
+        import gaxkit.ax
 
         def broken(*args, **kwargs):
             raise KeyError("conv9")
 
-        monkeypatch.setattr(gaxkit.attribution, "_gradient_heatmap", broken)
+        monkeypatch.setattr(gaxkit.ax, "attribute", broken)
         model, ds = tiny
         with pytest.raises(KeyError, match="conv9"):
             ax_sweep(model, ds.test, ["saliency"], ["sum"])

@@ -65,6 +65,20 @@ def test_toy_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--keta", "nan", "k_eta must be finite, got nan"),
+    ("--a2", "inf", "a2 must be finite, got inf"),
+])
+def test_toy_sweep_non_finite_is_one_line(tmp_path, capsys, flag, value,
+                                          message):
+    out = tmp_path / "sweep.csv"
+    assert main(["toy-sweep", flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_data_deterministic(tmp_path):
     args = ["gen-data", "--classes", "2", "--train", "6", "--val", "2",
             "--test", "2", "--shape", "1,6,6", "--seed", "9"]
@@ -514,6 +528,43 @@ def test_gax_defaults_are_gax_config_defaults(tiny_run, tmp_path):
                  "--out", str(tmp_path / "cli")]) == 0
     gax_sweep(MiniConvNet.load(model), load_dataset(data).test,
               GaxConfig(max_iterations=5), out_dir=tmp_path / "lib")
+    assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
+
+
+def test_gax_bias_is_gax_config_use_bias(tiny_run, tmp_path):
+    from gaxkit import GaxConfig, gax_sweep, load_dataset
+    data, model = tiny_run
+    assert main(["gax", "--model", str(model), "--data", str(data),
+                 "--bias", "--max-iterations", "5",
+                 "--out", str(tmp_path / "cli")]) == 0
+    gax_sweep(MiniConvNet.load(model), load_dataset(data).test,
+              GaxConfig(use_bias=True, max_iterations=5),
+              out_dir=tmp_path / "lib")
+    assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
+    # the bias changes the outputs, so the flag is not compared vacuously
+    no_bias = tmp_path / "no-bias"
+    gax_sweep(MiniConvNet.load(model), load_dataset(data).test,
+              GaxConfig(use_bias=False, max_iterations=5), out_dir=no_bias)
+    assert _tree(no_bias) != _tree(tmp_path / "cli")
+
+
+def test_attribute_target_and_abs_are_attribute_arguments(tiny_run, tmp_path):
+    from gaxkit import attribute, load_dataset, normalize, predict
+    from gaxkit.formats import export_heatmap
+    data, model = tiny_run
+    net, split = MiniConvNet.load(model), load_dataset(data).test
+    # a sample predicted as class 0, so --target 1 is not the default
+    index = next(i for i, x in enumerate(split.x) if predict(net, x)[0] == 0)
+    assert main(["attribute", "--model", str(model), "--data", str(data),
+                 "--index", str(index), "--target", "1", "--abs",
+                 "--method", "guided-backprop",
+                 "--out", str(tmp_path / "cli" / "heat")]) == 0
+    heat = attribute(net, split.x[index], 1, "guided-backprop",
+                     abs_values=True)
+    # the signed map has negative entries, so --abs changes the bytes
+    assert (attribute(net, split.x[index], 1, "guided-backprop").values
+            < 0).any()
+    export_heatmap(normalize(heat), tmp_path / "lib" / "heat")
     assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
 
 

@@ -104,8 +104,12 @@ class TestManifestErrors:
         ("image_shape=3x32", "image_shape '3x32' is not <C>x<H>x<W>"),
         ("image_shape=3x32xa", "image_shape 'a' is not an integer"),
         ("class_count=two", "class_count 'two' is not an integer"),
+        ("sample,train,5,x.pgm", "label 5 is out of range for class_count 2"),
+        ("class_count=1", "class_count '1' is below 2"),
+        ("image_shape=3x-8x8", "image_shape '3x-8x8' has a dimension below 1"),
     ], ids=["split", "short-line", "label", "no-equals", "shape-dims",
-            "shape-int", "class-count"])
+            "shape-int", "class-count", "label-range", "class-count-range",
+            "shape-range"])
     def test_bad_line_named(self, tmp_path, line, message):
         gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
                              seed=0), tmp_path)
@@ -128,6 +132,22 @@ class TestManifestErrors:
         with pytest.raises(ValueError) as info:
             load_dataset(tmp_path)
         assert str(info.value) == f"{manifest}: no {key}= line"
+
+    def test_class_count_after_the_samples_bounds_their_labels(self, tmp_path):
+        gen_data(DatasetSpec(class_count=3, train=3, val=0, test=0,
+                             image_shape=(1, 4, 4), seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        moved = [line for line in lines if not line.startswith("class_count=")]
+        manifest.write_text("\n".join(moved + ["class_count=3"]) + "\n")
+        assert load_dataset(tmp_path).class_count == 3
+        manifest.write_text("\n".join(moved + ["class_count=2"]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        label_line = next(i for i, line in enumerate(moved, 1)
+                          if line.startswith("sample,train,2,"))
+        assert str(info.value) == (f"{manifest} line {label_line}: label 2 is "
+                                   "out of range for class_count 2")
 
     def test_image_of_another_size_named(self, tmp_path):
         gen_data(DatasetSpec(train=1, val=0, test=0, image_shape=(1, 4, 4),
@@ -199,6 +219,16 @@ class TestIngest:
         assert len(split) == 4
         assert [str(w.message) for w in record] == [
             f"skipping {bad}: unsupported PNM magic b'not'"]
+
+    def test_zero_size_image_skipped_with_warning(self, tmp_path):
+        self._write_class_dirs(tmp_path, [(4, 4), (4, 4)])
+        bad = tmp_path / "class_0" / "empty.pgm"
+        bad.write_bytes(b"P5\n0 4\n255\n")
+        with pytest.warns(UserWarning) as record:
+            split = ingest_images(tmp_path, (8, 8))
+        assert len(split) == 4
+        assert [str(w.message) for w in record] == [
+            f"skipping {bad}: width 0 is below 1"]
 
     @pytest.mark.parametrize("name", ["img,x.pgm", "img\nx.pgm"],
                              ids=["comma", "line-break"])

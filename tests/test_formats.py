@@ -49,7 +49,11 @@ class TestPnm:
         (b"P5\n3x 4\n255\n", "width '3x' is not an integer"),
         (b"P6\n4 4\n65535\n", "only maxval 255 supported, got 65535"),
         (b"P5\n4 4\n255\nshort", "truncated raster"),
-    ], ids=["empty", "no-maxval", "width", "maxval", "raster"])
+        (b"P5\n0 4\n255\n", "width 0 is below 1"),
+        (b"P6\n4 0\n255\n", "height 0 is below 1"),
+        (b"P5\n-2 4\n255\n", "width -2 is below 1"),
+    ], ids=["empty", "no-maxval", "width", "maxval", "raster", "zero-width",
+            "zero-height", "negative-width"])
     def test_bad_file_named(self, tmp_path, raw, message):
         p = tmp_path / "bad.pgm"
         p.write_bytes(raw)

@@ -137,3 +137,12 @@ class TestInstanceValidation:
     def test_negative_k_eta_rejected(self):
         with pytest.raises(ValueError):
             ToyInstance(0.0, 1.0, 0.0, k_eta=-0.1)
+
+    @pytest.mark.parametrize("field", ["theta", "a1", "a2", "k_eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_named(self, field, value):
+        fields = {"theta": 0.0, "a1": 1.0, "a2": 0.0, "k_eta": 1.0}
+        fields[field] = value
+        with pytest.raises(ValueError) as info:
+            ToyInstance(**fields)
+        assert str(info.value) == f"{field} must be finite, got {value}"
