@@ -73,19 +73,15 @@ def _check_target(model, target: int) -> int:
     return target
 
 
-def _gradcam(fp, x: np.ndarray, layer: str) -> np.ndarray:
-    """Grad-CAM read off ``layer`` of a graph backpropagated with the
-    standard rule."""
+def _gradcam_layer(fp, layer: str) -> Tensor:
+    """The activation Grad-CAM reads, checked to be a spatial layer."""
     if layer not in fp.activations:
         raise ValueError(
             f"unknown layer {layer!r}; model layers: {sorted(fp.activations)}")
     act = fp.activations[layer]
     if act.data.ndim != 4:
         raise ValueError(f"layer {layer!r} is not spatial (shape {act.shape})")
-    weights = act.grad.mean(axis=(2, 3))           # (1, K) spatially averaged
-    cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1), 0.0)
-    plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
-    return np.broadcast_to(plane, x.shape).copy()
+    return act
 
 
 def attribute(model, x, target: int, method: str, *,
@@ -104,7 +100,7 @@ def attribute(model, x, target: int, method: str, *,
     seed = np.zeros(fp.scores.shape)        # explains class ``target``
     seed[0, target] = 1.0
     if kind in _GRADIENT_RULES:
-        fp.scores.backward(seed, _GRADIENT_RULES[kind])
+        fp.scores.backward(seed, _GRADIENT_RULES[kind], wrt=[leaf])
         values = leaf.grad[0]
         if kind == "input-x-gradient":
             values = x * values
@@ -115,11 +111,17 @@ def attribute(model, x, target: int, method: str, *,
             raise ShapeError(
                 f"baseline shape {base.shape} != input shape {x.shape}")
         ad.rescale_multipliers(
-            fp.scores, model.forward_graph(Tensor(base[None])).scores, seed)
+            fp.scores, model.forward_graph(Tensor(base[None])).scores, seed,
+            wrt=[leaf])
         values = (x - base) * leaf.grad[0]
     else:
-        fp.scores.backward(seed, RULE_STANDARD)
-        values = _gradcam(fp, x, layer or DEFAULT_GRADCAM_LAYER)
+        act = _gradcam_layer(fp, layer or DEFAULT_GRADCAM_LAYER)
+        fp.scores.backward(seed, RULE_STANDARD, wrt=[act])
+        weights = act.grad.mean(axis=(2, 3))       # (1, K) spatially averaged
+        cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1),
+                         0.0)
+        plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
+        values = np.broadcast_to(plane, x.shape).copy()
 
     if abs_values:
         values = np.abs(values)

@@ -18,9 +18,12 @@ Only plain ``relu`` nodes are affected by the overrides; every other op
 (including ``leaky_relu``) always uses its standard gradient.
 
 :meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
-rule) share one reverse sweep, and both fill ``grad`` on every graph node.
-Their finite-difference checker lives with the tests (``tests/gradcheck.py``).
-Attribution explains one class by seeding either sweep with a one-hot row.
+rule) share one reverse sweep.  Both take ``wrt``, the tensors whose ``grad``
+the caller reads: only the nodes on a path from a ``wrt`` tensor to the root
+get a ``grad`` (every other node's is ``None``), and a vjp skips the parent
+gradients no such node takes.  Their finite-difference checker lives with the
+tests (``tests/gradcheck.py``).  Attribution explains one class by seeding
+either sweep with a one-hot row.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ class Tensor:
     """A float64 array plus the bookkeeping needed for backpropagation.
 
     ``parents`` and ``_vjp`` describe how this node was produced; leaves
-    have neither.  ``grad``, shaped like ``data``, is filled in on every node
-    reachable from the root by :meth:`backward` or :func:`rescale_multipliers`.
+    have neither.  ``grad``, shaped like ``data``, is set by a sweep (see the
+    module docstring).  ``_needs_grad`` is False only during a sweep, on the
+    nodes it gives no ``grad``; a vjp skips those parents' gradients.
     """
 
-    __slots__ = ("data", "grad", "op", "parents", "_vjp")
+    __slots__ = ("data", "grad", "op", "parents", "_vjp", "_needs_grad")
 
     def __init__(self, data, parents=(), op="leaf", vjp=None):
         self.data = _arr(data)
@@ -57,6 +61,7 @@ class Tensor:
         self.op = op
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self._vjp = vjp
+        self._needs_grad = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,8 +74,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
-    def backward(self, seed=None, rule: str = RULE_STANDARD) -> None:
-        """Populate ``grad`` on every node reachable from this root.
+    def backward(self, seed=None, rule: str = RULE_STANDARD, *, wrt) -> None:
+        """Set ``grad`` on each tensor of ``wrt``, which must be part of this
+        root's graph, and on the nodes between them; others get ``None``.
 
         ``seed`` must match the root shape; it defaults to ones for scalar
         roots.  Gradients from multiple uses of a node accumulate.
@@ -81,26 +87,45 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without a seed requires a scalar root")
             seed = np.ones_like(self.data)
-        _backprop(self, _topo(self), seed,
+        _backprop(self, _topo(self), seed, wrt,
                   lambda node: node._vjp(node.grad, rule))
 
 
-def _backprop(root: Tensor, order: list[Tensor], seed, pull) -> None:
-    """Zero ``grad`` over ``order`` (``_topo(root)``), seed the root, then add
-    ``pull(node)`` (one gradient per parent) into the parents in reverse."""
+def _backprop(root: Tensor, order: list[Tensor], seed, wrt, pull) -> None:
+    """Mark the nodes of ``order`` (``_topo(root)``) on a path from a
+    ``wrt`` tensor to ``root``, seed the root, then add ``pull(node)`` (one
+    gradient per parent) into the marked parents in reverse.  A first
+    contribution is stored as ``pg + 0.0`` (the bytes of ``0.0 + pg``) so no
+    ``grad`` aliases a vjp output and later ones add in place."""
     seed_arr = _arr(seed)
     if seed_arr.shape != root.data.shape:
         raise ShapeError(
             f"backward seed shape {seed_arr.shape} does not match "
             f"root shape {root.data.shape}")
-    for node in order:
-        node.grad = np.zeros_like(node.data)
-    root.grad = seed_arr.copy()
-    for node in reversed(order):
-        if node._vjp is None:
-            continue
-        for parent, pg in zip(node.parents, pull(node)):
-            parent.grad += pg
+    wanted = {id(t) for t in wrt}
+    feeding = []        # the nodes with a parent that needs a gradient
+    try:
+        for node in order:
+            node.grad = None
+            feeds = any(p._needs_grad for p in node.parents)
+            node._needs_grad = feeds or id(node) in wanted
+            wanted.discard(id(node))
+            if feeds:
+                feeding.append(node)
+        if wanted or not root._needs_grad:
+            raise ValueError("backward: wrt must name tensors of the graph")
+        root.grad = seed_arr.copy()
+        for node in reversed(feeding):
+            for parent, pg in zip(node.parents, pull(node)):
+                if not parent._needs_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = pg + 0.0
+                else:
+                    parent.grad += pg
+    finally:
+        for node in order:
+            node._needs_grad = True
 
 
 def _topo(root: Tensor) -> list[Tensor]:
@@ -215,7 +240,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-    return Tensor(ad @ bd, (a, b), "matmul", lambda g, r: (g @ bd.T, ad.T @ g))
+    return Tensor(ad @ bd, (a, b), "matmul", lambda g, r: (
+        g @ bd.T if a._needs_grad else None,
+        ad.T @ g if b._needs_grad else None))
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -243,7 +270,8 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias_add: {x.shape} with bias {b.shape}")
     rest = tuple(range(2, x.data.ndim))
     return Tensor(x.data + b.data.reshape((1, -1) + (1,) * len(rest)), (x, b),
-                  "bias-add", lambda g, r: (g, g.sum(axis=(0, *rest))))
+                  "bias-add", lambda g, r: (
+                      g, g.sum(axis=(0, *rest)) if b._needs_grad else None))
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +313,21 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
 
     def vjp(g, rule):
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-        # BLAS sums a transposed view and a contiguous copy differently; gk
-        # keeps the layout that matches the einsum: a view only at N=1.
-        gk = (gmat @ (cols.T if n == 1 else np.ascontiguousarray(cols.T))
-              ).reshape(k.shape)
-        dcols = (kmat.T @ gmat).reshape(cin, kh, kw, n, oh, ow)
-        gxp = np.zeros_like(xp)
-        gxt = gxp.transpose(1, 0, 2, 3)
-        for i in range(kh):
-            for j in range(kw):
-                gxt[:, :, i: i + oh, j: j + ow] += dcols[:, i, j]
-        return (gxp[:, :, pad: pad + h, pad: pad + w], gk)
+        gx = gk = None
+        if k._needs_grad:
+            # BLAS sums a transposed view and a contiguous copy differently;
+            # gk keeps the layout that matches the einsum: a view only at N=1.
+            gk = (gmat @ (cols.T if n == 1 else np.ascontiguousarray(cols.T))
+                  ).reshape(k.shape)
+        if x._needs_grad:
+            dcols = (kmat.T @ gmat).reshape(cin, kh, kw, n, oh, ow)
+            gxp = np.zeros_like(xp)
+            gxt = gxp.transpose(1, 0, 2, 3)
+            for i in range(kh):
+                for j in range(kw):
+                    gxt[:, :, i: i + oh, j: j + ow] += dcols[:, i, j]
+            gx = gxp[:, :, pad: pad + h, pad: pad + w]
+        return (gx, gk)
 
     return Tensor(out, (x, k), "conv2d", vjp)
 
@@ -382,7 +414,8 @@ _RESCALE_OPS = ("relu", "leaky-relu", "sigmoid", "tanh")
 _NEAR_ZERO = 1e-9
 
 
-def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed) -> None:
+def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed, *,
+                        wrt) -> None:
     """Backward pass computing rescale-rule contribution multipliers.
 
     Requires two structurally identical graphs: one evaluated at the input
@@ -391,8 +424,8 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed) -> None:
     falling back to the local derivative where the input difference is
     within ``_NEAR_ZERO``; all other ops propagate like standard gradients.
 
-    Like :meth:`Tensor.backward`, fills ``grad`` on every node of the main
-    graph with that node's accumulated multiplier.
+    Like :meth:`Tensor.backward`, sets ``grad`` on each ``wrt`` tensor of
+    the main graph, and on the nodes between, to its accumulated multiplier.
     """
     order = _topo(root)
     order_b = _topo(baseline_root)
@@ -412,4 +445,4 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed) -> None:
         return (node.grad * np.where(small, local,
                                      dout / np.where(small, 1.0, din)),)
 
-    _backprop(root, order, seed, pull)
+    _backprop(root, order, seed, wrt, pull)

@@ -25,12 +25,17 @@ from .training import TrainConfig, train
 
 
 def _shape(names: str):
-    """argparse type: the integers ``names`` lists, split by ',' or 'x'."""
+    """argparse type: the integers >= 1 ``names`` lists, split by ',' or
+    'x'."""
     def parse(text: str) -> tuple[int, ...]:
         parts = text.replace("x", ",").split(",")
         if len(parts) != len(names.split(",")):
             raise argparse.ArgumentTypeError(f"expected {names}, got {text!r}")
-        return tuple(int(p) for p in parts)
+        dims = tuple(int(p) for p in parts)
+        if min(dims) < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected {names} entries >= 1, got {text!r}")
+        return dims
     parse.__name__ = names      # argparse: "invalid C,H,W value: '3,a,8'"
     return parse
 

@@ -14,6 +14,7 @@ Binary layouts (all integers little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -47,10 +48,23 @@ def parse_number(text, kind, where, field: str):
         raise ValueError(f"{where}: {field} {text!r} is not {noun}") from None
 
 
+def _write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then move it
+    into place: a write that fails midway leaves any old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_lines(path, lines) -> None:
     """Write ``lines`` as UTF-8, each one ended by a LF."""
-    Path(path).write_bytes("".join(f"{line}\n" for line in lines)
-                          .encode("utf-8"))
+    _write_atomic(path, "".join(f"{line}\n" for line in lines)
+                  .encode("utf-8"))
 
 
 def write_rows(path, header: str, rows) -> None:
@@ -81,8 +95,8 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 def _write_pnm(path, magic: bytes, a: np.ndarray) -> None:
     h, w = a.shape[:2]
-    Path(path).write_bytes(magic + f"\n{w} {h}\n255\n".encode("ascii")
-                           + a.astype(np.uint8).tobytes())
+    _write_atomic(path, magic + f"\n{w} {h}\n255\n".encode("ascii")
+                  + a.astype(np.uint8).tobytes())
 
 
 def _read_pnm_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
@@ -181,7 +195,7 @@ def write_gaxh(path, values: np.ndarray) -> None:
     """Write a raw heatmap tensor (float32 storage)."""
     payload = HEATMAP_MAGIC + struct.pack("<H", FORMAT_VERSION)
     payload += _pack_array(np.asarray(values))
-    Path(path).write_bytes(payload)
+    _write_atomic(path, payload)
 
 
 def read_gaxh(path) -> np.ndarray:
@@ -200,7 +214,7 @@ def write_gaxm(path, named: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<I", len(nb)))
         parts.append(nb)
         parts.append(_pack_array(np.asarray(arr)))
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def read_gaxm(path) -> dict[str, np.ndarray]:

@@ -140,7 +140,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
                 break
             if step == cfg.max_iterations:
                 break
-            loss.backward()
+            loss.backward(wrt=leaves.values())
             params = opt.step(params, {name: t.grad[0]
                                        for name, t in leaves.items()})
 

@@ -121,7 +121,7 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise ValueError(f"non-finite loss at iteration {it}")
-        loss.backward()
+        loss.backward(wrt=fp.params.values())
         grads = {name: leaf.grad for name, leaf in fp.params.items()}
         for name, arr in opt.step(model.params, grads).items():
             with np.errstate(over="ignore"):    # an overflow is the inf below

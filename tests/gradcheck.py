@@ -37,24 +37,22 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - n).max(initial=0.0) / denom)
 
 
-def check_gradients(build, arrays, *, step: float = 1e-6,
-                    wrt=None) -> list[float]:
+def check_gradients(build, arrays, *, step: float = 1e-6) -> list[float]:
     """Compare backprop against finite differences for ``build``.
 
     ``build`` maps input tensors to a scalar Tensor.  Returns the max
-    relative error per checked input (all inputs by default).
+    relative error per input.
     """
     tensors = [Tensor(a) for a in arrays]
     out = build(*tensors)
     if out.size != 1:
         raise ValueError("check_gradients requires a scalar-valued build")
-    out.backward()
+    out.backward(wrt=tensors)
 
     def f(*arrs) -> float:
         return float(build(*[Tensor(a) for a in arrs]).data)
 
-    indices = range(len(arrays)) if wrt is None else wrt
     return [
-        max_relative_error(tensors[i].grad, numeric_gradient(f, arrays, i, step))
-        for i in indices
+        max_relative_error(t.grad, numeric_gradient(f, arrays, i, step))
+        for i, t in enumerate(tensors)
     ]

@@ -124,7 +124,7 @@ def test_c04_gradient_fidelity():
         b0 = rng.uniform(-0.1, 0.1, size=(1, 1, 4, 4))
         w_t, b_t = Tensor(w0), Tensor(b0)
         loss, _, _ = _loss_graph(model, x, w_t, b_t, fx, constants, cfg)
-        loss.backward()
+        loss.backward(wrt=[w_t, b_t])
 
         def f(w_arr, b_arr):
             val, _, _ = _loss_graph(model, x, Tensor(w_arr), Tensor(b_arr),

@@ -1,5 +1,6 @@
-"""Engine tests: forward semantics, the three backward rules, and the
-finite-difference gradient property for every op."""
+"""Engine tests: forward semantics, the three backward rules, the
+finite-difference gradient property for every op, and the sweep that
+computes only the gradients its ``wrt`` tensors need."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gaxkit import autodiff as ad
 from gaxkit.autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD,
                              ShapeError, Tensor)
+from gaxkit.models import MiniConvNet
 from gradcheck import check_gradients
 
 from helpers_grad import op_cases
@@ -78,26 +80,26 @@ class TestBackwardRules:
     def test_standard_relu_negative_input(self):
         x = Tensor([-1.0])
         y = ad.relu(x)
-        y.backward(np.array([1.0]), rule=RULE_STANDARD)
+        y.backward(np.array([1.0]), rule=RULE_STANDARD, wrt=[x])
         assert x.grad[0] == 0.0
 
     def test_deconv_passes_positive_upstream(self):
         # the deconv rule ignores the forward sign entirely
         x = Tensor([-1.0])
         y = ad.relu(x)
-        y.backward(np.array([1.0]), rule=RULE_DECONV)
+        y.backward(np.array([1.0]), rule=RULE_DECONV, wrt=[x])
         assert x.grad[0] == 1.0
 
     def test_guided_masks_negative_upstream(self):
         x = Tensor([2.0])
         y = ad.relu(x)
-        y.backward(np.array([-1.0]), rule=RULE_GUIDED)
+        y.backward(np.array([-1.0]), rule=RULE_GUIDED, wrt=[x])
         assert x.grad[0] == 0.0
 
     def test_deconv_blocks_negative_upstream(self):
         x = Tensor([2.0])
         y = ad.relu(x)
-        y.backward(np.array([-1.0]), rule=RULE_DECONV)
+        y.backward(np.array([-1.0]), rule=RULE_DECONV, wrt=[x])
         assert x.grad[0] == 0.0
 
     def test_rules_degrade_to_standard_when_all_positive(self):
@@ -109,33 +111,35 @@ class TestBackwardRules:
         for rule in (RULE_STANDARD, RULE_DECONV, RULE_GUIDED):
             x = Tensor(x_val)
             out = ad.relu(ad.matmul(x, Tensor(w_val)))
-            out.backward(np.ones((1, 4)), rule=rule)
+            out.backward(np.ones((1, 4)), rule=rule, wrt=[x])
             grads[rule] = x.grad.copy()
         np.testing.assert_array_equal(grads[RULE_STANDARD], grads[RULE_DECONV])
         np.testing.assert_array_equal(grads[RULE_STANDARD], grads[RULE_GUIDED])
 
     def test_seed_shape_mismatch(self):
-        y = ad.relu(Tensor([1.0, 2.0]))
+        x = Tensor([1.0, 2.0])
         with pytest.raises(ShapeError):
-            y.backward(np.ones(3))
+            ad.relu(x).backward(np.ones(3), wrt=[x])
 
     def test_scalar_root_default_seed(self):
         x = Tensor([1.0, 2.0, 3.0])
-        ad.weighted_sum(x, np.ones(3)).backward()
+        ad.weighted_sum(x, np.ones(3)).backward(wrt=[x])
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
     def test_nonscalar_root_needs_seed(self):
+        x = Tensor([1.0, 2.0])
         with pytest.raises(ShapeError):
-            ad.relu(Tensor([1.0, 2.0])).backward()
+            ad.relu(x).backward(wrt=[x])
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
-            ad.mean_all(Tensor([1.0])).backward(rule="nonsense")
+            x = Tensor([1.0])
+            ad.mean_all(x).backward(rule="nonsense", wrt=[x])
 
     def test_gradient_accumulates_over_reuse(self):
         x = Tensor([3.0])
         y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1
-        y.backward(np.array([1.0]))
+        y.backward(np.array([1.0]), wrt=[x])
         assert x.grad[0] == pytest.approx(7.0)
 
     def test_gradient_shapes_match_values(self):
@@ -143,16 +147,10 @@ class TestBackwardRules:
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
         k = Tensor(rng.normal(size=(4, 3, 3, 3)))
         out = ad.mean_all(ad.max_pool2d(ad.relu(ad.conv2d(x, k, pad=1)), 2))
-        out.backward()
-        seen = []
-        stack = [out]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.append(id(node))
+        nodes = ad._topo(out)
+        out.backward(wrt=nodes)
+        for node in nodes:
             assert node.grad.shape == node.data.shape
-            stack.extend(node.parents)
 
 
 class TestMLPChainRule:
@@ -171,7 +169,7 @@ class TestMLPChainRule:
         a1 = ad.relu(z1)
         z2 = ad.bias_add(ad.matmul(a1, Tensor(w2.T)), Tensor(b2))
         out = ad.sigmoid(z2)
-        out.backward(seed[None])
+        out.backward(seed[None], wrt=[x])
 
         # hand-derived chain rule product
         z1v = w1 @ xv + b1
@@ -191,3 +189,140 @@ def test_gradients_match_finite_differences(name, make):
         errs = check_gradients(build, arrays)
         worst = max(worst, max(errs))
     assert worst < 1e-6, f"{name}: max relative error {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# the pruned sweep: ``wrt`` changes which nodes get a gradient, never a byte
+
+@pytest.fixture(scope="module")
+def net():
+    model = MiniConvNet(num_classes=3, seed=21)
+    rng = np.random.default_rng(22)
+    for name in ("conv1.b", "conv2.b", "fc.b"):
+        model.params[name] = rng.normal(0.0, 0.1, model.params[name].shape)
+    return model
+
+
+def _batch(n):
+    return np.random.default_rng(n).uniform(size=(n, 3, 32, 32))
+
+
+def _one_hot(n):
+    seed = np.zeros((n, 3))
+    seed[:, 1] = 1.0
+    return seed
+
+
+def _assert_same_bytes(sweep):
+    """``sweep(full)`` returns the arrays a caller reads after a sweep over
+    its own ``wrt`` (False) or over every node of the graph (True)."""
+    pruned, full = sweep(False), sweep(True)
+    assert len(pruned) == len(full)
+    for a, b in zip(pruned, full):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("rule", ad.BACKWARD_RULES)
+def test_input_sweep_matches_full_sweep(net, n, rule):
+    x = _batch(n)
+
+    def sweep(full):
+        leaf = Tensor(x)
+        fp = net.forward_graph(leaf)
+        fp.scores.backward(_one_hot(n), rule,
+                           wrt=ad._topo(fp.scores) if full else [leaf])
+        if not full:
+            assert all(p.grad is None for p in fp.params.values())
+        return [leaf.grad]
+
+    _assert_same_bytes(sweep)
+
+
+@pytest.mark.parametrize("n", [1, 32])
+def test_deeplift_sweep_matches_full_sweep(net, n):
+    x = _batch(n)
+
+    def sweep(full):
+        leaf = Tensor(x)
+        fp = net.forward_graph(leaf)
+        base = net.forward_graph(Tensor(np.zeros_like(x)))
+        ad.rescale_multipliers(fp.scores, base.scores, _one_hot(n),
+                               wrt=ad._topo(fp.scores) if full else [leaf])
+        if not full:
+            assert all(p.grad is None for p in fp.params.values())
+        return [leaf.grad]
+
+    _assert_same_bytes(sweep)
+
+
+@pytest.mark.parametrize("n", [1, 32])
+@pytest.mark.parametrize("layer", ["conv1", "conv2"])
+def test_layer_sweep_matches_full_sweep(net, n, layer):
+    x = _batch(n)
+
+    def sweep(full):
+        leaf = Tensor(x)
+        fp = net.forward_graph(leaf)
+        act = fp.activations[layer]
+        fp.scores.backward(_one_hot(n),
+                           wrt=ad._topo(fp.scores) if full else [act])
+        if not full:
+            assert leaf.grad is None
+            assert all(p.grad is None for p in fp.params.values())
+            if layer == "conv2":
+                assert fp.activations["conv1"].grad is None
+        return [act.grad]
+
+    _assert_same_bytes(sweep)
+
+
+@pytest.mark.parametrize("n", [1, 32])
+def test_parameter_sweep_matches_full_sweep(net, n):
+    x = _batch(n)
+    labels = np.arange(n) % 3
+
+    def sweep(full):
+        leaf = Tensor(x)
+        fp = net.forward_graph(leaf)
+        loss = ad.cross_entropy(fp.scores, labels)
+        loss.backward(wrt=ad._topo(loss) if full else fp.params.values())
+        if not full:
+            assert leaf.grad is None
+        return [p.grad for p in fp.params.values()]
+
+    _assert_same_bytes(sweep)
+
+
+def test_unwanted_nodes_hold_no_gradient():
+    x, k, b = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), \
+        Tensor(np.zeros(2))
+    out = ad.mean_all(ad.bias_add(ad.conv2d(x, k, pad=1), b))
+    out.backward(wrt=[k])
+    assert k.grad is not None and k.grad.shape == k.shape
+    assert x.grad is None and b.grad is None
+    # a second sweep resets what the first one left
+    out.backward(wrt=[x])
+    assert x.grad is not None and k.grad is None and b.grad is None
+
+
+def test_wrt_outside_the_graph_is_rejected():
+    x = Tensor([1.0, 2.0])
+    stray = Tensor([3.0])
+    out = ad.mean_all(x)
+    for wrt in ([x, stray], [stray], []):
+        with pytest.raises(ValueError, match="tensors of the graph"):
+            out.backward(wrt=wrt)
+    # a failed sweep leaves every vjp computing every gradient
+    assert x._needs_grad and out._needs_grad
+
+
+def test_vjp_outside_a_sweep_returns_every_gradient():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 3, 5, 5)))
+    k = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    out = ad.conv2d(x, k, pad=1)
+    out.backward(np.ones(out.shape), wrt=[x])
+    gx, gk = out._vjp(np.ones(out.shape), RULE_STANDARD)
+    assert gx.shape == x.shape and gk.shape == k.shape
+    assert gx.tobytes() == x.grad.tobytes()

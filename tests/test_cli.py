@@ -356,7 +356,14 @@ def test_gax_snapshot_every_zero_names_the_field(tiny_run, tmp_path, capsys):
     (["gen-data", "--shape", "3,a,8"], "--shape: invalid C,H,W value: '3,a,8'"),
     (["ax-sweep", "--model", "m.gaxm", "--data", "d", "--resize", "8"],
      "--resize: expected H,W, got '8'"),
-], ids=["shape-two", "shape-four", "shape-not-int", "resize-one"])
+    (["ax-sweep", "--model", "m.gaxm", "--data", "d", "--resize", "0,8"],
+     "--resize: expected H,W entries >= 1, got '0,8'"),
+    (["ax-sweep", "--model", "m.gaxm", "--data", "d", "--resize=-2,8"],
+     "--resize: expected H,W entries >= 1, got '-2,8'"),
+    (["gen-data", "--shape", "3,0,8"],
+     "--shape: expected C,H,W entries >= 1, got '3,0,8'"),
+], ids=["shape-two", "shape-four", "shape-not-int", "resize-one",
+        "resize-zero", "resize-negative", "shape-zero"])
 def test_shape_flags_need_their_value_count(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"argument {message}" in capsys.readouterr().err

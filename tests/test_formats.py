@@ -240,3 +240,30 @@ class TestHeatmapRendering:
         img = formats.read_pnm(out["images"][0])
         assert (img == 255).all()
         assert "abs_max=0" in out["sidecar"].read_text()
+
+
+@pytest.mark.parametrize("name,write", [
+    ("a.csv", lambda p: formats.write_lines(p, ["new", "lines"])),
+    ("a.pgm", lambda p: formats.write_pgm(p, np.zeros((4, 4), np.uint8))),
+    ("a.gaxh", lambda p: formats.write_gaxh(p, np.zeros((2, 3)))),
+    ("a.gaxm", lambda p: formats.write_gaxm(p, {"w": np.zeros(3)})),
+], ids=["lines", "pnm", "gaxh", "gaxm"])
+def test_write_cut_midway_keeps_the_old_file(tmp_path, monkeypatch, name,
+                                             write):
+    path = tmp_path / name
+    path.write_bytes(b"old contents")
+    real = formats.Path.write_bytes
+
+    def cut(self, data):
+        real(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(formats.Path, "write_bytes", cut)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    write(path)
+    assert path.read_bytes() != b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == [name]

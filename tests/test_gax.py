@@ -91,7 +91,7 @@ class TestLoss:
 
         w_t, b_t = Tensor(w0), Tensor(b0)
         loss, _, _ = _loss_graph(tiny_model, x, w_t, b_t, fx, constants, cfg)
-        loss.backward()
+        loss.backward(wrt=[w_t, b_t])
 
         def f(w_arr, b_arr):
             l, _, _ = _loss_graph(tiny_model, x, Tensor(w_arr), Tensor(b_arr),

@@ -1,0 +1,262 @@
+#!/usr/bin/env python3
+"""Run one fixed gaxkit CLI pipeline on two source trees and diff the results.
+
+    python3 tools/pipeline_diff.py OLD_SRC NEW_SRC [--keep DIR]
+
+``OLD_SRC`` and ``NEW_SRC`` are the ``src`` directories of two checkouts;
+each tree's demos are read from the ``demos`` directory beside its ``src``.
+Every step runs with that tree's ``src`` first on ``PYTHONPATH``, inside a
+fresh working directory per tree, so both runs see the same relative paths.
+Afterwards every file the pipeline wrote is compared byte for byte, as are
+each step's exit status, stdout and stderr (with the tree's own paths
+replaced by placeholders).  Each difference is named on stdout; the exit
+status is 1 if there is any, 0 if there is none.
+
+No golden digests are stored: BLAS builds sum differently from host to
+host, so the tool always compares two trees on one machine.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CLI = ("-m", "gaxkit.cli")
+DEMOS = ("01_toy_rotation_sweep.py", "02_attribution_gallery.py",
+         "03_gap_distribution.py", "04_gax_optimization.py")
+ATTRIBUTE_METHODS = ("saliency", "input-x-gradient", "deconvolution",
+                     "guided-backprop", "deeplift", "layer-gradcam",
+                     "layer-gradcam:conv2")
+
+
+# The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
+# change in a float64 result away.  This step writes raw float64 bytes of
+# what the workloads compute: heatmaps, CO scores, GAX traces and heatmaps,
+# and one training step's parameter gradients.  It passes ``wrt`` to
+# ``Tensor.backward`` only when the tree's engine takes it.
+PROBE = """
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from gaxkit import (METHODS, GaxConfig, MiniConvNet, Tensor, attribute,
+                    ax_sweep, gax_run, load_dataset, predict)
+from gaxkit.autodiff import cross_entropy
+
+out = Path("probe")
+out.mkdir()
+
+
+def dump(name, values):
+    (out / name).write_bytes(np.asarray(values, dtype=np.float64).tobytes())
+
+
+model = MiniConvNet.load("rgb.gaxm")
+ds = load_dataset("rgb")
+for method in (*METHODS, "layer-gradcam:conv2"):
+    dump("attribute_" + method.replace(":", "_"),
+         [attribute(model, ds.test.x[i], i % 2, method).values
+          for i in range(4)])
+records, _ = ax_sweep(model, ds.test, METHODS)
+dump("co_scores", [r.co_score for r in records])
+correct = [i for i in range(len(ds.test))
+           if predict(model, ds.test.x[i])[0] == ds.test.y[i]]
+for i in correct[:2]:
+    trace, heat = gax_run(model, ds.test.x[i], ds.test.y[i],
+                          GaxConfig(target_co=5.0, max_iterations=30))
+    dump(f"gax_{i}_trace", trace.iterations)
+    dump(f"gax_{i}_heatmap", heat.values)
+idx = np.random.default_rng(0).integers(0, len(ds.train), 32)
+fp = model.forward_graph(ds.train.x[idx])
+loss = cross_entropy(fp.scores, ds.train.y[idx])
+if "wrt" in inspect.signature(Tensor.backward).parameters:
+    loss.backward(wrt=list(fp.params.values()))
+else:
+    loss.backward()
+for name, leaf in fp.params.items():
+    dump("grad_" + name, leaf.grad)
+"""
+
+
+def _cli(name: str, *args: str) -> tuple[str, tuple[str, ...]]:
+    return name, (*CLI, *args)
+
+
+def pipeline() -> list[tuple[str, tuple[str, ...]]]:
+    """The fixed pipeline: (step name, python arguments) in run order."""
+    steps = [
+        _cli("gen-data rgb", "gen-data", "--out", "rgb", "--train", "60",
+             "--val", "20", "--test", "16", "--shape", "3,16,16",
+             "--seed", "5"),
+        _cli("gen-data gray", "gen-data", "--out", "gray", "--train", "40",
+             "--val", "10", "--test", "10", "--shape", "1,12,12",
+             "--seed", "6"),
+        _cli("gen-data defaults", "gen-data", "--out", "defaults"),
+        _cli("train defaults", "train", "--data", "rgb", "--out", "rgb.gaxm",
+             "--max-iterations", "40"),
+        _cli("train batch 3", "train", "--data", "rgb", "--out", "b3.gaxm",
+             "--batch-size", "3", "--max-iterations", "40", "--val-every",
+             "10", "--min-iterations", "10", "--target-val-acc", "0.9"),
+        _cli("train gray", "train", "--data", "gray", "--out", "gray.gaxm",
+             "--max-iterations", "30"),
+        ("float64 probe", ("-c", PROBE)),
+        _cli("ax-sweep all methods", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "rgb", "--out", "scores.csv"),
+        _cli("ax-sweep gradcam layers", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "rgb", "--split", "val", "--methods",
+             "layer-gradcam:conv2,layer-gradcam:nope,layer-gradcam:fc",
+             "--out", "gradcam.csv"),
+        _cli("ax-sweep raw", "ax-sweep", "--model", "gray.gaxm", "--data",
+             "gray/test", "--resize", "12,12", "--methods",
+             "saliency,deeplift", "--out", "raw.csv"),
+        _cli("ax-sweep raw stack", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "gray/test", "--resize", "16,16", "--stack",
+             "--methods", "guided-backprop,layer-gradcam", "--variants",
+             "mul", "--out", "stack.csv"),
+        _cli("gap-stats", "gap-stats", "--scores", "scores.csv"),
+        _cli("gap-stats filtered", "gap-stats", "--scores", "scores.csv",
+             "--method", "saliency", "--variant", "sum", "--hist",
+             "hist.csv", "--bins", "7", "--out", "stats.txt"),
+        _cli("gax no bias", "gax", "--model", "rgb.gaxm", "--data", "rgb",
+             "--no-bias", "--target-co", "5", "--first-n", "3",
+             "--max-iterations", "200", "--out", "gax_nobias"),
+        _cli("gax bias", "gax", "--model", "rgb.gaxm", "--data", "rgb",
+             "--bias", "--snapshot-every", "7", "--first-n", "3",
+             "--max-iterations", "40", "--out", "gax_bias"),
+        _cli("gax huge similarity", "gax", "--model", "rgb.gaxm", "--data",
+             "rgb", "--similarity-factor", "1e308", "--first-n", "2",
+             "--max-iterations", "20", "--out", "gax_huge"),
+    ]
+    for i, method in enumerate(ATTRIBUTE_METHODS):
+        stem = method.replace(":", "_")
+        steps.append(_cli(f"attribute {method}", "attribute", "--model",
+                          "rgb.gaxm", "--data", "rgb", "--index", str(i),
+                          "--method", method, "--out", f"attr/{stem}"))
+        steps.append(_cli(f"attribute {method} target abs", "attribute",
+                          "--model", "rgb.gaxm", "--data", "rgb", "--index",
+                          str(i), "--method", method, "--target", "1",
+                          "--abs", "--out", f"attr/{stem}_t1_abs"))
+    steps += [
+        _cli("toy-sweep", "toy-sweep", "--out", "toy.csv"),
+        _cli("toy-sweep tilted", "toy-sweep", "--a1", "0.7", "--a2", "0.3",
+             "--keta", "2.5", "--out", "toy_tilted.csv"),
+        # known error cases: one line on stderr, no traceback
+        _cli("error unknown method", "attribute", "--model", "rgb.gaxm",
+             "--data", "rgb", "--method", "nope", "--out", "attr/bad"),
+        _cli("error index", "attribute", "--model", "rgb.gaxm", "--data",
+             "rgb", "--index", "999", "--out", "attr/bad"),
+        _cli("error missing model", "ax-sweep", "--model", "missing.gaxm",
+             "--data", "rgb", "--out", "bad.csv"),
+        _cli("error model shape", "ax-sweep", "--model", "gray.gaxm",
+             "--data", "rgb", "--out", "bad.csv"),
+        _cli("error no manifest", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "gray/test", "--out", "bad.csv"),
+        _cli("error snapshot every", "gax", "--model", "rgb.gaxm", "--data",
+             "rgb", "--snapshot-every", "0", "--out", "gax_bad"),
+        _cli("error shape count", "gen-data", "--out", "bad", "--shape",
+             "8,8"),
+        _cli("error bins", "gap-stats", "--scores", "scores.csv", "--bins",
+             "0"),
+        _cli("error scores file", "gap-stats", "--scores", "missing.csv"),
+    ]
+    steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
+    return steps
+
+
+def run_tree(src: Path, workdir: Path, steps) -> dict[str, tuple]:
+    """Run ``steps`` with ``src`` on PYTHONPATH inside ``workdir``; returns
+    step name -> (exit status, stdout, stderr) with the tree's paths
+    replaced by placeholders."""
+    src = src.resolve()
+    demos = src.parent / "demos"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    workdir.mkdir(parents=True, exist_ok=True)
+    results = {}
+    for name, args in steps:
+        args = [a.replace("{demos}", str(demos)) for a in args]
+        proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+                              capture_output=True, text=True)
+        results[name] = tuple(
+            [proc.returncode] + [text.replace(str(demos), "<demos>")
+                                 .replace(str(src), "<src>")
+                                 .replace(str(workdir.resolve()), "<run>")
+                                 for text in (proc.stdout, proc.stderr)])
+    return results
+
+
+def _files(root: Path) -> dict[str, Path]:
+    return {p.relative_to(root).as_posix(): p
+            for p in root.rglob("*") if p.is_file()}
+
+
+def compare(old_dir: Path, new_dir: Path, old_results, new_results
+            ) -> list[str]:
+    """Every difference between two runs, one line each."""
+    diffs = []
+    for name in old_results.keys() | new_results.keys():
+        old, new = old_results.get(name), new_results.get(name)
+        if old is None or new is None:
+            diffs.append(f"step only in {'old' if new is None else 'new'}: "
+                         f"{name}")
+            continue
+        for label, a, b in zip(("exit status", "stdout", "stderr"), old, new):
+            if a != b:
+                diffs.append(f"{label} differs: {name}")
+    old_files, new_files = _files(old_dir), _files(new_dir)
+    for rel in sorted(old_files.keys() | new_files.keys()):
+        if rel not in new_files:
+            diffs.append(f"file only in old: {rel}")
+        elif rel not in old_files:
+            diffs.append(f"file only in new: {rel}")
+        elif old_files[rel].read_bytes() != new_files[rel].read_bytes():
+            diffs.append(f"file differs: {rel}")
+    return sorted(diffs)
+
+
+def main(argv=None, steps=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Run a fixed CLI pipeline on two gaxkit source trees "
+                    "and report every difference in their outputs.")
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="run under this directory and keep the outputs")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not src.is_dir():
+            parser.error(f"not a directory: {src}")
+    steps = pipeline() if steps is None else steps
+
+    with tempfile.TemporaryDirectory(prefix="pipeline_diff_") as tmp:
+        base = args.keep if args.keep is not None else Path(tmp)
+        if args.keep is not None and base.exists() and any(base.iterdir()):
+            parser.error(f"--keep directory is not empty: {base}")
+        old_dir, new_dir = base / "old", base / "new"
+        start = time.perf_counter()
+        # one worker per tree: the two runs share no files
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            old = pool.submit(run_tree, args.old_src, old_dir, steps)
+            new = pool.submit(run_tree, args.new_src, new_dir, steps)
+            old_results, new_results = old.result(), new.result()
+        diffs = compare(old_dir, new_dir, old_results, new_results)
+        files = len(_files(new_dir))
+    elapsed = time.perf_counter() - start
+    for line in diffs:
+        print(line)
+    print(f"{len(steps)} steps, {files} files compared in {elapsed:.1f} s: "
+          f"{len(diffs) or 'no'} difference{'' if len(diffs) == 1 else 's'}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
