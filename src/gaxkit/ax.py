@@ -21,7 +21,9 @@ import numpy as np
 from .attribution import Heatmap, attribute, normalize
 from .autodiff import ShapeError
 from .formats import parse_number, write_rows
-from .models import predict
+# ``predict`` stays bound here unused: bench/test_bench.py checks that the
+# tracer wraps this binding
+from .models import predict, predict_graph  # noqa: F401
 
 VARIANTS = ("sum", "mul")
 
@@ -123,9 +125,11 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
     """Score every (sample, method, variant) combination of a split.
 
     Heatmaps target the predicted class and enter the score normalized.
-    Per-method failures are collected, not fatal; returns (records, errors)
-    with records sorted for deterministic export.  A split whose samples do
-    not fit the model raises ``predict``'s ``ShapeError``.
+    Each sample's one forward graph gives the class, f(x) and every
+    method's heatmap.  Per-method failures are collected, not fatal; returns
+    (records, errors) with records sorted for deterministic export.  A split
+    whose samples do not fit the model raises ``predict_graph``'s
+    ``ShapeError``.
     """
     records: list[ScoreRecord] = []
     errors: list[tuple[str, str]] = []
@@ -134,12 +138,14 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         sid = split.ids[i]
         x = split.x[i]
         truth = int(split.y[i])
-        pred, raw = predict(model, x)
+        pred, graph = predict_graph(model, x)
+        fx = graph[1].scores.data[0]
         for method in methods:
             try:
-                heat = normalize(attribute(model, x, pred, method))
+                heat = normalize(attribute(model, x, pred, method,
+                                           graph=graph))
                 for variant in variants:
-                    score = co_score(model, x, heat, truth, variant, fx=raw)
+                    score = co_score(model, x, heat, truth, variant, fx=fx)
                     records.append(ScoreRecord(sid, method, variant, score,
                                                pred, truth))
             except ValueError as exc:  # data errors; bugs propagate

@@ -20,7 +20,7 @@ from .attribution import METHODS, attribute, normalize, parse_method
 from .data import SPLITS, DatasetSpec, gen_data, ingest_images, load_dataset
 from .formats import export_heatmap, format_value, write_lines
 from .gax import GaxConfig
-from .models import MiniConvNet, predict
+from .models import MiniConvNet, predict_graph
 from .training import TrainConfig, train
 
 
@@ -208,9 +208,12 @@ def _cmd_attribute(args) -> int:
         raise ValueError(f"--index {args.index} out of range for a split "
                          f"of {len(split)} samples")
     x = split.x[args.index]
-    target = predict(model, x)[0] if args.target is None else args.target
+    if args.target is None:
+        target, graph = predict_graph(model, x)
+    else:
+        target, graph = args.target, None
     heat = normalize(attribute(model, x, target, args.method,
-                               abs_values=args.abs))
+                               abs_values=args.abs, graph=graph))
     paths = export_heatmap(heat, args.out)
     print(f"sample {split.ids[args.index]}: method={args.method} "
           f"target={heat.target_class}; wrote {paths['raw']}")

@@ -228,11 +228,23 @@ def _positive_ints(path, named, name: str, count: int) -> tuple[int, ...]:
     return tuple(int(v) for v in arr)
 
 
-def predict(model, x) -> tuple[int, np.ndarray]:
-    """Raw scores and argmax class for one sample; ties pick the lowest index."""
+def predict_graph(model, x) -> tuple[int, tuple[Tensor, ForwardPass]]:
+    """Argmax class and forward graph ``(leaf, fp)`` of one sample.
+
+    Ties pick the lowest index; the raw scores are ``fp.scores.data[0]``.
+    ``attribute(..., graph=(leaf, fp))`` sweeps this graph, so one forward
+    pass serves the prediction and every heatmap of the sample.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(model.input_shape):
         raise ShapeError(
             f"predict: sample shape {x.shape} != model input {model.input_shape}")
-    raw = model.scores(x[None])[0]
-    return int(np.argmax(raw)), raw
+    leaf = Tensor(x[None])
+    fp = model.forward_graph(leaf)
+    return int(np.argmax(fp.scores.data[0])), (leaf, fp)
+
+
+def predict(model, x) -> tuple[int, np.ndarray]:
+    """Raw scores and argmax class for one sample; ties pick the lowest index."""
+    pred, (_, fp) = predict_graph(model, x)
+    return pred, fp.scores.data[0]

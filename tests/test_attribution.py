@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from gaxkit import (Heatmap, LinearModel, MiniConvNet, PerfectClassifier2D,
-                    attribute, attribute_at_predicted, normalize)
+from gaxkit import (METHODS, Heatmap, LinearModel, MiniConvNet,
+                    PerfectClassifier2D, attribute, attribute_at_predicted,
+                    normalize)
 from gaxkit.attribution import parse_method
-from gaxkit.autodiff import ShapeError
+from gaxkit.autodiff import ShapeError, Tensor
+from gaxkit.models import predict_graph
 from gaxkit.toy import rotation
 
 
@@ -235,3 +237,60 @@ class TestValidation:
         assert parse_method("saliency") == ("saliency", None)
         with pytest.raises(ValueError):
             parse_method("saliency:conv1")
+
+
+def _x16(seed):
+    return np.random.default_rng(seed).uniform(0, 1, size=(3, 16, 16))
+
+
+# every heatmap kind one graph serves, as (method, keyword arguments)
+SHARED_CASES = [*((m, {}) for m in (*METHODS, "layer-gradcam:conv2")),
+                ("saliency", {"abs_values": True}),
+                ("deeplift", {"deeplift_baseline": _x16(30)})]
+# methods that raise on a graph after checking the request
+FAILING_CASES = [("layer-gradcam:nope", {}),
+                 ("deeplift", {"deeplift_baseline": np.zeros((3, 8, 8))})]
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSharedGraph:
+    @pytest.mark.parametrize("order", ["forward", "reverse", "after-failure"])
+    def test_heatmaps_match_fresh_graphs(self, conv_model, order):
+        x = _x16(31)
+        fresh = [attribute(conv_model, x, 1, m, **kw).values
+                 for m, kw in SHARED_CASES]
+        leaf = Tensor(x[None])
+        graph = (leaf, conv_model.forward_graph(leaf))
+        cases = list(enumerate(SHARED_CASES))
+        if order == "reverse":
+            cases.reverse()
+        shared = {}
+        for i, (method, kw) in cases:
+            if order == "after-failure":
+                for bad, bad_kw in FAILING_CASES:
+                    with pytest.raises(ValueError):
+                        attribute(conv_model, x, 1, bad, graph=graph, **bad_kw)
+            shared[i] = attribute(conv_model, x, 1, method, graph=graph,
+                                  **kw).values
+        # compared after every sweep ran: no sweep wrote an earlier heatmap
+        for i, want in enumerate(fresh):
+            assert _same_bytes(shared[i], want), SHARED_CASES[i]
+
+    def test_at_predicted_matches_a_fresh_graph(self, conv_model):
+        x = _x16(32)
+        pred, _ = predict_graph(conv_model, x)
+        for method in METHODS:
+            want = normalize(attribute(conv_model, x, pred, method))
+            got = attribute_at_predicted(conv_model, x, method)
+            assert got.target_class == pred
+            assert _same_bytes(got.values, want.values)
+
+    def test_graph_of_another_shape_rejected(self, conv_model):
+        x = _x16(33)
+        leaf = Tensor(np.stack([x, x]))
+        with pytest.raises(ShapeError, match="graph input shape"):
+            attribute(conv_model, x, 0, "saliency",
+                      graph=(leaf, conv_model.forward_graph(leaf)))

@@ -1,6 +1,7 @@
 """Engine tests: forward semantics, the three backward rules, the
-finite-difference gradient property for every op, and the sweep that
-computes only the gradients its ``wrt`` tensors need."""
+finite-difference gradient property for every op, the sweep that
+computes only the gradients its ``wrt`` tensors need, and repeated sweeps of
+one graph."""
 
 import numpy as np
 import pytest
@@ -326,3 +327,61 @@ def test_vjp_outside_a_sweep_returns_every_gradient():
     gx, gk = out._vjp(np.ones(out.shape), RULE_STANDARD)
     assert gx.shape == x.shape and gk.shape == k.shape
     assert gx.tobytes() == x.grad.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one graph, many sweeps: what sharing a forward pass across methods needs
+
+def _fresh_input_grad(net, x, rule):
+    leaf = Tensor(x)
+    net.forward_graph(leaf).scores.backward(_one_hot(len(x)), rule,
+                                            wrt=[leaf])
+    return leaf.grad
+
+
+@pytest.mark.parametrize("second", [RULE_DECONV, RULE_GUIDED])
+def test_a_graph_swept_twice_gives_fresh_graph_bytes(net, second):
+    x = _batch(1)
+    leaf = Tensor(x)
+    fp = net.forward_graph(leaf)
+    grads = {}
+    for rule in (RULE_STANDARD, second):
+        fp.scores.backward(_one_hot(1), rule, wrt=[leaf])
+        grads[rule] = leaf.grad
+    for rule, got in grads.items():
+        assert got.tobytes() == _fresh_input_grad(net, x, rule).tobytes()
+
+
+def test_a_failed_sweep_leaves_the_graph_reusable(net):
+    x = _batch(1)
+    leaf = Tensor(x)
+    fp = net.forward_graph(leaf)
+    fp.scores.backward(_one_hot(1), RULE_GUIDED, wrt=[leaf])
+    with pytest.raises(ValueError, match="tensors of the graph"):
+        fp.scores.backward(_one_hot(1), wrt=[leaf, Tensor(np.zeros(1))])
+    assert all(node.grad is None and node._needs_grad
+               for node in ad._topo(fp.scores))
+    fp.scores.backward(_one_hot(1), wrt=[leaf])
+    want = _fresh_input_grad(net, x, RULE_STANDARD)
+    assert leaf.grad.tobytes() == want.tobytes()
+
+
+def test_later_sweeps_write_no_earlier_array(net):
+    # heatmaps keep ``leaf.grad[0]`` views, and every method reads the
+    # forward arrays: no later sweep may write into either
+    x = _batch(1)
+    leaf = Tensor(x)
+    fp = net.forward_graph(leaf)
+    order = ad._topo(fp.scores)
+    forward = [node.data.tobytes() for node in order]
+    fp.scores.backward(_one_hot(1), wrt=[leaf])
+    kept = leaf.grad[0]
+    before = kept.copy()
+    fp.scores.backward(_one_hot(1), RULE_DECONV, wrt=[leaf])
+    base = net.forward_graph(Tensor(np.zeros_like(x)))
+    ad.rescale_multipliers(fp.scores, base.scores, _one_hot(1), wrt=[leaf])
+    fp.scores.backward(_one_hot(1), wrt=[fp.activations["conv1"]])
+    fp.scores.backward(_one_hot(1), RULE_GUIDED, wrt=[leaf])
+    assert kept.tobytes() == before.tobytes()
+    assert not np.shares_memory(kept, leaf.grad)
+    assert [node.data.tobytes() for node in order] == forward

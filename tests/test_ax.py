@@ -192,14 +192,27 @@ class TestSweep:
         assert all("nope" in msg for _, msg in errors)
 
     def test_one_forward_row_for_fx_per_sample(self, tiny, monkeypatch):
-        # per sample: f(x) once, 6 attributions, the DeepLIFT baseline and
-        # one f(g(x, h)) per score
+        # per sample: one forward shared by f(x) and the 6 attributions,
+        # the DeepLIFT baseline and one f(g(x, h)) per score (12)
         model, ds = tiny
         rows = _count_rows(monkeypatch, model)
         records, errors = ax_sweep(model, ds.test, METHODS, ["sum", "mul"])
         assert len(METHODS) == 6 and not errors
         assert len(records) == 12 * len(ds.test)
-        assert sum(rows) == 20 * len(ds.test)
+        assert sum(rows) == 14 * len(ds.test)
+
+    def test_methods_sharing_a_graph_score_as_swept_alone(self, tiny):
+        # in reverse, with a failing method in the middle: any state one
+        # method leaves on the sample's graph would move another's score
+        model, ds = tiny
+        methods = [*reversed(METHODS)]
+        methods.insert(3, "layer-gradcam:nope")
+        records, errors = ax_sweep(model, ds.test, methods, ["sum", "mul"])
+        alone = sorted((r for m in METHODS
+                        for r in ax_sweep(model, ds.test, [m])[0]),
+                       key=lambda r: (r.sample_id, r.method, r.variant))
+        assert records == alone
+        assert len(errors) == len(ds.test)
 
     def test_shape_mismatch_stops_the_sweep(self, tiny):
         # every sample of a split has one shape: the mismatch is the split's

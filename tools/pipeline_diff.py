@@ -34,12 +34,18 @@ DEMOS = ("01_toy_rotation_sweep.py", "02_attribution_gallery.py",
 ATTRIBUTE_METHODS = ("saliency", "input-x-gradient", "deconvolution",
                      "guided-backprop", "deeplift", "layer-gradcam",
                      "layer-gradcam:conv2")
+# the six methods in reverse with a failing one in the middle: methods that
+# share a sample's graph would show any state they leak as a byte difference
+REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
+                    "layer-gradcam:nope,deconvolution,input-x-gradient,"
+                    "saliency")
 
 
 # The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
 # change in a float64 result away.  This step writes raw float64 bytes of
-# what the workloads compute: heatmaps, CO scores, GAX traces and heatmaps,
-# and one training step's parameter gradients.  It passes ``wrt`` to
+# what the workloads compute: heatmaps, CO scores (also of the methods in
+# reverse with a failing one in the middle), GAX traces and heatmaps, and
+# one training step's parameter gradients.  It passes ``wrt`` to
 # ``Tensor.backward`` only when the tree's engine takes it.
 PROBE = """
 import inspect
@@ -67,6 +73,10 @@ for method in (*METHODS, "layer-gradcam:conv2"):
           for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
+methods = [*reversed(METHODS)]
+methods.insert(3, "layer-gradcam:nope")
+records, _ = ax_sweep(model, ds.test, methods)
+dump("co_scores_reversed", [r.co_score for r in records])
 correct = [i for i in range(len(ds.test))
            if predict(model, ds.test.x[i])[0] == ds.test.y[i]]
 for i in correct[:2]:
@@ -114,6 +124,9 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--data", "rgb", "--split", "val", "--methods",
              "layer-gradcam:conv2,layer-gradcam:nope,layer-gradcam:fc",
              "--out", "gradcam.csv"),
+        _cli("ax-sweep reversed methods", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "rgb", "--methods", REVERSED_METHODS, "--out",
+             "reversed.csv"),
         _cli("ax-sweep raw", "ax-sweep", "--model", "gray.gaxm", "--data",
              "gray/test", "--resize", "12,12", "--methods",
              "saliency,deeplift", "--out", "raw.csv"),
