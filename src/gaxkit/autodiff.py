@@ -5,6 +5,12 @@ that remembers its parents and how to push gradients back to them.  The
 graph is rebuilt on every forward pass, which keeps repeated re-evaluation
 (as in iterative heatmap optimization) trivially correct.
 
+The ops are the ones the models, training and attribution build graphs
+from: ``relu``, ``leaky_relu``, ``sigmoid``, ``tanh``, ``matmul``,
+``transpose2d``, ``flatten``, ``bias_add``, ``conv2d``, ``max_pool2d`` and
+``cross_entropy``.  GAX computes its loss head in numpy and sweeps only the
+model's graph, with ``wrt`` set to the input leaf.
+
 Rectifier nodes honor a backward *rule* so attribution methods can reroute
 gradients without touching the forward pass:
 
@@ -151,53 +157,6 @@ def _topo(root: Tensor) -> list[Tensor]:
         for p in node.parents:
             stack.append((p, False))
     return order
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return Tensor(a.data + b.data, (a, b), "add", lambda g, r: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, (a, b), "sub", lambda g, r: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return Tensor(ad * bd, (a, b), "mul", lambda g, r: (g * bd, g * ad))
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add a python scalar elementwise."""
-    return Tensor(a.data + float(c), (a,), "shift", lambda g, r: (g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar elementwise."""
-    c = float(c)
-    return Tensor(a.data * c, (a,), "scale", lambda g, r: (g * c,))
-
-
-def square(a: Tensor) -> Tensor:
-    ad = a.data
-    return Tensor(ad * ad, (a,), "square", lambda g, r: (2.0 * ad * g,))
-
-
-def reciprocal(a: Tensor) -> Tensor:
-    if np.any(a.data == 0.0):
-        raise ValueError("reciprocal: zero operand")
-    out = 1.0 / a.data
-    return Tensor(out, (a,), "reciprocal", lambda g, r: (-g * out * out,))
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +332,7 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return Tensor(a.data.mean(), (a,), "mean",
-                  lambda g, r: (np.full_like(a.data, float(g) / n),))
-
-
-def weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
-    """Fixed-weight contraction to a scalar: sum(weights * a)."""
-    w = _arr(weights)
-    if w.shape != a.shape:
-        raise ShapeError(f"weighted_sum: weights {w.shape} vs input {a.shape}")
-    return Tensor((w * a.data).sum(), (a,), "weighted-sum",
-                  lambda g, r: (float(g) * w,))
-
+# loss
 
 def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of raw (N, C) scores against integer labels."""

@@ -7,6 +7,10 @@ which bounds it to [-1, 1].  Adam descends on
 
 where the second term penalizes heatmaps indistinguishable from the input
 itself; it stays positive because inputs are required to lie in [0, 1].
+
+Only the model runs through the autodiff engine: each step builds its graph
+from the input leaf ``x + h`` and sweeps it once with ``wrt`` set to that
+leaf.  ``h``, the CO score, the penalty and their gradients are numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .attribution import Heatmap
 from .autodiff import Tensor
 from .ax import ScoreConstants
@@ -71,25 +74,51 @@ def _check_unit_interval(x: np.ndarray) -> None:
             f"positivity requires it); got range [{x.min():.4g}, {x.max():.4g}]")
 
 
-def _loss_graph(model, x: np.ndarray, w: Tensor, b: Tensor | None,
-                fx: np.ndarray, constants: ScoreConstants, cfg: GaxConfig):
-    """Build the loss graph for one sample; returns (loss, co, h) tensors."""
-    xc = Tensor(x[None])
-    pre = ad.mul(w, xc)
-    if b is not None:
-        pre = ad.add(pre, b)
-    h = ad.tanh(pre)
-    scores = model.forward_graph(ad.add(xc, h)).scores
-    diff = ad.sub(scores, Tensor(fx))
-    co = ad.scale(ad.weighted_sum(diff, constants.int_weights()[None]),
-                  1.0 / (constants.num_classes - 1.0))
-    # mean of (h - x + eps)^2 / (x + eps); the denominator is constant
-    dev = ad.shift(ad.sub(h, xc), EPSILON)
-    ratio = ad.mul(ad.square(dev), Tensor(1.0 / (x[None] + EPSILON)))
-    similarity = ad.scale(ad.reciprocal(ad.mean_all(ratio)),
-                          cfg.similarity_factor)
-    loss = ad.sub(similarity, co)
-    return loss, co, h
+def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
+               fx: np.ndarray, constants: ScoreConstants, cfg: GaxConfig):
+    """The loss at ``params`` (``w`` and, with the bias, ``b``; each shaped
+    like ``x``) for one sample.
+
+    Returns ``(loss, co, h, gradient)``: two floats, the heatmap, and a
+    function that returns the loss gradient by parameter name.  Only the
+    model runs as an autodiff graph, from the input leaf ``x + h``; the head
+    is numpy.  ``gradient`` seeds the scores with d loss / d scores and adds
+    d penalty / dh to the leaf's gradient, as d(x + h) / dh is the identity.
+    Each expression keeps the order of a reverse sweep through the head, and
+    its ``+ 0.0`` where a product may be -0.0, so the bytes match one.
+    """
+    xb = x[None]
+    pre = params["w"][None] * xb
+    if "b" in params:
+        pre = pre + params["b"][None]
+    h = np.tanh(pre)
+    leaf = Tensor(xb + h)
+    scores = model.forward_graph(leaf).scores
+    kappa = constants.int_weights()[None]
+    c = 1.0 / (constants.num_classes - 1.0)
+    co = (kappa * (scores.data - fx)).sum() * c
+    # the penalty's denominator mean((h - x + eps)^2 / (x + eps))
+    dev = h - xb + EPSILON
+    inv = 1.0 / (xb + EPSILON)
+    mean = (dev * dev * inv).mean()
+    if mean == 0.0:
+        raise ValueError("similarity penalty: mean((h - x + eps)^2 / (x + eps))"
+                         " is zero")
+    recip = 1.0 / mean
+    loss = recip * cfg.similarity_factor - co
+
+    def gradient() -> dict[str, np.ndarray]:
+        scores.backward(-c * kappa, wrt=[leaf])
+        ratio_grad = -cfg.similarity_factor * recip * recip / dev.size + 0.0
+        gh = 2.0 * dev * (ratio_grad * inv + 0.0) + 0.0
+        gh += leaf.grad
+        gpre = gh * (1.0 - h * h) + 0.0
+        grads = {"w": gpre * xb + 0.0}
+        if "b" in params:
+            grads["b"] = gpre
+        return {name: g[0] for name, g in grads.items()}
+
+    return float(loss), float(co), h[0], gradient
 
 
 def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
@@ -119,15 +148,13 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
     # an overflow or NaN surfaces as the non-finite loss checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_iterations + 1):
-            leaves = {name: Tensor(p[None]) for name, p in params.items()}
-            loss, co, h = _loss_graph(model, x, leaves["w"], leaves.get("b"),
-                                      fx, constants, cfg)
-            loss_val, co_val = float(loss.data), float(co.data)
+            loss_val, co_val, h, gradient = _objective(model, x, params, fx,
+                                                       constants, cfg)
             if not np.isfinite(loss_val):
                 trace.error = f"non-finite loss at step {step}"
                 break
             trace.iterations.append((step, loss_val, co_val))
-            heat = Heatmap(h.data[0].copy(), "gax", int(groundtruth))
+            heat = Heatmap(h.copy(), "gax", int(groundtruth))
             converged = co_val >= cfg.target_co
             if out_dir is not None and (step % cfg.snapshot_every == 0
                                         or converged):
@@ -140,9 +167,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
                 break
             if step == cfg.max_iterations:
                 break
-            loss.backward(wrt=leaves.values())
-            params = opt.step(params, {name: t.grad[0]
-                                       for name, t in leaves.items()})
+            params = opt.step(params, gradient())
 
     if trace.iterations:
         trace.final_co = trace.iterations[-1][2]

@@ -40,17 +40,18 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_gradients(build, arrays, *, step: float = 1e-6) -> list[float]:
     """Compare backprop against finite differences for ``build``.
 
-    ``build`` maps input tensors to a scalar Tensor.  Returns the max
-    relative error per input.
+    ``build`` maps input tensors to a Tensor of any shape.  The backward
+    pass is seeded with a fixed random cotangent ``r`` shaped like the
+    output and checked against central differences of ``sum(r * out)``.
+    Returns the max relative error per input.
     """
     tensors = [Tensor(a) for a in arrays]
     out = build(*tensors)
-    if out.size != 1:
-        raise ValueError("check_gradients requires a scalar-valued build")
-    out.backward(wrt=tensors)
+    r = np.random.default_rng(0).uniform(-1.0, 1.0, size=out.shape)
+    out.backward(r, wrt=tensors)
 
     def f(*arrs) -> float:
-        return float(build(*[Tensor(a) for a in arrs]).data)
+        return float((r * build(*[Tensor(a) for a in arrs]).data).sum())
 
     return [
         max_relative_error(t.grad, numeric_gradient(f, arrays, i, step))

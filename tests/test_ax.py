@@ -9,7 +9,6 @@ from gaxkit import (METHODS, DatasetSpec, Heatmap, LinearModel, MiniConvNet,
                     write_histogram_csv, write_scores_csv)
 from gaxkit.ax import _auroc
 from gaxkit.autodiff import ShapeError
-from gaxkit.models import ForwardPass
 
 
 class _ShiftedModel:
@@ -23,12 +22,6 @@ class _ShiftedModel:
 
     def scores(self, x):
         return self.inner.scores(x) + self.c
-
-    def forward_graph(self, x):
-        fp = self.inner.forward_graph(x)
-        from gaxkit import autodiff as ad
-        shifted = ad.shift(fp.scores, self.c)
-        return ForwardPass(shifted, fp.activations, fp.params)
 
 
 def _count_rows(monkeypatch, model) -> list[int]:

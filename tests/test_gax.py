@@ -5,9 +5,8 @@ import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, LinearModel, MiniConvNet,
                     gax_run, gax_sweep, make_blobs, predict)
-from gaxkit.autodiff import Tensor
 from gaxkit.ax import ScoreConstants
-from gaxkit.gax import EPSILON, _loss_graph
+from gaxkit.gax import EPSILON, _objective
 from gradcheck import max_relative_error, numeric_gradient
 
 
@@ -23,12 +22,11 @@ def tiny_ds():
 
 
 def _loss(model, x, w, b, truth, cfg):
-    """(loss, co, h) of the GAX loss graph at fixed w and b (None: no bias)."""
-    fx = model.scores(x[None])
-    loss, co, h = _loss_graph(model, x, Tensor(w[None]),
-                              None if b is None else Tensor(b[None]), fx,
-                              ScoreConstants(model.num_classes, truth), cfg)
-    return float(loss.data), float(co.data), h.data[0]
+    """(loss, co, h) of the GAX objective at fixed w and b (None: no bias)."""
+    params = {"w": w} if b is None else {"w": w, "b": b}
+    loss, co, h, _ = _objective(model, x, params, model.scores(x[None]),
+                                ScoreConstants(model.num_classes, truth), cfg)
+    return loss, co, h
 
 
 class TestLoss:
@@ -86,22 +84,31 @@ class TestLoss:
         constants = ScoreConstants(2, 0)
         x = rng.uniform(0.1, 0.9, size=(3, 8, 8))
         fx = tiny_model.scores(x[None])
-        w0 = rng.uniform(0.5, 1.5, size=(1, 3, 8, 8))
-        b0 = rng.uniform(-0.1, 0.1, size=(1, 3, 8, 8))
+        w0 = rng.uniform(0.5, 1.5, size=(3, 8, 8))
+        b0 = rng.uniform(-0.1, 0.1, size=(3, 8, 8))
 
-        w_t, b_t = Tensor(w0), Tensor(b0)
-        loss, _, _ = _loss_graph(tiny_model, x, w_t, b_t, fx, constants, cfg)
-        loss.backward(wrt=[w_t, b_t])
+        grads = _objective(tiny_model, x, {"w": w0, "b": b0}, fx, constants,
+                           cfg)[3]()
 
         def f(w_arr, b_arr):
-            l, _, _ = _loss_graph(tiny_model, x, Tensor(w_arr), Tensor(b_arr),
-                                  fx, constants, cfg)
-            return float(l.data)
+            return _objective(tiny_model, x, {"w": w_arr, "b": b_arr}, fx,
+                              constants, cfg)[0]
 
         num_w = numeric_gradient(f, [w0, b0], 0)
         num_b = numeric_gradient(f, [w0, b0], 1)
-        assert max_relative_error(w_t.grad, num_w) < 1e-5
-        assert max_relative_error(b_t.grad, num_b) < 1e-5
+        assert max_relative_error(grads["w"], num_w) < 1e-5
+        assert max_relative_error(grads["b"], num_b) < 1e-5
+
+    def test_zero_penalty_denominator_is_a_value_error(self, tiny_model):
+        # x = 0 and tanh(b) == -eps exactly: every (h - x + eps) is 0, so the
+        # penalty's mean is 0; gax_sweep logs this error and carries on
+        b = -0.00010000000033333334
+        assert np.tanh(b) == -EPSILON
+        x = np.zeros((3, 8, 8))
+        params = {"w": np.ones_like(x), "b": np.full_like(x, b)}
+        with pytest.raises(ValueError, match="similarity penalty"):
+            _objective(tiny_model, x, params, tiny_model.scores(x[None]),
+                       ScoreConstants(2, 0), GaxConfig(use_bias=True))
 
 
 class TestRun:
@@ -236,7 +243,7 @@ class TestSweepAndExport:
         def broken(*args, **kwargs):
             raise TypeError("broken loss")
 
-        monkeypatch.setattr(gaxkit.gax, "_loss_graph", broken)
+        monkeypatch.setattr(gaxkit.gax, "_objective", broken)
         with pytest.raises(TypeError, match="broken loss"):
             gax_sweep(tiny_model, tiny_ds.test, GaxConfig(max_iterations=1))
 

@@ -44,9 +44,10 @@ REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
 # The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
 # change in a float64 result away.  This step writes raw float64 bytes of
 # what the workloads compute: heatmaps, CO scores (also of the methods in
-# reverse with a failing one in the middle), GAX traces and heatmaps, and
-# one training step's parameter gradients.  It passes ``wrt`` to
-# ``Tensor.backward`` only when the tree's engine takes it.
+# reverse with a failing one in the middle), GAX traces and heatmaps (also
+# with the bias and with no similarity penalty), and one training step's
+# parameter gradients.  It passes ``wrt`` to ``Tensor.backward`` only when
+# the tree's engine takes it.
 PROBE = """
 import inspect
 from pathlib import Path
@@ -79,11 +80,18 @@ records, _ = ax_sweep(model, ds.test, methods)
 dump("co_scores_reversed", [r.co_score for r in records])
 correct = [i for i in range(len(ds.test))
            if predict(model, ds.test.x[i])[0] == ds.test.y[i]]
-for i in correct[:2]:
-    trace, heat = gax_run(model, ds.test.x[i], ds.test.y[i],
-                          GaxConfig(target_co=5.0, max_iterations=30))
-    dump(f"gax_{i}_trace", trace.iterations)
-    dump(f"gax_{i}_heatmap", heat.values)
+gax_runs = [(i, "", GaxConfig(target_co=5.0, max_iterations=30))
+            for i in correct[:2]]
+# with the bias the gradient also flows to b; a zero factor is where a
+# signed zero would show in the penalty's gradient
+gax_runs += [(correct[0], "_bias", GaxConfig(target_co=5.0, max_iterations=30,
+                                             use_bias=True)),
+             (correct[1], "_nosim", GaxConfig(target_co=5.0, max_iterations=30,
+                                              similarity_factor=0.0))]
+for i, tag, cfg in gax_runs:
+    trace, heat = gax_run(model, ds.test.x[i], ds.test.y[i], cfg)
+    dump(f"gax_{i}{tag}_trace", trace.iterations)
+    dump(f"gax_{i}{tag}_heatmap", heat.values)
 idx = np.random.default_rng(0).integers(0, len(ds.train), 32)
 fp = model.forward_graph(ds.train.x[idx])
 loss = cross_entropy(fp.scores, ds.train.y[idx])
