@@ -249,6 +249,12 @@ def _out_size(n: int, k: int, stride: int, pad: int, op: str) -> int:
     return span // stride + 1
 
 
+# OpenBLAS multiplies products of at most this many multiply-adds (M*N*K)
+# with its small-matrix kernel, which sums a transposed operand in another
+# order than a contiguous one.
+_SMALL_GEMM = 1_000_000
+
+
 def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 cross-correlation of (N, C_in, H, W) with kernel
     (C_out, C_in, KH, KW)."""
@@ -279,13 +285,25 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
     def vjp(g, rule):
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         gx = gk = None
+        small = cout * cols.size <= _SMALL_GEMM     # M*N*K of both GEMMs
         if k._needs_grad:
-            # BLAS sums a transposed view and a contiguous copy differently;
-            # gk keeps the layout that matches the einsum: a view only at N=1.
-            gk = (gmat @ (cols.T if n == 1 else np.ascontiguousarray(cols.T))
-                  ).reshape(k.shape)
+            # A view of cols.T matches the einsum except for a small product
+            # at N > 1, where only a C-contiguous copy does.  Over N = 1..40
+            # on ten 3x3 conv shapes the view equalled the copy in 224 of 224
+            # products above the cutoff and differed in 176 of 176 below it.
+            ct = np.ascontiguousarray(cols.T) if n > 1 and small else cols.T
+            gk = (gmat @ ct).reshape(k.shape)
         if x._needs_grad:
-            dcols = (kmat.T @ gmat).reshape(cin, kh, kw, n, oh, ow)
+            # Above the cutoff kmat.T @ gmat differs from the einsum when
+            # N*oh*ow is not a multiple of 8, and the transposed product
+            # matches it (355 and 0 of 1920 cases: h = 4..19, N = 1..40,
+            # convs 1->8, 3->8, 8->16).  Only there: the scatter then reads
+            # dcols strided, 1.8 ms slower for conv2 at N=32.
+            if small or gmat.shape[1] % 8 == 0:
+                dmat = kmat.T @ gmat
+            else:
+                dmat = (gmat.T @ kmat).T
+            dcols = dmat.reshape(cin, kh, kw, n, oh, ow)
             gxp = np.zeros_like(xp)
             gxt = gxp.transpose(1, 0, 2, 3)
             for i in range(kh):

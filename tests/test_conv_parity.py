@@ -5,10 +5,16 @@ matrix products directly: np.pad, an (N, C, kh, kw, oh, ow) window array of
 its own, then three ``np.einsum(optimize=True)`` contractions over it.  The
 GEMM version must reproduce it byte for byte on the shapes the models use,
 at every batch size: BLAS sums a product differently depending on the
-memory layout of its operands, and the layouts conv2d can pick change with N.
+memory layout of its operands.  Which layout matches depends on the size
+of the product, not on N alone: OpenBLAS's small-matrix kernel (M*N*K <=
+1e6) sums a transposed view in another order than a contiguous copy, and
+above that size the two agree.  The sweep covers the model's default convs
+and those of the smaller gen-data shapes, whose products cross that size
+within N = 1..33.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,8 +57,13 @@ def _case(rng, n, cin, h, w, cout, kh, kw, pad):
     return (t.data, gx, gk), reference_conv2d(x, k, g, pad)
 
 
-# MiniConvNet's default conv1 and conv2: (cin, h, w, cout, k), pad k // 2
-MODEL_CONVS = [(3, 32, 32, 8, 3), (8, 16, 16, 16, 3)]
+# MiniConvNet's conv1 and conv2 as (cin, h, w, cout, k), pad k // 2: the
+# default input (3, 32, 32), then gen-data --shape 3,16,16 and 1,12,12.
+# The last conv at odd N >= 25 is where the input gradient needs the
+# transposed product.
+MODEL_CONVS = [(3, 32, 32, 8, 3), (8, 16, 16, 16, 3),
+               (3, 16, 16, 8, 3), (8, 8, 8, 16, 3),
+               (1, 12, 12, 8, 3), (8, 6, 6, 16, 3)]
 
 
 @pytest.mark.parametrize("n", range(1, 34))
@@ -74,3 +85,22 @@ def test_pad_kernel_sweep_matches():
         got, want = _case(rng, n, cin, h, w, cout, kh, kw, pad)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_gradient_copies_no_window_matrix():
+    # conv1 at N=32: its window matrix is 27 x 32768 doubles (7.1 MB), far
+    # above the small-matrix size, so gk reads it in place
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(32, 3, 32, 32)))
+    t = ad.conv2d(x, Tensor(rng.normal(size=(8, 3, 3, 3))), pad=1)
+    x._needs_grad = False
+    g = rng.normal(size=t.shape)
+    cols_bytes = 27 * 32 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        gx, gk = t._vjp(g, RULE_STANDARD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx is None and gk.shape == (8, 3, 3, 3)
+    assert peak < cols_bytes

@@ -45,9 +45,11 @@ REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
 # change in a float64 result away.  This step writes raw float64 bytes of
 # what the workloads compute: heatmaps, CO scores (also of the methods in
 # reverse with a failing one in the middle), GAX traces and heatmaps (also
-# with the bias and with no similarity penalty), and one training step's
-# parameter gradients.  It passes ``wrt`` to ``Tensor.backward`` only when
-# the tree's engine takes it.
+# with the bias and with no similarity penalty), and the parameter gradients
+# of one training step at batch 32 and one at batch 3: conv2d's kernel
+# gradient reads its window matrix in place at the first and copies it at
+# the second.  It passes ``wrt`` to ``Tensor.backward`` only when the tree's
+# engine takes it.
 PROBE = """
 import inspect
 from pathlib import Path
@@ -92,15 +94,16 @@ for i, tag, cfg in gax_runs:
     trace, heat = gax_run(model, ds.test.x[i], ds.test.y[i], cfg)
     dump(f"gax_{i}{tag}_trace", trace.iterations)
     dump(f"gax_{i}{tag}_heatmap", heat.values)
-idx = np.random.default_rng(0).integers(0, len(ds.train), 32)
-fp = model.forward_graph(ds.train.x[idx])
-loss = cross_entropy(fp.scores, ds.train.y[idx])
-if "wrt" in inspect.signature(Tensor.backward).parameters:
-    loss.backward(wrt=list(fp.params.values()))
-else:
-    loss.backward()
-for name, leaf in fp.params.items():
-    dump("grad_" + name, leaf.grad)
+for batch, tag in ((32, ""), (3, "_batch3")):
+    idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
+    fp = model.forward_graph(ds.train.x[idx])
+    loss = cross_entropy(fp.scores, ds.train.y[idx])
+    if "wrt" in inspect.signature(Tensor.backward).parameters:
+        loss.backward(wrt=list(fp.params.values()))
+    else:
+        loss.backward()
+    for name, leaf in fp.params.items():
+        dump(f"grad{tag}_{name}", leaf.grad)
 """
 
 
