@@ -19,7 +19,7 @@ from .data import (Dataset, DatasetSpec, Split, gen_data, ingest_images,
                    load_dataset, make_blobs, write_dataset)
 from .gax import (GaxConfig, GaxTrace, gax_run, gax_sweep, write_manifest,
                   write_trace_csv)
-from .models import LinearModel, MiniConvNet, PerfectClassifier2D, predict
+from .models import MiniConvNet, predict
 from .optim import Adam
 from .toy import (ToyInstance, closed_form_heatmap, delta, delta_gradient,
                   rotation_sweep, write_sweep_csv)
@@ -29,13 +29,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "BACKWARD_RULES", "Dataset", "DatasetSpec", "GapStats",
-    "GaxConfig", "GaxTrace", "Heatmap", "LinearModel", "METHODS", "Metrics",
-    "MiniConvNet", "PerfectClassifier2D", "RULE_DECONV", "RULE_GUIDED",
-    "RULE_STANDARD", "ScoreConstants", "ScoreRecord", "ShapeError", "Split",
-    "Tensor", "ToyInstance", "TrainConfig", "TrainResult", "attribute",
-    "attribute_at_predicted", "ax_sweep", "closed_form_heatmap", "co_score",
-    "delta", "delta_gradient", "evaluate", "gap_stats", "gax_run", "gax_sweep", "gen_data", "ingest_images", "load_dataset", "make_blobs",
-    "normalize", "predict", "read_scores_csv", "rotation_sweep", "train",
-    "write_dataset", "write_histogram_csv", "write_manifest",
-    "write_scores_csv", "write_sweep_csv", "write_trace_csv",
+    "GaxConfig", "GaxTrace", "Heatmap", "METHODS", "Metrics", "MiniConvNet",
+    "RULE_DECONV", "RULE_GUIDED", "RULE_STANDARD", "ScoreConstants",
+    "ScoreRecord", "ShapeError", "Split", "Tensor", "ToyInstance",
+    "TrainConfig", "TrainResult", "attribute", "attribute_at_predicted",
+    "ax_sweep", "closed_form_heatmap", "co_score", "delta", "delta_gradient",
+    "evaluate", "gap_stats", "gax_run", "gax_sweep", "gen_data",
+    "ingest_images", "load_dataset", "make_blobs", "normalize", "predict",
+    "read_scores_csv", "rotation_sweep", "train", "write_dataset",
+    "write_histogram_csv", "write_manifest", "write_scores_csv",
+    "write_sweep_csv", "write_trace_csv",
 ]

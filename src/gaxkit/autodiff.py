@@ -5,11 +5,10 @@ that remembers its parents and how to push gradients back to them.  The
 graph is rebuilt on every forward pass, which keeps repeated re-evaluation
 (as in iterative heatmap optimization) trivially correct.
 
-The ops are the ones the models, training and attribution build graphs
-from: ``relu``, ``leaky_relu``, ``sigmoid``, ``tanh``, ``matmul``,
-``transpose2d``, ``flatten``, ``bias_add``, ``conv2d``, ``max_pool2d`` and
-``cross_entropy``.  GAX computes its loss head in numpy and sweeps only the
-model's graph, with ``wrt`` set to the input leaf.
+The ops are the ones the model and training build graphs from: ``relu``,
+``matmul``, ``transpose2d``, ``flatten``, ``bias_add``, ``conv2d``,
+``max_pool2d`` and ``cross_entropy``.  GAX computes its loss head in numpy
+and sweeps only the model's graph, with ``wrt`` set to the input leaf.
 
 Rectifier nodes honor a backward *rule* so attribution methods can reroute
 gradients without touching the forward pass:
@@ -20,8 +19,8 @@ gradients without touching the forward pass:
 * ``guided-relu``  - rectifiers propagate upstream masked by both
   forward-positive and upstream-positive.
 
-Only plain ``relu`` nodes are affected by the overrides; every other op
-(including ``leaky_relu``) always uses its standard gradient.
+Only ``relu`` nodes are affected by the overrides; every other op always
+uses its standard gradient.
 
 :meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
 rule) share one reverse sweep.  Both take ``wrt``, the tensors whose ``grad``
@@ -173,28 +172,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return Tensor(np.maximum(a.data, 0.0), (a,), "relu", vjp)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    slope = float(slope)
-    factor = np.where(a.data > 0, 1.0, slope)
-    return Tensor(np.where(a.data > 0, a.data, slope * a.data), (a,),
-                  "leaky-relu", lambda g, r: (g * factor,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return Tensor(out, (a,), "sigmoid", lambda g, r: (g * out * (1.0 - out),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return Tensor(out, (a,), "tanh", lambda g, r: (g * (1.0 - out * out),))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +355,6 @@ def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # contribution backward pass (rescale rule)
 
-_RESCALE_OPS = ("relu", "leaky-relu", "sigmoid", "tanh")
 _NEAR_ZERO = 1e-9
 
 
@@ -387,8 +363,8 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed, *,
     """Backward pass computing rescale-rule contribution multipliers.
 
     Requires two structurally identical graphs: one evaluated at the input
-    of interest, one at the baseline.  Elementwise nonlinearities propagate
-    the finite-difference ratio (out - out_baseline) / (in - in_baseline),
+    of interest, one at the baseline.  ``relu`` nodes propagate the
+    finite-difference ratio (out - out_baseline) / (in - in_baseline),
     falling back to the local derivative where the input difference is
     within ``_NEAR_ZERO``; all other ops propagate like standard gradients.
 
@@ -403,7 +379,7 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed, *,
     twin = {id(a): b for a, b in zip(order, order_b)}
 
     def pull(node):
-        if node.op not in _RESCALE_OPS:
+        if node.op != "relu":
             return node._vjp(node.grad, RULE_STANDARD)
         node_b = twin[id(node)]
         din = node.parents[0].data - node_b.parents[0].data

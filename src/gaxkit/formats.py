@@ -50,14 +50,17 @@ def parse_number(text, kind, where, field: str):
 
 def _write_atomic(path, payload: bytes) -> None:
     """Write ``payload`` to a temporary file beside ``path``, then move it
-    into place: a write that fails midway leaves any old file intact."""
+    into place: a write that fails midway leaves any old file intact.  An
+    ``OSError`` names ``path``, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -1,7 +1,7 @@
-"""Classifier models: an exact 2D classifier, a linear probe, and a small
-convolutional net for desk-scale experiments.
+"""The classifier every workload explains: a small convolutional net for
+desk-scale experiments.
 
-Every model exposes the same surface:
+A model exposes:
 
 * ``input_shape`` / ``num_classes``
 * ``forward_graph(x)`` building an autodiff graph over a batch and
@@ -30,9 +30,6 @@ class ForwardPass(NamedTuple):
     params: dict[str, Tensor]
 
 
-ACTIVATIONS = ("identity", "sigmoid", "tanh", "leaky-relu")
-
-
 def snap32(a: np.ndarray) -> np.ndarray:
     """Quantize to the float32 grid while keeping float64 compute dtype.
 
@@ -40,93 +37,6 @@ def snap32(a: np.ndarray) -> np.ndarray:
     round-trip to bit-identical forward passes.
     """
     return np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)
-
-
-def _apply_activation(t: Tensor, sigma: str, slope: float) -> Tensor:
-    if sigma == "identity":
-        return t
-    if sigma == "sigmoid":
-        return ad.sigmoid(t)
-    if sigma == "tanh":
-        return ad.tanh(t)
-    if sigma == "leaky-relu":
-        return ad.leaky_relu(t, slope)
-    raise ValueError(f"unknown activation {sigma!r}; expected one of {ACTIVATIONS}")
-
-
-def _as_batch(x, input_shape: tuple[int, ...], who: str) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.shape[1:] != input_shape:
-        raise ShapeError(
-            f"{who}: expected batch of shape (N, {', '.join(map(str, input_shape))}), "
-            f"got {t.shape}")
-    return t
-
-
-class PerfectClassifier2D:
-    """A 2-class classifier that inverts a known mixing matrix exactly.
-
-    Given an invertible 2x2 ``W``, the forward pass is
-    ``sigma(W^-1 x)`` applied elementwise; for any strictly increasing
-    ``sigma``, the argmax over outputs recovers the true coefficients'
-    ordering, so the classifier is perfect by construction.
-    """
-
-    input_shape = (2,)
-    num_classes = 2
-
-    def __init__(self, W, sigma: str = "identity", slope: float = 0.01):
-        W = np.asarray(W, dtype=np.float64)
-        if W.shape != (2, 2):
-            raise ShapeError(f"W must be 2x2, got {W.shape}")
-        det = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-        if abs(det) <= 1e-12:
-            raise ValueError(f"singular W (det={det:.3e})")
-        if sigma not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {sigma!r}")
-        self.W = W
-        self.W_inv = np.linalg.inv(W)
-        self.sigma = sigma
-        self.slope = float(slope)
-
-    def forward_graph(self, x) -> ForwardPass:
-        t = _as_batch(x, self.input_shape, "PerfectClassifier2D")
-        pre = ad.matmul(t, Tensor(self.W_inv.T))
-        out = _apply_activation(pre, self.sigma, self.slope)
-        return ForwardPass(out, {"linear": pre, "output": out}, {})
-
-    def scores(self, x) -> np.ndarray:
-        return self.forward_graph(x).scores.data
-
-
-class LinearModel:
-    """Raw-score linear classifier ``f(x) = M x + b`` (inputs flattened)."""
-
-    def __init__(self, M, b=None, input_shape: tuple[int, ...] | None = None):
-        M = snap32(M)
-        if M.ndim != 2:
-            raise ShapeError(f"M must be 2D, got {M.shape}")
-        self.params = {
-            "M": M,
-            "b": snap32(b) if b is not None else np.zeros(M.shape[0]),
-        }
-        self.input_shape = tuple(input_shape) if input_shape else (M.shape[1],)
-        if int(np.prod(self.input_shape)) != M.shape[1]:
-            raise ShapeError(
-                f"input shape {self.input_shape} incompatible with M {M.shape}")
-        self.num_classes = M.shape[0]
-
-    def forward_graph(self, x) -> ForwardPass:
-        t = _as_batch(x, self.input_shape, "LinearModel")
-        leaves = {name: Tensor(arr) for name, arr in self.params.items()}
-        flat = ad.flatten(t) if len(self.input_shape) > 1 else t
-        scores = ad.bias_add(ad.matmul(flat, ad.transpose2d(leaves["M"])),
-                             leaves["b"])
-        return ForwardPass(scores, {"fc": scores}, leaves)
-
-    def scores(self, x) -> np.ndarray:
-        return self.forward_graph(x).scores.data
-
 
 
 class MiniConvNet:
@@ -146,6 +56,12 @@ class MiniConvNet:
         cin, h, w = self.input_shape
         c1, c2 = self.channels
         k = self.kernel
+        # the convs pad by k // 2 to keep H and W, and two 2x2 pools follow
+        if min(h, w) < 4:
+            raise ShapeError(f"input_shape {self.input_shape}: H and W must "
+                             "be at least 4")
+        if k % 2 == 0:
+            raise ShapeError(f"kernel {k} must be odd")
         self.feature_dim = c2 * (h // 4) * (w // 4)
         shapes = {
             "conv1.w": (c1, cin, k, k), "conv1.b": (c1,),
@@ -170,7 +86,11 @@ class MiniConvNet:
                     f"expected {shape}")
 
     def forward_graph(self, x) -> ForwardPass:
-        t = _as_batch(x, self.input_shape, "MiniConvNet")
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        if t.shape[1:] != self.input_shape:
+            raise ShapeError(
+                "MiniConvNet: expected batch of shape (N, "
+                f"{', '.join(map(str, self.input_shape))}), got {t.shape}")
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
         pad = self.kernel // 2
         conv1 = ad.bias_add(ad.conv2d(t, leaves["conv1.w"], pad=pad),

@@ -16,7 +16,7 @@ def _smooth(rng, shape, low=-2.0, high=2.0):
 
 
 def _kink_safe(rng, shape, margin=5e-3):
-    """Values bounded away from zero (relu/leaky kinks)."""
+    """Values bounded away from zero (the relu kink)."""
     a = rng.uniform(margin, 2.0, size=shape)
     return a * rng.choice([-1.0, 1.0], size=shape)
 
@@ -42,22 +42,6 @@ def op_cases():
     def _(rng):
         a = _kink_safe(rng, (4, 4))
         return [a], ad.relu
-
-    @case("leaky_relu")
-    def _(rng):
-        a = _kink_safe(rng, (4, 4))
-        slope = float(rng.uniform(0.01, 0.3))
-        return [a], lambda x: ad.leaky_relu(x, slope)
-
-    @case("sigmoid")
-    def _(rng):
-        a = _smooth(rng, (3, 3))
-        return [a], ad.sigmoid
-
-    @case("tanh")
-    def _(rng):
-        a = _smooth(rng, (3, 3))
-        return [a], ad.tanh
 
     @case("matmul_2d_2d")
     def _(rng):

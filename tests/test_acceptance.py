@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from gaxkit import (DatasetSpec, GaxConfig, Heatmap, LinearModel, MiniConvNet,
-                    PerfectClassifier2D, TrainConfig, attribute, ax_sweep,
-                    co_score, gap_stats, gax_sweep, make_blobs, predict, train)
+from gaxkit import (DatasetSpec, GaxConfig, Heatmap, MiniConvNet, TrainConfig,
+                    attribute, ax_sweep, co_score, gap_stats, gax_sweep,
+                    make_blobs, predict, train)
 from gaxkit.ax import ScoreConstants
 from gaxkit.autodiff import Tensor
 from gaxkit.cli import main as cli_main
@@ -28,6 +28,7 @@ from gaxkit.toy import ToyInstance, closed_form_heatmap, delta_gradient, \
 from gaxkit.training import evaluate
 
 from helpers_grad import op_cases
+from oracle_models import LeakyReluToy, LinearModel
 
 
 def test_c01_toy_closed_form_equals_numeric_ascent():
@@ -57,7 +58,7 @@ def test_c02_toy_co_identity_exact():
     """leaky-relu + identity mixing + h = x with a1 > a2 > 0: the CO score
     is exactly the coefficient gap a1 - a2 (64-bit, 1e-12)."""
     rng = np.random.default_rng(10002)
-    model = PerfectClassifier2D(np.eye(2), sigma="leaky-relu")
+    model = LeakyReluToy()
     for _ in range(200):
         a2 = rng.uniform(1e-3, 1.5)
         a1 = a2 + rng.uniform(1e-3, 1.5)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from gaxkit import (METHODS, Heatmap, LinearModel, MiniConvNet,
-                    PerfectClassifier2D, attribute, attribute_at_predicted,
-                    normalize)
+from gaxkit import (METHODS, Heatmap, MiniConvNet, attribute,
+                    attribute_at_predicted, normalize)
 from gaxkit.attribution import parse_method
 from gaxkit.autodiff import ShapeError, Tensor
 from gaxkit.models import predict_graph
-from gaxkit.toy import rotation
+from oracle_models import LinearModel
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +108,14 @@ class TestNormalize:
 
 class TestAtPredicted:
     def test_toy_identity_saliency_direction(self):
-        # with identity mixing, the class-1 score only sees the first pixel
-        model = PerfectClassifier2D(np.eye(2), sigma="sigmoid")
+        # with identity weights, the class-1 score only sees the first pixel
+        model = LinearModel(np.eye(2))
         h = attribute_at_predicted(model, np.array([1.0, 0.0]), "saliency")
         assert h.target_class == 0
         assert h.values[0] > 0 and h.values[1] == 0.0
 
     def test_toy_symmetric_input_targets_class_two(self):
-        model = PerfectClassifier2D(np.eye(2), sigma="sigmoid")
+        model = LinearModel(np.eye(2))
         h = attribute_at_predicted(model, np.array([0.0, 1.0]), "saliency")
         assert h.target_class == 1
 
@@ -188,35 +187,41 @@ class TestInvariantsOnRandomNets:
         f0 = conv_model.scores(np.zeros_like(x)[None])[0, target]
         assert h.values.sum() == pytest.approx(fx - f0, rel=1e-6)
 
-    @pytest.mark.parametrize("sigma", ["sigmoid", "tanh", "leaky-relu"])
-    def test_deeplift_rescale_on_smooth_activations(self, sigma):
-        # the toy classifier's only nonlinearity is not a relu, so every
-        # rescale step takes the difference ratio or the near-zero fallback
+    def test_deeplift_rescale_on_relu(self):
+        # f = [relu(m . x), 0]: the rescale step at the relu takes the
+        # difference ratio, or the local derivative where m . x equals the
+        # baseline's m . base (the near-zero fallback)
         rng = np.random.default_rng(14)
-        for theta in np.linspace(-3.0, 3.0, 7):
-            model = PerfectClassifier2D(rotation(theta), sigma=sigma,
-                                        slope=0.2)
+        trials = 0
+        while trials < 20:
+            m = rng.uniform(0.2, 1.0, size=(1, 2)) * rng.choice([-1.0, 1.0],
+                                                                size=(1, 2))
+            w = m[0]
             base = rng.normal(size=2)
-            fb = model.scores(base[None])[0]
-            for target in (0, 1):
-                # a step along the other class's column of W leaves the
-                # target's pre-activation at the baseline's value
-                level = base + 0.7 * model.W[:, 1 - target]
-                for x in (3.0 * rng.normal(size=2), level, base):
-                    h = attribute(model, x, target, "deeplift",
-                                  deeplift_baseline=base).values
-                    fx = model.scores(x[None])[0]
-                    assert abs(h.sum() - (fx[target] - fb[target])) <= 1e-12
-                # near-zero fallback: the local derivative at the baseline
-                h = attribute(model, level, target, "deeplift",
-                              deeplift_baseline=base).values
-                pre = (model.W_inv @ base)[target]
-                local = {"sigmoid": fb[target] * (1.0 - fb[target]),
-                         "tanh": 1.0 - fb[target] ** 2,
-                         "leaky-relu": 1.0 if pre > 0 else 0.2}[sigma]
-                np.testing.assert_allclose(
-                    h, (level - base) * local * model.W_inv[target],
-                    rtol=1e-12, atol=1e-15)
+            zb = float(w @ base)
+            if abs(zb) < 0.1:
+                continue
+            trials += 1
+            model = _single_relu_model(m)
+            # the input and the baseline on opposite sides of the kink
+            z = -np.sign(zb) * rng.uniform(0.5, 2.0)
+            x = base + (z - zb) / (w @ w) * w
+            z = float(w @ x)
+            ratio = (max(z, 0.0) - max(zb, 0.0)) / (z - zb)
+            assert 0.0 < ratio < 1.0
+            h = attribute(model, x, 0, "deeplift",
+                          deeplift_baseline=base).values
+            np.testing.assert_allclose(h, (x - base) * w * ratio,
+                                       rtol=1e-12, atol=1e-15)
+            assert abs(h.sum() - (max(z, 0.0) - max(zb, 0.0))) <= 1e-12
+            # a step orthogonal to m keeps the pre-activation at the
+            # baseline's: the multiplier is relu's derivative there
+            level = base + rng.uniform(0.5, 2.0) * np.array([w[1], -w[0]])
+            assert abs(w @ level - zb) < 1e-9
+            h = attribute(model, level, 0, "deeplift",
+                          deeplift_baseline=base).values
+            np.testing.assert_allclose(h, (level - base) * w * (zb > 0),
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestValidation:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from gaxkit import (METHODS, DatasetSpec, Heatmap, LinearModel, MiniConvNet,
-                    PerfectClassifier2D, ScoreConstants, ScoreRecord, ax_sweep,
-                    co_score, gap_stats, make_blobs, read_scores_csv,
-                    write_histogram_csv, write_scores_csv)
+from gaxkit import (METHODS, DatasetSpec, Heatmap, MiniConvNet, ScoreConstants,
+                    ScoreRecord, ax_sweep, co_score, gap_stats, make_blobs,
+                    read_scores_csv, write_histogram_csv, write_scores_csv)
 from gaxkit.ax import _auroc
 from gaxkit.autodiff import ShapeError
+from oracle_models import LeakyReluToy, LinearModel
 
 
 class _ShiftedModel:
@@ -83,7 +83,7 @@ class TestCoScore:
     def test_toy_identity_heatmap_scores_coefficient_gap(self):
         # leaky-relu + identity mixing + h = x: the score equals a1 - a2
         rng = np.random.default_rng(4)
-        model = PerfectClassifier2D(np.eye(2), sigma="leaky-relu")
+        model = LeakyReluToy()
         for _ in range(50):
             a2 = rng.uniform(0.01, 1.0)
             a1 = a2 + rng.uniform(0.01, 1.0)

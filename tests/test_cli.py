@@ -377,6 +377,38 @@ def test_gen_data_unwritable_channel_count_writes_nothing(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_below_the_pools_extent_is_one_line(tmp_path, capsys):
+    # checked before the weights are drawn: no numpy warning comes first
+    data, out = tmp_path / "d", tmp_path / "m.gaxm"
+    assert main(["gen-data", "--out", str(data), "--train", "4", "--val",
+                 "2", "--test", "2", "--shape", "3,3,3"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: input_shape (3, 3, 3): H and W must be at least 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy-sweep", "--out", "{missing}/t.csv"],
+    ["train", "--data", "{data}", "--max-iterations", "1", "--out",
+     "{missing}/m.gaxm"],
+    ["ax-sweep", "--model", "{model}", "--data", "{data}", "--methods",
+     "saliency", "--out", "{missing}/s.csv"],
+], ids=["toy-sweep", "train", "ax-sweep"])
+def test_write_into_a_missing_directory_names_the_path(tiny_run, tmp_path,
+                                                       capsys, argv):
+    data, model = tiny_run
+    names = {"missing": tmp_path / "missing", "data": data, "model": model}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[-1]}: No such file or directory\n"
+    assert ".tmp" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("size", [8, 200])
 def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
     data, model = tiny_run
@@ -402,8 +434,11 @@ def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
      "entry 'kernel' must hold 1 positive integer, got [3.0, 3.0]"),
     ("fc.w", lambda a: a[:, :10],
      "parameter 'fc.w' has shape (2, 10), expected (2, 64)"),
+    ("kernel", lambda a: a - 1, "kernel 2 must be odd"),
+    ("input_shape", lambda a: a - [0.0, 5.0, 0.0],
+     "input_shape (3, 3, 8): H and W must be at least 4"),
 ], ids=["input_shape", "fc.w", "shape-two-values", "shape-fraction",
-        "kernel-two-values", "cut-fc-w"])
+        "kernel-two-values", "cut-fc-w", "even-kernel", "small-input"])
 def test_unusable_model_is_one_line(tiny_run, tmp_path, capsys, entry, edit,
                                     message):
     from gaxkit.formats import read_gaxm, write_gaxm

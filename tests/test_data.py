@@ -35,7 +35,8 @@ class TestBlobs:
         np.testing.assert_array_equal(a.train.y, b.train.y)
 
     def test_linear_probe_learns_blobs(self):
-        from gaxkit import LinearModel, TrainConfig, train
+        from gaxkit import TrainConfig, train
+        from oracle_models import LinearModel
         spec = DatasetSpec(class_count=2, train=120, val=60, test=60,
                            image_shape=(3, 16, 16), seed=3)
         ds = make_blobs(spec)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from gaxkit import (DatasetSpec, GaxConfig, LinearModel, MiniConvNet,
-                    gax_run, gax_sweep, make_blobs, predict)
+from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, gax_run, gax_sweep,
+                    make_blobs, predict)
 from gaxkit.ax import ScoreConstants
 from gaxkit.gax import EPSILON, _objective
 from gradcheck import max_relative_error, numeric_gradient
+from oracle_models import LinearModel
 
 
 @pytest.fixture(scope="module")

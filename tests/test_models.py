@@ -1,63 +1,12 @@
-"""Model semantics: the exact 2D classifier, prediction, serialization."""
+"""Model semantics: prediction, serialization, the conv net's geometry."""
 
 import numpy as np
 import pytest
 
 from gaxkit.autodiff import ShapeError
 from gaxkit.formats import read_gaxm, write_gaxm
-from gaxkit.models import (LinearModel, MiniConvNet, PerfectClassifier2D,
-                           predict)
-from gaxkit.toy import rotation
-
-
-def _sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
-
-
-class TestPerfectClassifier:
-    def test_identity_transform(self):
-        model = PerfectClassifier2D(np.eye(2))
-        out = model.scores(np.array([[0.95, 0.05]]))[0]
-        np.testing.assert_array_equal(out, [0.95, 0.05])
-
-    def test_quarter_turn_swaps_roles(self):
-        # with a quarter-turn mixing, the canonical unit vectors swap class
-        model = PerfectClassifier2D(rotation(np.pi / 2))
-        cls_e2, scores = predict(model, np.array([0.0, 1.0]))
-        assert cls_e2 == 0 and scores[0] == pytest.approx(1.0)
-        x = model.W @ np.array([0.0, 1.0])          # = (-1, 0)
-        np.testing.assert_allclose(x, [-1.0, 0.0], atol=1e-15)
-        cls_x, scores = predict(model, x)
-        assert cls_x == 1
-        np.testing.assert_allclose(scores, [0.0, 1.0], atol=1e-15)
-
-    def test_rotation_with_sigmoid(self):
-        model = PerfectClassifier2D(rotation(0.3), sigma="sigmoid")
-        x = model.W @ np.array([0.7, 0.3])
-        out = model.scores(x[None])[0]
-        np.testing.assert_allclose(out, [_sigmoid(0.7), _sigmoid(0.3)],
-                                   rtol=1e-12)
-
-    def test_singular_w_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            PerfectClassifier2D(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-    def test_perfect_for_any_mixing_and_monotone_activation(self):
-        # argmax of the output recovers argmax of the coefficients
-        rng = np.random.default_rng(31)
-        trials = 0
-        while trials < 1000:
-            w = rng.uniform(-2, 2, size=(2, 2))
-            if abs(np.linalg.det(w)) < 1e-3:
-                continue
-            a = rng.uniform(-3, 3, size=2)
-            if abs(a[0] - a[1]) < 1e-9:
-                continue
-            sigma = rng.choice(["identity", "sigmoid", "tanh", "leaky-relu"])
-            model = PerfectClassifier2D(w, sigma=str(sigma))
-            cls, _ = predict(model, w @ a)
-            assert cls == int(np.argmax(a))
-            trials += 1
+from gaxkit.models import MiniConvNet, predict
+from oracle_models import LinearModel
 
 
 class TestPredict:
@@ -134,6 +83,18 @@ class TestLoadChecks:
         assert str(info.value) == \
             f"{path}: entry 'fc.w' holds a non-finite value"
 
+    def test_even_kernel(self, named):
+        # the entries agree, but convs padded by kernel // 2 would not keep
+        # H and W
+        path, entries = named
+        entries["kernel"] = np.array([2.0])
+        for name in ("conv1.w", "conv2.w"):
+            entries[name] = entries[name][:, :, :2, :2]
+        write_gaxm(path, entries)
+        with pytest.raises(ShapeError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == f"{path}: kernel 2 must be odd"
+
 
 class TestMiniConvNet:
     def test_layer_names_unique(self):
@@ -155,3 +116,22 @@ class TestMiniConvNet:
         assert fp.activations["conv1"].shape == (1, 8, 8, 8)
         assert fp.activations["pool2"].shape == (1, 16, 2, 2)
         assert fp.scores.shape == (1, 2)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (1, 8, 3), (1, 2, 16)])
+    def test_input_below_the_pools_extent_rejected(self, shape):
+        with pytest.raises(ShapeError) as info:
+            MiniConvNet(input_shape=shape)
+        assert str(info.value) == \
+            f"input_shape {shape}: H and W must be at least 4"
+
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_even_kernel_rejected(self, kernel):
+        with pytest.raises(ShapeError) as info:
+            MiniConvNet(input_shape=(3, 8, 8), kernel=kernel)
+        assert str(info.value) == f"kernel {kernel} must be odd"
+
+    @pytest.mark.parametrize("shape,kernel", [((1, 4, 4), 3), ((1, 5, 7), 1),
+                                              ((2, 9, 6), 5)])
+    def test_smallest_and_odd_geometries_run(self, shape, kernel):
+        model = MiniConvNet(input_shape=shape, kernel=kernel)
+        assert model.scores(np.zeros((2, *shape))).shape == (2, 2)

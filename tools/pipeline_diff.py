@@ -190,6 +190,8 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error bins", "gap-stats", "--scores", "scores.csv", "--bins",
              "0"),
         _cli("error scores file", "gap-stats", "--scores", "missing.csv"),
+        _cli("error missing out directory", "toy-sweep", "--out",
+             "missing/t.csv"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
     return steps
