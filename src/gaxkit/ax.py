@@ -95,29 +95,41 @@ class GapStats:
     auroc: float | None           # co-score as a ranking of correctness
 
 
-def co_score(model, x, h: Heatmap, groundtruth: int, variant: str = "sum", *,
-             fx=None) -> float:
-    """CO score of heatmap ``h`` for one sample against its groundtruth.
+def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
+             variants, *, fx=None) -> np.ndarray:
+    """CO scores of one sample against its groundtruth, shape
+    ``(len(heatmaps), len(variants))``: entry ``[j, k]`` combines ``x`` with
+    ``heatmaps[j]`` under ``variants[k]``.
 
-    ``fx`` is the model's raw-score vector f(x), shape (C,), when the caller
-    already has it (``predict`` returns it); otherwise it is computed here.
+    Every combined input goes through one ``model.scores`` call.  ``fx`` is
+    the model's raw-score vector f(x), shape (C,), when the caller already
+    has it (``predict`` returns it); otherwise ``x`` joins that call.  A
+    batch-invariant ``scores`` (``MiniConvNet``'s) gives each entry the
+    bytes a call on that combined input alone gives.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(
+                f"unknown variant {variant!r}; expected {VARIANTS}")
     x = np.asarray(x, dtype=np.float64)
-    values = h.values
     if x.shape != tuple(model.input_shape):
         raise ShapeError(f"input shape {x.shape} != model input "
                          f"{model.input_shape}")
-    if values.shape != x.shape:
-        raise ShapeError(f"heatmap shape {values.shape} != input shape {x.shape}")
-    combined = x + values if variant == "sum" else x * values
+    for h in heatmaps:
+        if h.values.shape != x.shape:
+            raise ShapeError(
+                f"heatmap shape {h.values.shape} != input shape {x.shape}")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
+    combined = [x + h.values if variant == "sum" else x * h.values
+                for h in heatmaps for variant in variants]
     if fx is None:
-        fx = model.scores(x[None])[0]
+        fx, *rows = model.scores(np.stack([x, *combined]))
     elif np.shape(fx) != (model.num_classes,):
         raise ShapeError(f"fx shape {np.shape(fx)} != ({model.num_classes},)")
-    return constants.apply(model.scores(combined[None])[0] - fx)
+    else:
+        rows = model.scores(np.stack(combined)) if combined else []
+    return np.reshape([constants.apply(row - fx) for row in rows],
+                      (len(heatmaps), len(variants)))
 
 
 def ax_sweep(model, split, methods, variants=("sum", "mul")
@@ -126,7 +138,8 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
 
     Heatmaps target the predicted class and enter the score normalized.
     Each sample's one forward graph gives the class, f(x) and every
-    method's heatmap.  Per-method failures are collected, not fatal; returns
+    method's heatmap, and one ``co_score`` call scores all of them under
+    every variant.  Per-method failures are collected, not fatal; returns
     (records, errors) with records sorted for deterministic export.  A split
     whose samples do not fit the model raises ``predict_graph``'s
     ``ShapeError``.
@@ -139,17 +152,19 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         x = split.x[i]
         truth = int(split.y[i])
         pred, graph = predict_graph(model, x)
-        fx = graph[1].scores.data[0]
+        heats = []
         for method in methods:
             try:
-                heat = normalize(attribute(model, x, pred, method,
-                                           graph=graph))
-                for variant in variants:
-                    score = co_score(model, x, heat, truth, variant, fx=fx)
-                    records.append(ScoreRecord(sid, method, variant, score,
-                                               pred, truth))
+                heats.append(normalize(attribute(model, x, pred, method,
+                                                 graph=graph)))
             except ValueError as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
+        scores = co_score(model, x, heats, truth, variants,
+                          fx=graph[1].scores.data[0])
+        records += [ScoreRecord(sid, h.method, variant, float(score), pred,
+                                truth)
+                    for h, row in zip(heats, scores)
+                    for variant, score in zip(variants, row)]
     records.sort(key=lambda r: (r.sample_id, r.method, r.variant))
     return records, errors
 

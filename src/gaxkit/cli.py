@@ -69,6 +69,16 @@ def _check_variant(variant: str) -> None:
             f"unknown variant {variant!r}; expected {ax_mod.VARIANTS}")
 
 
+def _check_out_dirs(args, *dests: str) -> None:
+    """Fail before any work when the directory of an output file flag's
+    path is not an existing directory."""
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"--{dest} {path}: {Path(path).parent} is not "
+                             "a directory")
+
+
 def _load_split(data_dir: str, split: str, resize, stack: bool):
     root = Path(data_dir)
     if (root / "manifest.txt").exists():
@@ -183,6 +193,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dirs(args, "out")
     cfg = TrainConfig(target_val_accuracy=args.target_val_acc,
                       max_iterations=args.max_iterations,
                       min_iterations=args.min_iterations,
@@ -221,6 +232,7 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_ax_sweep(args) -> int:
+    _check_out_dirs(args, "out")
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, args.resize, args.stack)
     records, errors = ax_mod.ax_sweep(model, split, args.methods,
@@ -236,6 +248,7 @@ def _cmd_ax_sweep(args) -> int:
 
 
 def _cmd_gap_stats(args) -> int:
+    _check_out_dirs(args, "out", "hist")
     records = ax_mod.read_scores_csv(args.scores)
     stats = ax_mod.gap_stats(records, method=args.method,
                              variant=args.variant)
@@ -279,6 +292,7 @@ def _cmd_gax(args) -> int:
 
 
 def _cmd_toy_sweep(args) -> int:
+    _check_out_dirs(args, "out")
     rows = toy_mod.rotation_sweep(args.a1, args.a2, args.keta)
     toy_mod.write_sweep_csv(rows, args.out)
     print(f"wrote {rows.shape[0]} rows to {args.out}")

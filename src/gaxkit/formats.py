@@ -13,6 +13,7 @@ Binary layouts (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -58,7 +59,9 @@ def _write_atomic(path, payload: bytes) -> None:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        # under a path that is not a directory the unlink fails as well
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise OSError(f"{path}: {exc.strerror or exc}") from exc
         raise

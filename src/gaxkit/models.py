@@ -7,7 +7,14 @@ A model exposes:
 * ``forward_graph(x)`` building an autodiff graph over a batch and
   returning a :class:`ForwardPass` (raw scores, named layer activations,
   parameter leaves)
-* ``scores(x)`` the plain-array forward
+* ``scores(x)`` the raw scores of a batch, computed by the same ops but
+  keeping no graph: each op's output enters the next op as a fresh leaf,
+  so every temporary is freed before the next op runs.  ``scores(x)[i]``
+  equals ``scores(x[i:i+1])[0]`` (and ``forward_graph``'s scores at N=1)
+  byte for byte at every N: ``fc`` runs one row at a time, and a conv runs
+  on the whole batch only when its output area per sample is a multiple
+  of 8, else one sample at a time, since BLAS tiles the columns of its
+  product in blocks of 8
 
 Raw scores are never squashed: the last layer is linear so that score
 differences stay informative at any magnitude.
@@ -15,6 +22,7 @@ differences stay informative at any magnitude.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,29 +93,60 @@ class MiniConvNet:
                     f"parameter {name!r} has shape {self.params[name].shape}, "
                     f"expected {shape}")
 
-    def forward_graph(self, x) -> ForwardPass:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        if t.shape[1:] != self.input_shape:
+    def _check_batch(self, shape) -> None:
+        if shape[1:] != self.input_shape:
             raise ShapeError(
                 "MiniConvNet: expected batch of shape (N, "
-                f"{', '.join(map(str, self.input_shape))}), got {t.shape}")
+                f"{', '.join(map(str, self.input_shape))}), got {shape}")
+
+    def _steps(self, leaves):
+        """The forward as ``(layer name or None, op, split)`` steps; each op
+        maps one tensor to the next.  ``split(a)`` is true when the op must
+        run one sample of the batch ``a`` at a time to give each sample the
+        bytes it gets alone; ``forward_graph`` ignores it."""
+        def conv(name):
+            return partial(ad.conv2d, k=leaves[name], pad=self.kernel // 2)
+
+        def bias(name):
+            return partial(ad.bias_add, b=leaves[name])
+
+        pool = partial(ad.max_pool2d, size=2)
+        fc = partial(ad.matmul, b=ad.transpose2d(leaves["fc.w"]))
+        return ((None, conv("conv1.w"), _area_not_8),
+                ("conv1", bias("conv1.b"), None),
+                (None, ad.relu, None),
+                ("pool1", pool, None),
+                (None, conv("conv2.w"), _area_not_8),
+                ("conv2", bias("conv2.b"), None),
+                (None, ad.relu, None),
+                ("pool2", pool, None),
+                (None, ad.flatten, None),
+                (None, fc, lambda a: True),
+                ("fc", bias("fc.b"), None))
+
+    def forward_graph(self, x) -> ForwardPass:
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        self._check_batch(t.shape)
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
-        pad = self.kernel // 2
-        conv1 = ad.bias_add(ad.conv2d(t, leaves["conv1.w"], pad=pad),
-                            leaves["conv1.b"])
-        pool1 = ad.max_pool2d(ad.relu(conv1), 2)
-        conv2 = ad.bias_add(ad.conv2d(pool1, leaves["conv2.w"], pad=pad),
-                            leaves["conv2.b"])
-        pool2 = ad.max_pool2d(ad.relu(conv2), 2)
-        flat = ad.flatten(pool2)
-        scores = ad.bias_add(ad.matmul(flat, ad.transpose2d(leaves["fc.w"])),
-                             leaves["fc.b"])
-        acts = {"conv1": conv1, "pool1": pool1, "conv2": conv2,
-                "pool2": pool2, "fc": scores}
-        return ForwardPass(scores, acts, leaves)
+        acts = {}
+        for name, op, _ in self._steps(leaves):
+            t = op(t)
+            if name is not None:
+                acts[name] = t
+        return ForwardPass(t, acts, leaves)
 
     def scores(self, x) -> np.ndarray:
-        return self.forward_graph(x).scores.data
+        """Raw scores of a batch; see the module docstring."""
+        a = np.asarray(x, dtype=np.float64)
+        self._check_batch(a.shape)
+        leaves = {name: Tensor(arr) for name, arr in self.params.items()}
+        for _, op, split in self._steps(leaves):
+            if split is not None and len(a) > 1 and split(a):
+                a = np.concatenate([op(Tensor(a[i: i + 1])).data
+                                    for i in range(len(a))])
+            else:
+                a = op(Tensor(a)).data
+        return a
 
     def save(self, path) -> None:
         named = dict(self.params)
@@ -137,6 +176,12 @@ class MiniConvNet:
             raise ShapeError(f"{path}: {exc}") from None
 
 
+def _area_not_8(a) -> bool:
+    """Whether a same-padded conv's output area per sample (the input's)
+    is not a multiple of 8, BLAS's column tile."""
+    return a.shape[2] * a.shape[3] % 8 != 0
+
+
 def _positive_ints(path, named, name: str, count: int) -> tuple[int, ...]:
     """Pop entry ``name`` of a weight file, which must hold ``count``
     positive integers."""
@@ -148,6 +193,14 @@ def _positive_ints(path, named, name: str, count: int) -> tuple[int, ...]:
     return tuple(int(v) for v in arr)
 
 
+def _sample(model, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != tuple(model.input_shape):
+        raise ShapeError(
+            f"predict: sample shape {x.shape} != model input {model.input_shape}")
+    return x
+
+
 def predict_graph(model, x) -> tuple[int, tuple[Tensor, ForwardPass]]:
     """Argmax class and forward graph ``(leaf, fp)`` of one sample.
 
@@ -155,16 +208,13 @@ def predict_graph(model, x) -> tuple[int, tuple[Tensor, ForwardPass]]:
     ``attribute(..., graph=(leaf, fp))`` sweeps this graph, so one forward
     pass serves the prediction and every heatmap of the sample.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != tuple(model.input_shape):
-        raise ShapeError(
-            f"predict: sample shape {x.shape} != model input {model.input_shape}")
-    leaf = Tensor(x[None])
+    leaf = Tensor(_sample(model, x)[None])
     fp = model.forward_graph(leaf)
     return int(np.argmax(fp.scores.data[0])), (leaf, fp)
 
 
 def predict(model, x) -> tuple[int, np.ndarray]:
-    """Raw scores and argmax class for one sample; ties pick the lowest index."""
-    pred, (_, fp) = predict_graph(model, x)
-    return pred, fp.scores.data[0]
+    """Argmax class and raw scores of one sample, from ``model.scores``
+    (no graph); ties pick the lowest index."""
+    raw = model.scores(_sample(model, x)[None])[0]
+    return int(np.argmax(raw)), raw

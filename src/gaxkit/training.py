@@ -61,7 +61,9 @@ class TrainResult:
     val_history: list[tuple[int, float]] = field(default_factory=list)
 
 
-_EVAL_CHUNK = 64        # samples per forward pass in evaluate
+# samples per ``scores`` call in evaluate; ``scores`` is batch-invariant, so
+# each sample scores as ``predict`` scores it, whatever the chunk
+_EVAL_CHUNK = 64
 BETA1 = 0.5             # Adam's first-moment decay for training
 
 

@@ -68,16 +68,17 @@ class TestCoScore:
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=0)
         x = np.random.default_rng(1).uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(np.zeros_like(x), "saliency", 0)
-        assert co_score(model, x, h, 0, "sum") == 0.0
+        assert co_score(model, x, [h], 0, ["sum"])[0, 0] == 0.0
 
     def test_uniform_output_shift_leaves_score_unchanged(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.2, size=(3, 8, 8)), "saliency", 1)
-        base = co_score(model, x, h, 1, "sum")
+        base = co_score(model, x, [h], 1, ["sum"])[0, 0]
         for c in (0.5, -3.0, 1e3):
-            shifted = co_score(_ShiftedModel(model, c), x, h, 1, "sum")
+            shifted = co_score(_ShiftedModel(model, c), x, [h], 1,
+                               ["sum"])[0, 0]
             assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_toy_identity_heatmap_scores_coefficient_gap(self):
@@ -88,7 +89,8 @@ class TestCoScore:
             a2 = rng.uniform(0.01, 1.0)
             a1 = a2 + rng.uniform(0.01, 1.0)
             x = np.array([a1, a2])
-            got = co_score(model, x, Heatmap(x, "identity", 0), 0, "sum")
+            got = co_score(model, x, [Heatmap(x, "identity", 0)], 0,
+                           ["sum"])[0, 0]
             assert got == pytest.approx(a1 - a2, abs=1e-12)
 
     def test_groundtruth_swap_negates_for_two_classes(self):
@@ -96,8 +98,8 @@ class TestCoScore:
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.3, size=(3, 8, 8)), "saliency", 0)
-        s0 = co_score(model, x, h, 0, "sum")
-        s1 = co_score(model, x, h, 1, "sum")
+        s0 = co_score(model, x, [h], 0, ["sum"])[0, 0]
+        s1 = co_score(model, x, [h], 1, ["sum"])[0, 0]
         assert s1 == pytest.approx(-s0, abs=1e-12)
 
     def test_linear_in_final_layer_scale(self):
@@ -105,26 +107,28 @@ class TestCoScore:
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.3, size=(3, 8, 8)), "saliency", 0)
-        base = co_score(model, x, h, 0, "sum")
+        base = co_score(model, x, [h], 0, ["sum"])[0, 0]
         lam = 2.0  # exactly representable so the scaling stays exact
         model.params["fc.w"] = model.params["fc.w"] * lam
         model.params["fc.b"] = model.params["fc.b"] * lam
-        assert co_score(model, x, h, 0, "sum") == pytest.approx(lam * base,
-                                                                rel=1e-12)
+        assert co_score(model, x, [h], 0, ["sum"])[0, 0] == pytest.approx(
+            lam * base, rel=1e-12)
 
     def test_mul_variant(self):
         model = LinearModel(np.array([[1.0, 0.0], [0.0, 1.0]]))
         x = np.array([0.5, 0.25])
         h = Heatmap(np.array([1.0, -1.0]), "m", 0)
         # f(x*h) - f(x) = (0, -0.5); kappa = (1, -1) -> 0.5
-        assert co_score(model, x, h, 0, "mul") == pytest.approx(0.5)
+        assert co_score(model, x, [h], 0, ["mul"])[0, 0] == pytest.approx(0.5)
 
     def test_shape_and_variant_validation(self):
         model = LinearModel(np.eye(2))
         with pytest.raises(ValueError, match="variant"):
-            co_score(model, np.zeros(2), Heatmap(np.zeros(2), "m", 0), 0, "xor")
+            co_score(model, np.zeros(2), [Heatmap(np.zeros(2), "m", 0)], 0,
+                     ["xor"])
         with pytest.raises(ShapeError):
-            co_score(model, np.zeros(2), Heatmap(np.zeros(3), "m", 0), 0)
+            co_score(model, np.zeros(2), [Heatmap(np.zeros(3), "m", 0)], 0,
+                     ["sum"])
 
     def test_precomputed_fx_is_bitwise_equal(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)
@@ -133,11 +137,33 @@ class TestCoScore:
         h = Heatmap(rng.normal(0, 0.2, size=(3, 8, 8)), "saliency", 1)
         fx = model.scores(x[None])[0]
         for variant in ("sum", "mul"):
-            assert (co_score(model, x, h, 1, variant, fx=fx)
-                    == co_score(model, x, h, 1, variant))
+            assert (co_score(model, x, [h], 1, [variant], fx=fx)[0, 0]
+                    == co_score(model, x, [h], 1, [variant])[0, 0])
         for bad in (fx[None], np.zeros(3)):
             with pytest.raises(ShapeError, match="fx shape"):
-                co_score(model, x, h, 1, fx=bad)
+                co_score(model, x, [h], 1, ["sum"], fx=bad)
+
+    def test_batched_equals_each_heatmap_alone(self):
+        # one scores call over every (heatmap, variant) input gives each
+        # entry the bytes of that heatmap scored alone
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=3, seed=4)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, size=(3, 8, 8))
+        heats = [Heatmap(rng.normal(0, 0.3, size=x.shape), "m", 0)
+                 for _ in range(7)]
+        variants = ["mul", "sum"]
+        for fx in (None, model.scores(x[None])[0]):
+            got = co_score(model, x, heats, 2, variants, fx=fx)
+            assert got.shape == (7, 2)
+            alone = [[co_score(model, x, [h], 2, [v])[0, 0] for v in variants]
+                     for h in heats]
+            assert got.tobytes() == np.array(alone).tobytes()
+
+    def test_no_heatmaps_scores_nothing(self):
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=4)
+        x = np.zeros((3, 8, 8))
+        for fx in (None, np.zeros(2)):
+            assert co_score(model, x, [], 0, ["sum"], fx=fx).shape == (0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -185,14 +211,20 @@ class TestSweep:
         assert all("nope" in msg for _, msg in errors)
 
     def test_one_forward_row_for_fx_per_sample(self, tiny, monkeypatch):
-        # per sample: one forward shared by f(x) and the 6 attributions,
-        # the DeepLIFT baseline and one f(g(x, h)) per score (12)
+        # per sample: one forward graph shared by f(x) and the 6
+        # attributions, and the DeepLIFT baseline's; the 12 f(g(x, h)) go
+        # through one graph-free scores call
         model, ds = tiny
         rows = _count_rows(monkeypatch, model)
+        calls = []
+        inner = model.scores
+        monkeypatch.setattr(model, "scores",
+                            lambda x: calls.append(len(x)) or inner(x))
         records, errors = ax_sweep(model, ds.test, METHODS, ["sum", "mul"])
         assert len(METHODS) == 6 and not errors
         assert len(records) == 12 * len(ds.test)
-        assert sum(rows) == 14 * len(ds.test)
+        assert sum(rows) == 2 * len(ds.test)
+        assert calls == [12] * len(ds.test)
 
     def test_methods_sharing_a_graph_score_as_swept_alone(self, tiny):
         # in reverse, with a failing method in the middle: any state one

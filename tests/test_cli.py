@@ -390,23 +390,43 @@ def test_train_below_the_pools_extent_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["toy-sweep", "--out", "{missing}/t.csv"],
-    ["train", "--data", "{data}", "--max-iterations", "1", "--out",
-     "{missing}/m.gaxm"],
-    ["ax-sweep", "--model", "{model}", "--data", "{data}", "--methods",
-     "saliency", "--out", "{missing}/s.csv"],
-], ids=["toy-sweep", "train", "ax-sweep"])
-def test_write_into_a_missing_directory_names_the_path(tiny_run, tmp_path,
-                                                       capsys, argv):
-    data, model = tiny_run
-    names = {"missing": tmp_path / "missing", "data": data, "model": model}
+# each output file flag, with inputs that do not exist either: the output's
+# directory is checked before any work
+BAD_OUTPUT_ARGV = [
+    ["toy-sweep", "--out", "{bad}/t.csv"],
+    ["train", "--data", "{none}", "--max-iterations", "1", "--out",
+     "{bad}/m.gaxm"],
+    ["ax-sweep", "--model", "{none}", "--data", "{none}", "--methods",
+     "saliency", "--out", "{bad}/s.csv"],
+    ["gap-stats", "--scores", "{none}", "--out", "{bad}/s.txt"],
+    ["gap-stats", "--scores", "{none}", "--out", "{ok}/s.txt", "--hist",
+     "{bad}/h.csv"],
+]
+BAD_OUTPUT_IDS = ["toy-sweep", "train", "ax-sweep", "gap-stats-out",
+                  "gap-stats-hist"]
+
+
+def _bad_output_run(tmp_path, capsys, argv, bad):
+    names = {"bad": bad, "none": tmp_path / "none", "ok": tmp_path}
     argv = [arg.format(**names) for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {argv[-1]}: No such file or directory\n"
-    assert ".tmp" not in err
-    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err == \
+        f"error: {argv[-2]} {argv[-1]}: {bad} is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", BAD_OUTPUT_ARGV, ids=BAD_OUTPUT_IDS)
+def test_write_into_a_missing_directory_names_the_path(tmp_path, capsys,
+                                                       argv):
+    _bad_output_run(tmp_path, capsys, argv, tmp_path / "missing")
+
+
+@pytest.mark.parametrize("argv", BAD_OUTPUT_ARGV, ids=BAD_OUTPUT_IDS)
+def test_write_under_a_file_names_the_path(tmp_path, capsys, argv):
+    bad = tmp_path / "file"
+    bad.write_text("")
+    _bad_output_run(tmp_path, capsys, argv, bad)
 
 
 @pytest.mark.parametrize("size", [8, 200])

@@ -270,3 +270,12 @@ def test_write_cut_midway_keeps_the_old_file(tmp_path, monkeypatch, name,
     write(path)
     assert path.read_bytes() != b"old contents"
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_write_under_a_file_names_the_path(tmp_path):
+    # the temporary file cannot be made or removed there either
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "a.csv"
+    with pytest.raises(OSError,
+                       match=f"^{re.escape(str(path))}: Not a directory$"):
+        formats.write_lines(path, ["x"])

@@ -147,10 +147,16 @@ class TestRun:
             return inner(t)
 
         monkeypatch.setattr(tiny_model, "forward_graph", counting)
+        plain = []
+        inner_scores = tiny_model.scores
+        monkeypatch.setattr(tiny_model, "scores",
+                            lambda t: plain.append(t) or inner_scores(t))
         cfg = GaxConfig(target_co=1e9, max_iterations=4)
         trace, _ = gax_run(tiny_model, x, truth, cfg)
-        # f(x) once for the prediction and the score base, then one per step
-        assert len(calls) == 1 + len(trace.iterations)
+        # f(x) once, graph-free, for the prediction and the score base, then
+        # one forward graph per step
+        assert len(plain) == 1
+        assert len(calls) == len(trace.iterations)
 
     def test_heatmap_stays_in_tanh_range(self, tiny_model, tiny_ds):
         x, truth = self._correct_sample(tiny_model, tiny_ds)

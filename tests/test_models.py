@@ -5,7 +5,9 @@ import pytest
 
 from gaxkit.autodiff import ShapeError
 from gaxkit.formats import read_gaxm, write_gaxm
+from gaxkit.data import Split
 from gaxkit.models import MiniConvNet, predict
+from gaxkit.training import _EVAL_CHUNK, _batched_scores, evaluate
 from oracle_models import LinearModel
 
 
@@ -135,3 +137,57 @@ class TestMiniConvNet:
     def test_smallest_and_odd_geometries_run(self, shape, kernel):
         model = MiniConvNet(input_shape=shape, kernel=kernel)
         assert model.scores(np.zeros((2, *shape))).shape == (2, 2)
+
+
+# the reference model's input, the pipeline's gen-data shapes, and a shape
+# whose conv2 output area (14 * 14) is not a multiple of 8
+BATCH_SHAPES = [(3, 32, 32), (3, 16, 16), (1, 12, 12), (3, 28, 28)]
+
+
+class TestGraphFreeScores:
+    """``scores`` keeps no graph and gives each sample the bytes it gets
+    alone, at every batch size."""
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_batch_invariant(self, shape):
+        model = MiniConvNet(input_shape=shape, seed=1)
+        x = np.random.default_rng(2).uniform(0, 1, size=(_EVAL_CHUNK, *shape))
+        alone = [model.scores(x[i: i + 1])[0].tobytes()
+                 for i in range(len(x))]
+        for n in [*range(1, 34), _EVAL_CHUNK]:
+            out = model.scores(x[:n])
+            assert out.shape == (n, 2)
+            assert [row.tobytes() for row in out] == alone[:n], n
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_equals_forward_graph_at_one_sample(self, shape):
+        model = MiniConvNet(input_shape=shape, num_classes=3, seed=3)
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            x = rng.uniform(0, 1, size=(1, *shape))
+            assert (model.scores(x).tobytes()
+                    == model.forward_graph(x).scores.data.tobytes())
+
+    def test_shape_checked(self):
+        model = MiniConvNet(input_shape=(1, 8, 8))
+        with pytest.raises(ShapeError, match="expected batch of shape"):
+            model.scores(np.zeros((2, 1, 8, 9)))
+
+    def test_evaluate_argmax_equals_predict(self):
+        # evaluate scores in chunks of _EVAL_CHUNK; predict one sample
+        shape = (3, 28, 28)
+        model = MiniConvNet(input_shape=shape, seed=5)
+        rng = np.random.default_rng(6)
+        n = _EVAL_CHUNK + 6
+        x = rng.uniform(0, 1, size=(n, *shape))
+        y = rng.integers(0, 2, size=n)
+        preds = [predict(model, sample) for sample in x]
+        batched = _batched_scores(model, x)
+        for (pred, raw), row in zip(preds, batched):
+            assert row.tobytes() == raw.tobytes()
+            assert int(np.argmax(row)) == pred
+        split = Split(x, y, [f"s{i}" for i in range(n)])
+        assert evaluate(model, split).accuracy == \
+            np.mean([pred == t for (pred, _), t in zip(preds, y)])

@@ -44,20 +44,20 @@ REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
 # The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
 # change in a float64 result away.  This step writes raw float64 bytes of
 # what the workloads compute: heatmaps, CO scores (also of the methods in
-# reverse with a failing one in the middle), GAX traces and heatmaps (also
-# with the bias and with no similarity penalty), and the parameter gradients
-# of one training step at batch 32 and one at batch 3: conv2d's kernel
-# gradient reads its window matrix in place at the first and copies it at
-# the second.  It passes ``wrt`` to ``Tensor.backward`` only when the tree's
-# engine takes it.
+# reverse with a failing one in the middle, and of the gray model, whose
+# conv2 output area of 6 * 6 is not a multiple of BLAS's 8-column tiles, so
+# a batched forward that is not batch-invariant shows there), GAX traces and
+# heatmaps (also with the bias and with no similarity penalty), and the
+# parameter gradients of one training step at batch 32 and one at batch 3:
+# conv2d's kernel gradient reads its window matrix in place at the first
+# and copies it at the second.
 PROBE = """
-import inspect
 from pathlib import Path
 
 import numpy as np
 
-from gaxkit import (METHODS, GaxConfig, MiniConvNet, Tensor, attribute,
-                    ax_sweep, gax_run, load_dataset, predict)
+from gaxkit import (METHODS, GaxConfig, MiniConvNet, attribute, ax_sweep,
+                    gax_run, load_dataset, predict)
 from gaxkit.autodiff import cross_entropy
 
 out = Path("probe")
@@ -80,6 +80,9 @@ methods = [*reversed(METHODS)]
 methods.insert(3, "layer-gradcam:nope")
 records, _ = ax_sweep(model, ds.test, methods)
 dump("co_scores_reversed", [r.co_score for r in records])
+records, _ = ax_sweep(MiniConvNet.load("gray.gaxm"), load_dataset("gray").test,
+                      METHODS)
+dump("co_scores_gray", [r.co_score for r in records])
 correct = [i for i in range(len(ds.test))
            if predict(model, ds.test.x[i])[0] == ds.test.y[i]]
 gax_runs = [(i, "", GaxConfig(target_co=5.0, max_iterations=30))
@@ -98,10 +101,7 @@ for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
     fp = model.forward_graph(ds.train.x[idx])
     loss = cross_entropy(fp.scores, ds.train.y[idx])
-    if "wrt" in inspect.signature(Tensor.backward).parameters:
-        loss.backward(wrt=list(fp.params.values()))
-    else:
-        loss.backward()
+    loss.backward(wrt=list(fp.params.values()))
     for name, leaf in fp.params.items():
         dump(f"grad{tag}_{name}", leaf.grad)
 """
