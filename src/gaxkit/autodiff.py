@@ -34,7 +34,10 @@ A graph may be swept any number of times, with any rule and ``wrt``, also
 after a sweep that raised: a sweep resets every ``grad`` of the graph, stores
 each node's first contribution as a new array and writes no forward array.
 Each sweep so gives the bytes a fresh graph would, and never writes into the
-``grad`` arrays an earlier sweep left.
+``grad`` arrays an earlier sweep left, so a caller may keep those arrays
+(attribution records a standard sweep's and reads them again).  A
+``max_pool2d`` node computes its routing masks in its first vjp and reuses
+them in every later sweep; they depend on the forward arrays alone.
 """
 
 from __future__ import annotations
@@ -312,15 +315,25 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         else:
             np.maximum(out, v, out=out)
 
+    hits = None     # each cell's routing mask, kept after the first vjp
+
     def vjp(g, rule):
+        nonlocal hits
         g0 = g + 0.0
         gx = np.zeros_like(x.data)
+        if hits is not None:
+            for cell, hit in zip(cells, hits):
+                gx[cell] = np.where(hit, g0, 0.0)
+            return (gx,)
+        masks = []
         claimed = np.zeros(out.shape, dtype=bool)
         for cell in cells:
             v = x.data[cell].copy()
             hit = ((v == out) | (v != v)) & ~claimed
             gx[cell] = np.where(hit, g0, 0.0)
             claimed |= hit
+            masks.append(hit)
+        hits = masks    # only once every mask is computed
         return (gx,)
 
     return Tensor(out, (x,), "max-pool", vjp)

@@ -138,14 +138,19 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
 
     Heatmaps target the predicted class and enter the score normalized.
     Each sample's one forward graph gives the class, f(x) and every
-    method's heatmap, and one ``co_score`` call scores all of them under
-    every variant.  Per-method failures are collected, not fatal; returns
-    (records, errors) with records sorted for deterministic export.  A split
-    whose samples do not fit the model raises ``predict_graph``'s
-    ``ShapeError``.
+    method's heatmap (saliency, input x gradient and Grad-CAM read one
+    standard sweep of it), and one ``co_score`` call scores all of them
+    under every variant.  DeepLIFT's zero baseline gets one graph per call,
+    built only when ``methods`` include ``deeplift``.  Per-method failures
+    are collected, not fatal; returns (records, errors) with records sorted
+    for deterministic export.  A split whose samples do not fit the model
+    raises ``predict_graph``'s ``ShapeError``.
     """
     records: list[ScoreRecord] = []
     errors: list[tuple[str, str]] = []
+    # DeepLIFT's zero baseline has the same graph for every sample
+    baseline = predict_graph(model, np.zeros(model.input_shape))[1] \
+        if "deeplift" in methods else None
     order = np.argsort(np.asarray(split.ids))
     for i in order:
         sid = split.ids[i]
@@ -155,8 +160,9 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         heats = []
         for method in methods:
             try:
-                heats.append(normalize(attribute(model, x, pred, method,
-                                                 graph=graph)))
+                heats.append(normalize(attribute(
+                    model, x, pred, method, graph=graph,
+                    deeplift_baseline=baseline)))
             except ValueError as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
         scores = co_score(model, x, heats, truth, variants,

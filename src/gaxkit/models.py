@@ -6,7 +6,7 @@ A model exposes:
 * ``input_shape`` / ``num_classes``
 * ``forward_graph(x)`` building an autodiff graph over a batch and
   returning a :class:`ForwardPass` (raw scores, named layer activations,
-  parameter leaves)
+  parameter leaves, and an empty record of attribution sweeps)
 * ``scores(x)`` the raw scores of a batch, computed by the same ops but
   keeping no graph: each op's output enters the next op as a fresh leaf,
   so every temporary is freed before the next op runs.  ``scores(x)[i]``
@@ -22,8 +22,8 @@ differences stay informative at any magnitude.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +32,15 @@ from .autodiff import ShapeError, Tensor
 from .formats import read_gaxm, write_gaxm
 
 
-class ForwardPass(NamedTuple):
+@dataclass(frozen=True)
+class ForwardPass:
+    """One forward graph: raw scores, named layer activations, parameter
+    leaves, and ``sweeps``, a fresh dict per graph in which attribution
+    records the gradients of a sweep it reads more than once."""
     scores: Tensor
     activations: dict[str, Tensor]
     params: dict[str, Tensor]
+    sweeps: dict = field(default_factory=dict, repr=False)
 
 
 def snap32(a: np.ndarray) -> np.ndarray:

@@ -293,6 +293,65 @@ class TestSharedGraph:
             assert got.target_class == pred
             assert _same_bytes(got.values, want.values)
 
+    @pytest.mark.parametrize("requests", [
+        # Grad-CAM sweeps first and records; the gradient methods read it
+        [(1, "layer-gradcam", {}), (1, "saliency", {}),
+         (1, "input-x-gradient", {})],
+        # one record per target
+        [(0, "saliency", {}), (1, "saliency", {}),
+         (0, "input-x-gradient", {}), (1, "layer-gradcam", {}),
+         (0, "layer-gradcam", {}), (1, "input-x-gradient", {})],
+        [(1, "saliency", {"abs_values": True}), (1, "input-x-gradient", {}),
+         (1, "saliency", {})],
+        [(0, "saliency", {}), (0, "layer-gradcam:pool1", {}),
+         (0, "layer-gradcam:conv2", {})],
+    ], ids=["gradcam-first", "both-targets", "abs-first", "layers-after"])
+    def test_standard_sweep_record_matches_fresh_graphs(self, conv_model,
+                                                        requests):
+        x = _x16(34)
+        graph = predict_graph(conv_model, x)[1]
+        got = [attribute(conv_model, x, t, m, graph=graph, **kw).values
+               for t, m, kw in requests]
+        for (t, m, kw), values in zip(requests, got):
+            want = attribute(conv_model, x, t, m, **kw).values
+            assert _same_bytes(values, want), (t, m, kw)
+
+    def test_editing_a_heatmap_leaves_the_record_intact(self, conv_model):
+        x = _x16(35)
+        graph = predict_graph(conv_model, x)[1]
+        sal = attribute(conv_model, x, 1, "saliency", graph=graph).values
+        sal[...] = np.nan
+        for method in ("input-x-gradient", "saliency", "layer-gradcam"):
+            got = attribute(conv_model, x, 1, method, graph=graph).values
+            assert _same_bytes(got, attribute(conv_model, x, 1,
+                                              method).values), method
+
+    def test_deeplift_baseline_graph_matches_its_array(self, conv_model):
+        x, base = _x16(36), _x16(37)
+        base_graph = predict_graph(conv_model, base)[1]
+        for _ in range(2):      # the baseline graph serves many calls
+            got = attribute(conv_model, x, 1, "deeplift",
+                            deeplift_baseline=base_graph).values
+            want = attribute(conv_model, x, 1, "deeplift",
+                             deeplift_baseline=base).values
+            assert _same_bytes(got, want)
+        leaf = Tensor(np.stack([base, base]))
+        with pytest.raises(ShapeError, match="baseline graph input shape"):
+            attribute(conv_model, x, 1, "deeplift", deeplift_baseline=(
+                leaf, conv_model.forward_graph(leaf)))
+
+    def test_graph_of_another_input_rejected(self, conv_model):
+        x = _x16(38)
+        graph = predict_graph(conv_model, _x16(39))[1]
+        for method in METHODS:
+            with pytest.raises(ValueError, match="another input"):
+                attribute(conv_model, x, 0, method, graph=graph)
+        # one flipped sign bit is another input
+        graph = predict_graph(conv_model, np.where(x == x.max(), -0.0, x))[1]
+        with pytest.raises(ValueError, match="another input"):
+            attribute(conv_model, np.where(x == x.max(), 0.0, x), 0,
+                      "saliency", graph=graph)
+
     def test_graph_of_another_shape_rejected(self, conv_model):
         x = _x16(33)
         leaf = Tensor(np.stack([x, x]))

@@ -212,8 +212,8 @@ class TestSweep:
 
     def test_one_forward_row_for_fx_per_sample(self, tiny, monkeypatch):
         # per sample: one forward graph shared by f(x) and the 6
-        # attributions, and the DeepLIFT baseline's; the 12 f(g(x, h)) go
-        # through one graph-free scores call
+        # attributions; per sweep: the DeepLIFT zero baseline's; the 12
+        # f(g(x, h)) of a sample go through one graph-free scores call
         model, ds = tiny
         rows = _count_rows(monkeypatch, model)
         calls = []
@@ -223,8 +223,39 @@ class TestSweep:
         records, errors = ax_sweep(model, ds.test, METHODS, ["sum", "mul"])
         assert len(METHODS) == 6 and not errors
         assert len(records) == 12 * len(ds.test)
-        assert sum(rows) == 2 * len(ds.test)
+        assert rows == [1] * (len(ds.test) + 1)
         assert calls == [12] * len(ds.test)
+
+    def test_no_baseline_graph_without_deeplift(self, tiny, monkeypatch):
+        model, ds = tiny
+        rows = _count_rows(monkeypatch, model)
+        methods = [m for m in METHODS if m != "deeplift"]
+        _, errors = ax_sweep(model, ds.test, methods, ["sum"])
+        assert not errors
+        assert rows == [1] * len(ds.test)
+
+    def test_three_sweeps_and_one_rescale_per_sample(self, tiny, monkeypatch):
+        # saliency, input x gradient and Grad-CAM share one standard sweep;
+        # deconvolution and guided backprop sweep once each
+        import gaxkit.autodiff as ad
+        model, ds = tiny
+        counts = {"backward": 0, "rescale": 0}
+        backward, rescale = ad.Tensor.backward, ad.rescale_multipliers
+
+        def counting_backward(*args, **kwargs):
+            counts["backward"] += 1
+            return backward(*args, **kwargs)
+
+        def counting_rescale(*args, **kwargs):
+            counts["rescale"] += 1
+            return rescale(*args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "backward", counting_backward)
+        monkeypatch.setattr(ad, "rescale_multipliers", counting_rescale)
+        _, errors = ax_sweep(model, ds.test, METHODS, ["sum", "mul"])
+        assert not errors
+        assert counts == {"backward": 3 * len(ds.test),
+                          "rescale": len(ds.test)}
 
     def test_methods_sharing_a_graph_score_as_swept_alone(self, tiny):
         # in reverse, with a failing method in the middle: any state one

@@ -113,3 +113,45 @@ def test_signed_input_with_ties_and_nans(size):
     g[rng.random(g.shape) < 0.2] = -0.0
     assert_byte_equal(x, g, size)
     assert_byte_equal(np.abs(x), g, size)
+
+
+def _mixed_case(rng, size):
+    """Ties, NaNs of both signs and zeros of both signs, and an upstream
+    gradient with signed zeros."""
+    x = rng.integers(-2, 3, size=(3, 2, 7, 9)).astype(np.float64)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.05] = np.nan
+    x[rng.random(x.shape) < 0.05] = -np.nan
+    return x, lambda: _signed_zero_g(rng, (3, 2, 7 // size, 9 // size))
+
+
+def _signed_zero_g(rng, shape):
+    g = rng.normal(size=shape)
+    g[rng.random(shape) < 0.2] = 0.0
+    g[rng.random(shape) < 0.2] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("signed", [True, False])
+def test_repeat_sweeps_reuse_the_routing(size, signed):
+    # the first vjp computes the routing masks, later ones reuse them
+    x, draw = _mixed_case(np.random.default_rng(20 + size), size)
+    if not signed:
+        x = np.abs(x)
+    t = ad.max_pool2d(Tensor(x), size)
+    for _ in range(3):
+        g = draw()
+        (gx,) = t._vjp(g, RULE_STANDARD)
+        assert gx.tobytes() == reference_max_pool2d(x, g, size)[1].tobytes()
+
+
+def test_a_vjp_that_raises_leaves_later_sweeps_correct():
+    x, draw = _mixed_case(np.random.default_rng(30), 2)
+    t = ad.max_pool2d(Tensor(x), 2)
+    with pytest.raises(ValueError):
+        t._vjp(np.ones((3, 2, 3, 5)), RULE_STANDARD)    # (3, 2, 3, 4) wanted
+    for _ in range(2):
+        g = draw()
+        (gx,) = t._vjp(g, RULE_STANDARD)
+        assert gx.tobytes() == reference_max_pool2d(x, g, 2)[1].tobytes()

@@ -39,6 +39,11 @@ ATTRIBUTE_METHODS = ("saliency", "input-x-gradient", "deconvolution",
 REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
                     "layer-gradcam:nope,deconvolution,input-x-gradient,"
                     "saliency")
+# Grad-CAM before the gradient methods, so Grad-CAM's standard sweep is the
+# one saliency and input x gradient read; deeplift twice against the one
+# zero-baseline graph of the sweep
+GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
+                         "deeplift,input-x-gradient,deeplift")
 
 
 # The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
@@ -138,6 +143,12 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("ax-sweep reversed methods", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "rgb", "--methods", REVERSED_METHODS, "--out",
              "reversed.csv"),
+        _cli("ax-sweep gradcam first", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "rgb", "--methods", GRADCAM_FIRST_METHODS, "--out",
+             "gradcam_first.csv"),
+        _cli("ax-sweep gray gradcam first", "ax-sweep", "--model",
+             "gray.gaxm", "--data", "gray", "--methods",
+             GRADCAM_FIRST_METHODS, "--out", "gray_gradcam_first.csv"),
         _cli("ax-sweep raw", "ax-sweep", "--model", "gray.gaxm", "--data",
              "gray/test", "--resize", "12,12", "--methods",
              "saliency,deeplift", "--out", "raw.csv"),
