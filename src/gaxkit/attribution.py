@@ -19,14 +19,15 @@ heatmap to the input, so sign carries the confidence-increasing direction;
 
 Methods that share a sample's forward graph share its work.  Saliency,
 input x gradient and Grad-CAM read one standard-rule sweep per (graph,
-target): the first of them sweeps with ``wrt=[input leaf]``, which also
+target): the first of them sweeps with ``wrt=[fp.input]``, which also
 sets the gradient of every activation between the input and the scores,
 and records those arrays in the graph's ``ForwardPass.sweeps`` under
 ``(RULE_STANDARD, target)``; the others read the record.  The record lives
 and dies with its graph, and no later sweep writes its arrays (see
 :mod:`gaxkit.autodiff`).  Heatmaps are fresh arrays, so editing one leaves
 the record intact.  DeepLIFT takes its baseline as an array or as that
-array's graph, which a sweep over many inputs builds once.
+array's :class:`~gaxkit.models.ForwardPass`, which a sweep over many inputs
+builds once.
 """
 
 from __future__ import annotations
@@ -101,20 +102,18 @@ def _gradcam_layer(fp, layer: str) -> Tensor:
 
 def attribute(model, x, target: int, method: str, *,
               abs_values: bool = False,
-              deeplift_baseline: np.ndarray | tuple[Tensor, ForwardPass]
-              | None = None,
-              graph: tuple[Tensor, ForwardPass] | None = None) -> Heatmap:
+              deeplift_baseline: np.ndarray | ForwardPass | None = None,
+              graph: ForwardPass | None = None) -> Heatmap:
     """Compute one heatmap for ``x`` with respect to class ``target``.
 
-    ``graph`` is ``(leaf, fp)``, the input leaf of ``x[None]`` and its
-    forward pass, when the caller already built them (``predict_graph``
-    returns them); otherwise they are built here.  A graph built from
-    another input is rejected.  Any number of methods may read one graph
-    (see the module docstring).
+    ``graph`` is the forward pass of ``x[None]`` when the caller already
+    built it (``predict_graph`` returns it); otherwise it is built here.  A
+    graph built from another input is rejected.  Any number of methods may
+    read one graph (see the module docstring).
 
     ``deeplift_baseline`` is an array shaped like ``x`` (zeros when
-    ``None``) or the graph ``(leaf, fp)`` of one, so a caller explaining
-    many inputs against one baseline builds its graph once.
+    ``None``) or the forward pass of one, so a caller explaining many
+    inputs against one baseline builds its graph once.
     """
     kind, layer = parse_method(method)
     target = _check_target(model, target)
@@ -122,9 +121,8 @@ def attribute(model, x, target: int, method: str, *,
     if x.shape != tuple(model.input_shape):
         raise ShapeError(
             f"input shape {x.shape} != model input {model.input_shape}")
-    if graph is None:
-        graph = predict_graph(model, x)[1]
-    leaf, fp = graph
+    fp = predict_graph(model, x)[1] if graph is None else graph
+    leaf = fp.input
     if leaf.shape != (1, *x.shape):
         raise ShapeError(f"graph input shape {leaf.shape} != {(1, *x.shape)}")
     if leaf.data[0].tobytes() != x.tobytes():
@@ -136,20 +134,20 @@ def attribute(model, x, target: int, method: str, *,
         fp.scores.backward(seed, _RECTIFIER_RULES[kind], wrt=[leaf])
         values = leaf.grad[0]
     elif kind == "deeplift":
-        base_leaf, base_fp = _baseline_graph(model, x, deeplift_baseline)
-        ad.rescale_multipliers(fp.scores, base_fp.scores, seed, wrt=[leaf])
-        values = (x - base_leaf.data[0]) * leaf.grad[0]
+        base = _baseline_graph(model, x, deeplift_baseline)
+        ad.rescale_multipliers(fp.scores, base.scores, seed, wrt=[leaf])
+        values = (x - base.input.data[0]) * leaf.grad[0]
     elif kind == "layer-gradcam":
         layer = layer or DEFAULT_GRADCAM_LAYER
         act = _gradcam_layer(fp, layer)
-        _, layer_grads = _standard_sweep(leaf, fp, seed, target)
+        _, layer_grads = _standard_sweep(fp, seed, target)
         weights = layer_grads[layer].mean(axis=(2, 3))  # (1, K) spatial mean
         cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1),
                          0.0)
         plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
         values = np.broadcast_to(plane, x.shape).copy()
     else:
-        input_grad, _ = _standard_sweep(leaf, fp, seed, target)
+        input_grad, _ = _standard_sweep(fp, seed, target)
         # a copy: the heatmap must not alias the record a later method reads
         values = input_grad[0].copy() if kind == "saliency" else \
             x * input_grad[0]
@@ -159,26 +157,25 @@ def attribute(model, x, target: int, method: str, *,
     return Heatmap(values=values, method=method, target_class=target)
 
 
-def _standard_sweep(leaf, fp, seed, target):
+def _standard_sweep(fp, seed, target):
     """``(input grad, {layer: grad})`` under the standard rule for class
     ``target``: swept and recorded in ``fp.sweeps`` on the first call for
     this graph and target, read from the record after that."""
     key = (RULE_STANDARD, target)
     if key not in fp.sweeps:
-        fp.scores.backward(seed, RULE_STANDARD, wrt=[leaf])
-        fp.sweeps[key] = (leaf.grad, {name: act.grad for name, act
-                                      in fp.activations.items()})
+        fp.scores.backward(seed, RULE_STANDARD, wrt=[fp.input])
+        fp.sweeps[key] = (fp.input.grad, {name: act.grad for name, act
+                                          in fp.activations.items()})
     return fp.sweeps[key]
 
 
-def _baseline_graph(model, x, baseline) -> tuple[Tensor, ForwardPass]:
-    """The graph ``(leaf, fp)`` of a DeepLIFT baseline for ``x``: built
-    from an array (zeros when ``None``), or checked when given."""
-    if isinstance(baseline, tuple) and len(baseline) == 2 and \
-            isinstance(baseline[1], ForwardPass):
-        if baseline[0].shape != (1, *x.shape):
-            raise ShapeError(f"baseline graph input shape {baseline[0].shape}"
-                             f" != {(1, *x.shape)}")
+def _baseline_graph(model, x, baseline) -> ForwardPass:
+    """The forward pass of a DeepLIFT baseline for ``x``: built from an
+    array (zeros when ``None``), or checked when given."""
+    if isinstance(baseline, ForwardPass):
+        if baseline.input.shape != (1, *x.shape):
+            raise ShapeError("baseline graph input shape "
+                             f"{baseline.input.shape} != {(1, *x.shape)}")
         return baseline
     base = np.zeros_like(x) if baseline is None else \
         np.asarray(baseline, dtype=np.float64)

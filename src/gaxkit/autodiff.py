@@ -5,10 +5,11 @@ that remembers its parents and how to push gradients back to them.  The
 graph is rebuilt on every forward pass, which keeps repeated re-evaluation
 (as in iterative heatmap optimization) trivially correct.
 
-The ops are the ones the model and training build graphs from: ``relu``,
-``matmul``, ``transpose2d``, ``flatten``, ``bias_add``, ``conv2d``,
-``max_pool2d`` and ``cross_entropy``.  GAX computes its loss head in numpy
-and sweeps only the model's graph, with ``wrt`` set to the input leaf.
+The ops are the ones the model builds its graph from: ``relu``, ``matmul``,
+``transpose2d``, ``flatten``, ``bias_add``, ``conv2d`` and ``max_pool2d``.
+Every sweep starts at the model's raw scores with a seed the caller gives:
+attribution's one-hot row, or a loss gradient that training or GAX computes
+in numpy.
 
 Rectifier nodes honor a backward *rule* so attribution methods can reroute
 gradients without touching the forward pass:
@@ -27,8 +28,7 @@ rule) share one reverse sweep.  Both take ``wrt``, the tensors whose ``grad``
 the caller reads: only the nodes on a path from a ``wrt`` tensor to the root
 get a ``grad`` (every other node's is ``None``), and a vjp skips the parent
 gradients no such node takes.  Their finite-difference checker lives with the
-tests (``tests/gradcheck.py``).  Attribution explains one class by seeding
-either sweep with a one-hot row.
+tests (``tests/gradcheck.py``).
 
 A graph may be swept any number of times, with any rule and ``wrt``, also
 after a sweep that raised: a sweep resets every ``grad`` of the graph, stores
@@ -81,26 +81,18 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
-    def backward(self, seed=None, rule: str = RULE_STANDARD, *, wrt) -> None:
+    def backward(self, seed, rule: str = RULE_STANDARD, *, wrt) -> None:
         """Set ``grad`` on each tensor of ``wrt``, which must be part of this
         root's graph, and on the nodes between them; others get ``None``.
 
-        ``seed`` must match the root shape; it defaults to ones for scalar
-        roots.  Gradients from multiple uses of a node accumulate.
+        ``seed`` must match the root shape.  Gradients from multiple uses of
+        a node accumulate.
         """
         if rule not in BACKWARD_RULES:
             raise ValueError(f"unknown backward rule: {rule!r}")
-        if seed is None:
-            if self.data.size != 1:
-                raise ShapeError("backward() without a seed requires a scalar root")
-            seed = np.ones_like(self.data)
         _backprop(self, _topo(self), seed, wrt,
                   lambda node: node._vjp(node.grad, rule))
 
@@ -284,7 +276,7 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
             else:
                 dmat = (gmat.T @ kmat).T
             dcols = dmat.reshape(cin, kh, kw, n, oh, ow)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
             gxt = gxp.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
@@ -337,32 +329,6 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         return (gx,)
 
     return Tensor(out, (x,), "max-pool", vjp)
-
-
-# ---------------------------------------------------------------------------
-# loss
-
-def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of raw (N, C) scores against integer labels."""
-    if scores.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: expected 2D scores, got {scores.shape}")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (scores.shape[0],):
-        raise ShapeError(
-            f"cross_entropy: labels {y.shape} vs scores {scores.shape}")
-    z = scores.data
-    n = z.shape[0]
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    loss = (lse - z[np.arange(n), y]).mean()
-
-    def vjp(g, rule):
-        p = np.exp(z - zmax)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(n), y] -= 1.0
-        return (float(g) * p / n,)
-
-    return Tensor(loss, (scores,), "cross-entropy", vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,12 @@ class GapStats:
     auroc: float | None           # co-score as a ranking of correctness
 
 
+def check_variant(variant: str) -> None:
+    """Raise ``ValueError`` unless ``variant`` is one of ``VARIANTS``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
+
+
 def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
              variants, *, fx=None) -> np.ndarray:
     """CO scores of one sample against its groundtruth, shape
@@ -108,9 +114,7 @@ def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
     bytes a call on that combined input alone gives.
     """
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(
-                f"unknown variant {variant!r}; expected {VARIANTS}")
+        check_variant(variant)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(model.input_shape):
         raise ShapeError(f"input shape {x.shape} != model input "
@@ -166,7 +170,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
             except ValueError as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
         scores = co_score(model, x, heats, truth, variants,
-                          fx=graph[1].scores.data[0])
+                          fx=graph.scores.data[0])
         records += [ScoreRecord(sid, h.method, variant, float(score), pred,
                                 truth)
                     for h, row in zip(heats, scores)

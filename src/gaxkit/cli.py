@@ -63,12 +63,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ax_mod.VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected {ax_mod.VARIANTS}")
-
-
 def _check_out_dirs(args, *dests: str) -> None:
     """Fail before any work when the directory of an output file flag's
     path is not an existing directory."""
@@ -145,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute CO scores over a split")
     p.add_argument("--methods", type=_csv_list(parse_method),
                    default=list(METHODS))
-    p.add_argument("--variants", type=_csv_list(_check_variant),
+    p.add_argument("--variants", type=_csv_list(ax_mod.check_variant),
                    default=list(ax_mod.VARIANTS))
     p.add_argument("--out", required=True, help="scores CSV path")
 

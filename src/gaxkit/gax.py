@@ -9,8 +9,8 @@ where the second term penalizes heatmaps indistinguishable from the input
 itself; it stays positive because inputs are required to lie in [0, 1].
 
 Only the model runs through the autodiff engine: each step builds its graph
-from the input leaf ``x + h`` and sweeps it once with ``wrt`` set to that
-leaf.  ``h``, the CO score, the penalty and their gradients are numpy.
+from the input ``x + h`` and sweeps it once with ``wrt`` set to the graph's
+input leaf.  ``h``, the CO score, the penalty and their gradients are numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import Heatmap
-from .autodiff import Tensor
 from .ax import ScoreConstants
 from .models import predict
 from .optim import Adam
@@ -81,9 +80,9 @@ def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
 
     Returns ``(loss, co, h, gradient)``: two floats, the heatmap, and a
     function that returns the loss gradient by parameter name.  Only the
-    model runs as an autodiff graph, from the input leaf ``x + h``; the head
-    is numpy.  ``gradient`` seeds the scores with d loss / d scores and adds
-    d penalty / dh to the leaf's gradient, as d(x + h) / dh is the identity.
+    model runs as an autodiff graph, from the input ``x + h``; the head is
+    numpy.  ``gradient`` seeds the scores with d loss / d scores and adds
+    d penalty / dh to the input leaf's gradient, as d(x + h) / dh is the identity.
     Each expression keeps the order of a reverse sweep through the head, and
     its ``+ 0.0`` where a product may be -0.0, so the bytes match one.
     """
@@ -92,11 +91,10 @@ def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
     if "b" in params:
         pre = pre + params["b"][None]
     h = np.tanh(pre)
-    leaf = Tensor(xb + h)
-    scores = model.forward_graph(leaf).scores
+    fp = model.forward_graph(xb + h)
     kappa = constants.int_weights()[None]
     c = 1.0 / (constants.num_classes - 1.0)
-    co = (kappa * (scores.data - fx)).sum() * c
+    co = (kappa * (fp.scores.data - fx)).sum() * c
     # the penalty's denominator mean((h - x + eps)^2 / (x + eps))
     dev = h - xb + EPSILON
     inv = 1.0 / (xb + EPSILON)
@@ -108,10 +106,10 @@ def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
     loss = recip * cfg.similarity_factor - co
 
     def gradient() -> dict[str, np.ndarray]:
-        scores.backward(-c * kappa, wrt=[leaf])
+        fp.scores.backward(-c * kappa, wrt=[fp.input])
         ratio_grad = -cfg.similarity_factor * recip * recip / dev.size + 0.0
         gh = 2.0 * dev * (ratio_grad * inv + 0.0) + 0.0
-        gh += leaf.grad
+        gh += fp.input.grad
         gpre = gh * (1.0 - h * h) + 0.0
         grads = {"w": gpre * xb + 0.0}
         if "b" in params:

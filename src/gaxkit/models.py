@@ -4,8 +4,9 @@ desk-scale experiments.
 A model exposes:
 
 * ``input_shape`` / ``num_classes``
-* ``forward_graph(x)`` building an autodiff graph over a batch and
-  returning a :class:`ForwardPass` (raw scores, named layer activations,
+* ``forward_graph(x)`` building an autodiff graph over a batch array and
+  returning a :class:`ForwardPass`, the one handle every sweep takes (the
+  input leaf it builds from ``x``, raw scores, named layer activations,
   parameter leaves, and an empty record of attribution sweeps)
 * ``scores(x)`` the raw scores of a batch, computed by the same ops but
   keeping no graph: each op's output enters the next op as a fresh leaf,
@@ -34,9 +35,10 @@ from .formats import read_gaxm, write_gaxm
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """One forward graph: raw scores, named layer activations, parameter
-    leaves, and ``sweeps``, a fresh dict per graph in which attribution
-    records the gradients of a sweep it reads more than once."""
+    """One forward graph: input leaf, raw scores, named layer activations,
+    parameter leaves, and ``sweeps``, a fresh dict per graph in which
+    attribution records the gradients of a sweep it reads more than once."""
+    input: Tensor
     scores: Tensor
     activations: dict[str, Tensor]
     params: dict[str, Tensor]
@@ -130,7 +132,7 @@ class MiniConvNet:
                 ("fc", bias("fc.b"), None))
 
     def forward_graph(self, x) -> ForwardPass:
-        t = x if isinstance(x, Tensor) else Tensor(x)
+        t = leaf = Tensor(x)
         self._check_batch(t.shape)
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
         acts = {}
@@ -138,7 +140,7 @@ class MiniConvNet:
             t = op(t)
             if name is not None:
                 acts[name] = t
-        return ForwardPass(t, acts, leaves)
+        return ForwardPass(leaf, t, acts, leaves)
 
     def scores(self, x) -> np.ndarray:
         """Raw scores of a batch; see the module docstring."""
@@ -206,16 +208,15 @@ def _sample(model, x) -> np.ndarray:
     return x
 
 
-def predict_graph(model, x) -> tuple[int, tuple[Tensor, ForwardPass]]:
-    """Argmax class and forward graph ``(leaf, fp)`` of one sample.
+def predict_graph(model, x) -> tuple[int, ForwardPass]:
+    """Argmax class and forward graph of one sample.
 
     Ties pick the lowest index; the raw scores are ``fp.scores.data[0]``.
-    ``attribute(..., graph=(leaf, fp))`` sweeps this graph, so one forward
-    pass serves the prediction and every heatmap of the sample.
+    ``attribute(..., graph=fp)`` sweeps this graph, so one forward pass
+    serves the prediction and every heatmap of the sample.
     """
-    leaf = Tensor(_sample(model, x)[None])
-    fp = model.forward_graph(leaf)
-    return int(np.argmax(fp.scores.data[0])), (leaf, fp)
+    fp = model.forward_graph(_sample(model, x)[None])
+    return int(np.argmax(fp.scores.data[0])), fp
 
 
 def predict(model, x) -> tuple[int, np.ndarray]:

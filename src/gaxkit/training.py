@@ -1,11 +1,12 @@
 """Training loop and evaluation metrics for the desk-scale classifiers.
 
-Training minimizes cross-entropy on raw scores with Adam.  One frozen
-``TrainConfig`` holds the stop rule, batch size, learning rate and seed.
-Samples are drawn uniformly at random each iteration; validation accuracy
-is checked at a fixed cadence and the run stops once the target is
-reached (after a configurable minimum number of iterations) or at the
-iteration cap.
+Training minimizes cross-entropy on raw scores with Adam.  The loss and
+its gradient with respect to the scores are numpy; that gradient seeds the
+sweep of the model's graph.  One frozen ``TrainConfig`` holds the stop rule,
+batch size, learning rate and seed.  Samples are drawn uniformly at random
+each iteration; validation accuracy is checked at a fixed cadence and the
+run stops once the target is reached (after a configurable minimum number
+of iterations) or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .models import snap32
 from .optim import Adam
 
@@ -73,6 +73,19 @@ def _batched_scores(model, x: np.ndarray) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
+def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of raw (N, C) scores ``z`` against integer labels
+    ``y``, and its gradient with respect to ``z``."""
+    n = z.shape[0]
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    loss = (lse - z[np.arange(n), y]).mean()
+    p = np.exp(z - zmax)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(n), y] -= 1.0
+    return float(loss), p / n
+
+
 def evaluate(model, split) -> Metrics:
     """Accuracy plus precision/recall on a labeled split.
 
@@ -119,11 +132,10 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
     for it in range(1, cfg.max_iterations + 1):
         idx = rng.integers(0, n, size=cfg.batch_size)
         fp = model.forward_graph(train_split.x[idx])
-        loss = ad.cross_entropy(fp.scores, train_split.y[idx])
-        loss_val = float(loss.data)
+        loss_val, dz = _cross_entropy(fp.scores.data, train_split.y[idx])
         if not np.isfinite(loss_val):
             raise ValueError(f"non-finite loss at iteration {it}")
-        loss.backward(wrt=fp.params.values())
+        fp.scores.backward(dz, wrt=fp.params.values())
         grads = {name: leaf.grad for name, leaf in fp.params.items()}
         for name, arr in opt.step(model.params, grads).items():
             with np.errstate(over="ignore"):    # an overflow is the inf below

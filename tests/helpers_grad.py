@@ -80,10 +80,4 @@ def op_cases():
         x = _distinct(rng, (1, 2, 5, 5))
         return [x], lambda a: ad.max_pool2d(a, 2)
 
-    @case("cross_entropy")
-    def _(rng):
-        a = _smooth(rng, (4, 3))
-        y = rng.integers(0, 3, size=4)
-        return [a], lambda x: ad.cross_entropy(x, y)
-
     return cases

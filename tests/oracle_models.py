@@ -24,12 +24,12 @@ class LinearModel:
         self.num_classes = M.shape[0]
 
     def forward_graph(self, x) -> ForwardPass:
-        t = x if isinstance(x, Tensor) else Tensor(x)
+        leaf = Tensor(x)
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
         scores = ad.bias_add(
-            ad.matmul(ad.flatten(t), ad.transpose2d(leaves["M"])),
+            ad.matmul(ad.flatten(leaf), ad.transpose2d(leaves["M"])),
             leaves["b"])
-        return ForwardPass(scores, {"fc": scores}, leaves)
+        return ForwardPass(leaf, scores, {"fc": scores}, leaves)
 
     def scores(self, x) -> np.ndarray:
         return self.forward_graph(x).scores.data

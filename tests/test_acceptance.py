@@ -166,10 +166,10 @@ def test_c05_attribution_oracles():
             self.weights = weights
 
         def forward_graph(self, x):
-            t = x if isinstance(x, Tensor) else Tensor(x)
-            z = ad.relu(ad.matmul(t, Tensor(self.weights.T)))
+            leaf = Tensor(x)
+            z = ad.relu(ad.matmul(leaf, Tensor(self.weights.T)))
             out = ad.matmul(z, Tensor(np.array([[1.0, 0.0]])))
-            return ForwardPass(out, {"fc": out}, {})
+            return ForwardPass(leaf, out, {"fc": out}, {})
 
         def scores(self, x):
             return self.forward_graph(x).scores.data

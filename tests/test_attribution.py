@@ -6,7 +6,7 @@ import pytest
 from gaxkit import (METHODS, Heatmap, MiniConvNet, attribute,
                     attribute_at_predicted, normalize)
 from gaxkit.attribution import parse_method
-from gaxkit.autodiff import ShapeError, Tensor
+from gaxkit.autodiff import ShapeError
 from gaxkit.models import predict_graph
 from oracle_models import LinearModel
 
@@ -72,10 +72,10 @@ def _single_relu_model(m):
         num_classes = 2
 
         def forward_graph(self, x):
-            t = x if isinstance(x, Tensor) else Tensor(x)
-            z = ad.relu(ad.matmul(t, Tensor(np.asarray(m).T)))
+            leaf = Tensor(x)
+            z = ad.relu(ad.matmul(leaf, Tensor(np.asarray(m).T)))
             pad = ad.matmul(z, Tensor(np.array([[1.0, 0.0]])))
-            return ForwardPass(pad, {"fc": pad}, {})
+            return ForwardPass(leaf, pad, {"fc": pad}, {})
 
         def scores(self, x):
             return self.forward_graph(x).scores.data
@@ -267,8 +267,7 @@ class TestSharedGraph:
         x = _x16(31)
         fresh = [attribute(conv_model, x, 1, m, **kw).values
                  for m, kw in SHARED_CASES]
-        leaf = Tensor(x[None])
-        graph = (leaf, conv_model.forward_graph(leaf))
+        graph = conv_model.forward_graph(x[None])
         cases = list(enumerate(SHARED_CASES))
         if order == "reverse":
             cases.reverse()
@@ -335,10 +334,10 @@ class TestSharedGraph:
             want = attribute(conv_model, x, 1, "deeplift",
                              deeplift_baseline=base).values
             assert _same_bytes(got, want)
-        leaf = Tensor(np.stack([base, base]))
         with pytest.raises(ShapeError, match="baseline graph input shape"):
-            attribute(conv_model, x, 1, "deeplift", deeplift_baseline=(
-                leaf, conv_model.forward_graph(leaf)))
+            attribute(conv_model, x, 1, "deeplift",
+                      deeplift_baseline=conv_model.forward_graph(
+                          np.stack([base, base])))
 
     def test_graph_of_another_input_rejected(self, conv_model):
         x = _x16(38)
@@ -354,7 +353,6 @@ class TestSharedGraph:
 
     def test_graph_of_another_shape_rejected(self, conv_model):
         x = _x16(33)
-        leaf = Tensor(np.stack([x, x]))
         with pytest.raises(ShapeError, match="graph input shape"):
             attribute(conv_model, x, 0, "saliency",
-                      graph=(leaf, conv_model.forward_graph(leaf)))
+                      graph=conv_model.forward_graph(np.stack([x, x])))

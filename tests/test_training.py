@@ -6,6 +6,8 @@ import pytest
 
 from gaxkit import (DatasetSpec, MiniConvNet, TrainConfig, evaluate,
                     make_blobs, train)
+from gaxkit.training import _cross_entropy
+from gradcheck import max_relative_error, numeric_gradient
 
 
 @pytest.fixture(scope="module")
@@ -13,6 +15,28 @@ def small_ds():
     spec = DatasetSpec(class_count=2, train=160, val=60, test=60,
                        image_shape=(3, 16, 16), seed=13)
     return make_blobs(spec)
+
+
+def test_cross_entropy_gradient_matches_finite_differences():
+    """The loss head's gradient against central differences of its loss,
+    100 seeded (4, 3) trials, at the acceptance tolerance 1e-5."""
+    rng = np.random.default_rng(10005)
+    worst = 0.0
+    for _ in range(100):
+        z = rng.uniform(-2.0, 2.0, size=(4, 3))
+        y = rng.integers(0, 3, size=4)
+        _, dz = _cross_entropy(z, y)
+        numeric = numeric_gradient(lambda a: _cross_entropy(a, y)[0], [z], 0)
+        worst = max(worst, max_relative_error(dz, numeric))
+    assert worst < 1e-5, f"max relative error {worst:.3e}"
+
+
+def test_cross_entropy_at_equal_scores():
+    # equal raw scores: loss log(C), gradient (softmax - one_hot) / N
+    loss, dz = _cross_entropy(np.zeros((2, 3)), np.array([0, 2]))
+    assert loss == pytest.approx(np.log(3.0), rel=1e-15)
+    np.testing.assert_allclose(
+        dz, [[-1 / 3, 1 / 6, 1 / 6], [1 / 6, 1 / 6, -1 / 3]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("kwargs", [{"val_every": 0}, {"val_every": -5},

@@ -63,7 +63,6 @@ import numpy as np
 
 from gaxkit import (METHODS, GaxConfig, MiniConvNet, attribute, ax_sweep,
                     gax_run, load_dataset, predict)
-from gaxkit.autodiff import cross_entropy
 
 out = Path("probe")
 out.mkdir()
@@ -105,8 +104,12 @@ for i, tag, cfg in gax_runs:
 for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
     fp = model.forward_graph(ds.train.x[idx])
-    loss = cross_entropy(fp.scores, ds.train.y[idx])
-    loss.backward(wrt=list(fp.params.values()))
+    # d mean cross-entropy / d scores: (softmax - one-hot) / batch
+    z = fp.scores.data
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(batch), ds.train.y[idx]] -= 1.0
+    fp.scores.backward(p / batch, wrt=list(fp.params.values()))
     for name, leaf in fp.params.items():
         dump(f"grad{tag}_{name}", leaf.grad)
 """
