@@ -1,7 +1,7 @@
 """Heatmap attribution methods.
 
-Six methods, each mapping (model, input, target class) to a heatmap shaped
-like the input:
+Six methods, each mapping (model, one sample's forward graph, target class)
+to a heatmap shaped like the sample:
 
 * ``saliency``          - signed raw-score gradient w.r.t. the input.
 * ``input-x-gradient``  - input times the signed gradient.
@@ -25,8 +25,8 @@ and records those arrays in the graph's ``ForwardPass.sweeps`` under
 ``(RULE_STANDARD, target)``; the others read the record.  The record lives
 and dies with its graph, and no later sweep writes its arrays (see
 :mod:`gaxkit.autodiff`).  Heatmaps are fresh arrays, so editing one leaves
-the record intact.  DeepLIFT takes its baseline as an array or as that
-array's :class:`~gaxkit.models.ForwardPass`, which a sweep over many inputs
+the record intact.  DeepLIFT takes its baseline as a
+:class:`~gaxkit.models.ForwardPass` too, which a sweep over many inputs
 builds once.
 """
 
@@ -100,33 +100,26 @@ def _gradcam_layer(fp, layer: str) -> Tensor:
     return act
 
 
-def attribute(model, x, target: int, method: str, *,
+def attribute(model, fp: ForwardPass, target: int, method: str, *,
               abs_values: bool = False,
-              deeplift_baseline: np.ndarray | ForwardPass | None = None,
-              graph: ForwardPass | None = None) -> Heatmap:
-    """Compute one heatmap for ``x`` with respect to class ``target``.
+              deeplift_baseline: ForwardPass | None = None) -> Heatmap:
+    """Compute one heatmap of the sample ``fp`` explains, with respect to
+    class ``target``.
 
-    ``graph`` is the forward pass of ``x[None]`` when the caller already
-    built it (``predict_graph`` returns it); otherwise it is built here.  A
-    graph built from another input is rejected.  Any number of methods may
-    read one graph (see the module docstring).
+    ``fp`` is the one-row forward graph of the sample (``predict_graph``
+    returns it), and the heatmap is shaped like ``fp.input.data[0]``.  Any
+    number of methods may read one graph (see the module docstring).
 
-    ``deeplift_baseline`` is an array shaped like ``x`` (zeros when
-    ``None``) or the forward pass of one, so a caller explaining many
-    inputs against one baseline builds its graph once.
+    ``deeplift_baseline`` is the one-row forward graph of DeepLIFT's
+    baseline (all zeros when ``None``), so a caller explaining many inputs
+    against one baseline builds its graph once.
     """
     kind, layer = parse_method(method)
     target = _check_target(model, target)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != tuple(model.input_shape):
-        raise ShapeError(
-            f"input shape {x.shape} != model input {model.input_shape}")
-    fp = predict_graph(model, x)[1] if graph is None else graph
     leaf = fp.input
-    if leaf.shape != (1, *x.shape):
-        raise ShapeError(f"graph input shape {leaf.shape} != {(1, *x.shape)}")
-    if leaf.data[0].tobytes() != x.tobytes():
-        raise ValueError("graph was built from another input than x")
+    if leaf.shape[0] != 1:
+        raise ShapeError(f"graph input shape {leaf.shape} is not one sample")
+    x = leaf.data[0]
 
     seed = np.zeros(fp.scores.shape)        # explains class ``target``
     seed[0, target] = 1.0
@@ -134,7 +127,11 @@ def attribute(model, x, target: int, method: str, *,
         fp.scores.backward(seed, _RECTIFIER_RULES[kind], wrt=[leaf])
         values = leaf.grad[0]
     elif kind == "deeplift":
-        base = _baseline_graph(model, x, deeplift_baseline)
+        base = model.forward_graph(np.zeros_like(leaf.data)) \
+            if deeplift_baseline is None else deeplift_baseline
+        if base.input.shape != leaf.shape:
+            raise ShapeError("baseline graph input shape "
+                             f"{base.input.shape} != {leaf.shape}")
         ad.rescale_multipliers(fp.scores, base.scores, seed, wrt=[leaf])
         values = (x - base.input.data[0]) * leaf.grad[0]
     elif kind == "layer-gradcam":
@@ -169,23 +166,7 @@ def _standard_sweep(fp, seed, target):
     return fp.sweeps[key]
 
 
-def _baseline_graph(model, x, baseline) -> ForwardPass:
-    """The forward pass of a DeepLIFT baseline for ``x``: built from an
-    array (zeros when ``None``), or checked when given."""
-    if isinstance(baseline, ForwardPass):
-        if baseline.input.shape != (1, *x.shape):
-            raise ShapeError("baseline graph input shape "
-                             f"{baseline.input.shape} != {(1, *x.shape)}")
-        return baseline
-    base = np.zeros_like(x) if baseline is None else \
-        np.asarray(baseline, dtype=np.float64)
-    if base.shape != x.shape:
-        raise ShapeError(
-            f"baseline shape {base.shape} != input shape {x.shape}")
-    return predict_graph(model, base)[1]
-
-
 def attribute_at_predicted(model, x, method: str) -> Heatmap:
     """Heatmap for the model's own prediction, normalized to peak one."""
-    pred, graph = predict_graph(model, x)
-    return normalize(attribute(model, x, pred, method, graph=graph))
+    pred, fp = predict_graph(model, x)
+    return normalize(attribute(model, fp, pred, method))

@@ -165,8 +165,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         for method in methods:
             try:
                 heats.append(normalize(attribute(
-                    model, x, pred, method, graph=graph,
-                    deeplift_baseline=baseline)))
+                    model, graph, pred, method, deeplift_baseline=baseline)))
             except ValueError as exc:  # data errors; bugs propagate
                 errors.append((sid, f"{method}: {exc}"))
         scores = co_score(model, x, heats, truth, variants,

@@ -212,13 +212,10 @@ def _cmd_attribute(args) -> int:
     if not 0 <= args.index < len(split):
         raise ValueError(f"--index {args.index} out of range for a split "
                          f"of {len(split)} samples")
-    x = split.x[args.index]
-    if args.target is None:
-        target, graph = predict_graph(model, x)
-    else:
-        target, graph = args.target, None
-    heat = normalize(attribute(model, x, target, args.method,
-                               abs_values=args.abs, graph=graph))
+    pred, fp = predict_graph(model, split.x[args.index])
+    target = pred if args.target is None else args.target
+    heat = normalize(attribute(model, fp, target, args.method,
+                               abs_values=args.abs))
     paths = export_heatmap(heat, args.out)
     print(f"sample {split.ids[args.index]}: method={args.method} "
           f"target={heat.target_class}; wrote {paths['raw']}")

@@ -143,7 +143,8 @@ def load_dataset(root) -> Dataset:
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.txt under {root}")
     header: dict[str, str] = {}
-    samples: dict[str, list[tuple[int, str]]] = {s: [] for s in SPLITS}
+    # split -> (label, image path, manifest line number) per sample
+    samples: dict[str, list[tuple[int, str, int]]] = {s: [] for s in SPLITS}
     label_lines: list[tuple[int, str]] = []
     lines = manifest.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, 1):
@@ -162,7 +163,7 @@ def load_dataset(root) -> Dataset:
             if not label.isdecimal():
                 raise ValueError(f"{where}: label {label!r} is not a "
                                  "class index")
-            samples[split_name].append((int(label), rel))
+            samples[split_name].append((int(label), rel, lineno))
             label_lines.append((int(label), where))
         else:
             key, sep, value = line.partition("=")
@@ -201,9 +202,15 @@ def load_dataset(root) -> Dataset:
             return _empty_split(shape)
         x = np.empty((len(entries), c, h, w))
         y = np.empty(len(entries), dtype=np.int64)
-        ids = []
-        for i, (label, rel) in enumerate(entries):
+        lines_of = {}           # sample id -> manifest line that gave it
+        for i, (label, rel, lineno) in enumerate(entries):
             path = root / rel
+            sid = _sample_id(path.stem, path)
+            if sid in lines_of:
+                raise ValueError(
+                    f"{manifest} line {lineno}: sample id {sid!r} is already "
+                    f"the id of line {lines_of[sid]} in split {name!r}")
+            lines_of[sid] = lineno
             img = read_pnm(path)
             arr = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
             if arr.shape != shape:
@@ -212,8 +219,7 @@ def load_dataset(root) -> Dataset:
                     f"{manifest} gives image_shape {c}x{h}x{w}")
             x[i] = arr / 255.0
             y[i] = label
-            ids.append(_sample_id(path.stem, path))
-        return Split(x, y, ids)
+        return Split(x, y, list(lines_of))
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
                    header["class_count"], shape, header.get("seed", 0))
@@ -253,7 +259,8 @@ def ingest_images(directory, resize_to: tuple[int, int],
     if not class_dirs:
         raise ValueError(f"no class subdirectories under {root}")
     out_h, out_w = resize_to
-    images, labels, ids = [], [], []
+    images, labels = [], []
+    files_of = {}               # sample id -> file that gave it
     for label, cdir in enumerate(class_dirs):
         loaded = 0
         for f in sorted(cdir.iterdir()):
@@ -264,6 +271,11 @@ def ingest_images(directory, resize_to: tuple[int, int],
             except ValueError as exc:   # the message names the file
                 warnings.warn(f"skipping {exc}")
                 continue
+            sid = _sample_id(f"{cdir.name}/{f.stem}", f)
+            if sid in files_of:
+                raise ValueError(f"{files_of[sid]} and {f} both give sample "
+                                 f"id {sid!r}")
+            files_of[sid] = f
             img = nearest_resize(img, out_h, out_w)
             if img.ndim == 2:
                 chans = np.repeat(img[None], 3, axis=0) if grayscale_stack \
@@ -272,7 +284,6 @@ def ingest_images(directory, resize_to: tuple[int, int],
                 chans = np.moveaxis(img, 2, 0)
             images.append(chans / 255.0)
             labels.append(label)
-            ids.append(_sample_id(f"{cdir.name}/{f.stem}", f))
             loaded += 1
         if loaded == 0:
             raise ValueError(f"empty class folder: {cdir}")
@@ -280,5 +291,5 @@ def ingest_images(directory, resize_to: tuple[int, int],
     if len(depth) != 1:
         raise ValueError(
             f"mixed channel counts {sorted(depth)}; pass grayscale_stack=True")
-    return Split(np.stack(images), np.asarray(labels, dtype=np.int64), ids,
-                 class_names=[d.name for d in class_dirs])
+    return Split(np.stack(images), np.asarray(labels, dtype=np.int64),
+                 list(files_of), class_names=[d.name for d in class_dirs])

@@ -241,20 +241,19 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # heatmap visualization
 
-def heatmap_to_rgb(values: np.ndarray, abs_max: float | None = None) -> np.ndarray:
+def heatmap_to_rgb(values: np.ndarray, abs_max: float) -> np.ndarray:
     """Diverging color map: positive red, negative blue, zero white.
 
-    The ramp is scaled by ``abs_max`` (the map's own peak magnitude by
-    default), so the extreme values render as pure red/blue.
+    The ramp is scaled by ``abs_max``, so values of that magnitude render as
+    pure red/blue; a zero ``abs_max`` renders all white.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"heatmap_to_rgb: expected 2D values, got {v.shape}")
-    peak = float(np.abs(v).max()) if abs_max is None else float(abs_max)
     rgb = np.full(v.shape + (3,), 255, dtype=np.uint8)
-    if peak == 0.0:
+    if abs_max == 0.0:
         return rgb
-    ramp = np.rint(255.0 * (1.0 - np.clip(np.abs(v) / peak, 0.0, 1.0)))
+    ramp = np.rint(255.0 * (1.0 - np.clip(np.abs(v) / abs_max, 0.0, 1.0)))
     ramp = ramp.astype(np.uint8)
     pos = v > 0
     neg = v < 0

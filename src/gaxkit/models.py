@@ -175,9 +175,12 @@ class MiniConvNet:
         input_shape = _positive_ints(path, named, "input_shape", 3)
         (kernel,) = _positive_ints(path, named, "kernel", 1)
         channels = (named["conv1.w"].shape[0], named["conv2.w"].shape[0])
+        num_classes = named["fc.b"].shape[0]
+        if num_classes < 2:
+            raise ValueError(f"{path}: entry 'fc.b' must hold at least 2 "
+                             f"class biases, got {num_classes}")
         try:
-            return cls(input_shape=input_shape,
-                       num_classes=named["fc.b"].shape[0],
+            return cls(input_shape=input_shape, num_classes=num_classes,
                        channels=channels, kernel=kernel, params=named)
         except ShapeError as exc:
             raise ShapeError(f"{path}: {exc}") from None
@@ -212,7 +215,7 @@ def predict_graph(model, x) -> tuple[int, ForwardPass]:
     """Argmax class and forward graph of one sample.
 
     Ties pick the lowest index; the raw scores are ``fp.scores.data[0]``.
-    ``attribute(..., graph=fp)`` sweeps this graph, so one forward pass
+    ``attribute(model, fp, ...)`` sweeps this graph, so one forward pass
     serves the prediction and every heatmap of the sample.
     """
     fp = model.forward_graph(_sample(model, x)[None])

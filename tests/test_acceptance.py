@@ -145,13 +145,14 @@ def test_c05_attribution_oracles():
         model = LinearModel(m)
         m_snapped = model.params["M"]
         x = rng.normal(size=6)
+        fp = model.forward_graph(x[None])
         for j in range(3):
-            sal = attribute(model, x, j, "saliency").values
+            sal = attribute(model, fp, j, "saliency").values
             assert np.abs(sal - m_snapped[j]).max() < 1e-9
-            ixg = attribute(model, x, j, "input-x-gradient").values
+            ixg = attribute(model, fp, j, "input-x-gradient").values
             assert np.abs(ixg - x * m_snapped[j]).max() < 1e-9
-            dec = attribute(model, x, j, "deconvolution").values
-            gui = attribute(model, x, j, "guided-backprop").values
+            dec = attribute(model, fp, j, "deconvolution").values
+            gui = attribute(model, fp, j, "guided-backprop").values
             assert np.abs(dec - sal).max() < 1e-9
             assert np.abs(gui - sal).max() < 1e-9
 
@@ -178,8 +179,9 @@ def test_c05_attribution_oracles():
         weights = rng.uniform(0.2, 1.0, size=(1, 5))
         model = SingleRelu(weights)
         x = rng.uniform(0.5, 1.5, size=5)
-        dl = attribute(model, x, 0, "deeplift").values
-        ixg = attribute(model, x, 0, "input-x-gradient").values
+        fp = model.forward_graph(x[None])
+        dl = attribute(model, fp, 0, "deeplift").values
+        ixg = attribute(model, fp, 0, "input-x-gradient").values
         assert np.abs(dl - ixg).max() < 1e-9
 
 

@@ -11,6 +11,11 @@ from gaxkit.models import predict_graph
 from oracle_models import LinearModel
 
 
+def _fp(model, x):
+    """The one-row forward graph ``attribute`` explains ``x`` through."""
+    return model.forward_graph(np.asarray(x, dtype=np.float64)[None])
+
+
 @pytest.fixture(scope="module")
 def linear_model():
     rng = np.random.default_rng(17)
@@ -29,22 +34,24 @@ class TestLinearOracles:
         for j in range(3):
             for _ in range(3):
                 x = rng.normal(size=5)
-                h = attribute(linear_model, x, j, "saliency")
+                h = attribute(linear_model, _fp(linear_model, x), j,
+                              "saliency")
                 np.testing.assert_allclose(h.values, m[j], atol=1e-12)
 
     def test_input_x_gradient_is_x_times_row(self, linear_model):
         rng = np.random.default_rng(1)
         x = rng.normal(size=5)
         m = linear_model.params["M"]
-        h = attribute(linear_model, x, 2, "input-x-gradient")
+        h = attribute(linear_model, _fp(linear_model, x), 2,
+                      "input-x-gradient")
         np.testing.assert_allclose(h.values, x * m[2], atol=1e-12)
 
     def test_rectifier_rules_collapse_on_linear_models(self, linear_model):
         # no rectifiers -> deconvolution == guided backprop == saliency
         x = np.random.default_rng(2).normal(size=5)
-        sal = attribute(linear_model, x, 1, "saliency").values
-        dec = attribute(linear_model, x, 1, "deconvolution").values
-        gui = attribute(linear_model, x, 1, "guided-backprop").values
+        sal, dec, gui = (
+            attribute(linear_model, _fp(linear_model, x), 1, m).values
+            for m in ("saliency", "deconvolution", "guided-backprop"))
         np.testing.assert_array_equal(sal, dec)
         np.testing.assert_array_equal(sal, gui)
 
@@ -56,8 +63,8 @@ class TestLinearOracles:
         model = _single_relu_model(m)
         x = rng.uniform(0.5, 1.5, size=4)
         assert float((m @ x)[0]) > 0
-        dl = attribute(model, x, 0, "deeplift").values
-        ixg = attribute(model, x, 0, "input-x-gradient").values
+        dl = attribute(model, _fp(model, x), 0, "deeplift").values
+        ixg = attribute(model, _fp(model, x), 0, "input-x-gradient").values
         np.testing.assert_allclose(dl, ixg, atol=1e-12)
 
 
@@ -132,7 +139,7 @@ class TestGradCam:
     def test_nonnegative_and_channel_constant(self, conv_model):
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 1, size=(3, 16, 16))
-        h = attribute(conv_model, x, 1, "layer-gradcam")
+        h = attribute(conv_model, _fp(conv_model, x), 1, "layer-gradcam")
         assert h.values.shape == x.shape
         assert (h.values >= 0).all()
         np.testing.assert_array_equal(h.values[0], h.values[1])
@@ -141,15 +148,17 @@ class TestGradCam:
     def test_layer_selection_spelling(self, conv_model):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(3, 16, 16))
-        h1 = attribute(conv_model, x, 0, "layer-gradcam:conv2")
+        fp = _fp(conv_model, x)
+        h1 = attribute(conv_model, fp, 0, "layer-gradcam:conv2")
         assert h1.method == "layer-gradcam:conv2"
         with pytest.raises(ValueError, match="unknown layer"):
-            attribute(conv_model, x, 0, "layer-gradcam:conv9")
+            attribute(conv_model, fp, 0, "layer-gradcam:conv9")
 
     def test_upsampling_covers_input(self, conv_model):
         # pool2 activations are 4x4; the heatmap still matches input size
         x = np.random.default_rng(9).uniform(0, 1, size=(3, 16, 16))
-        h = attribute(conv_model, x, 0, "layer-gradcam:pool2")
+        h = attribute(conv_model, _fp(conv_model, x), 0,
+                      "layer-gradcam:pool2")
         assert h.values.shape == (3, 16, 16)
 
 
@@ -158,23 +167,26 @@ class TestInvariantsOnRandomNets:
         rng = np.random.default_rng(10)
         for _ in range(5):
             x = rng.uniform(0, 1, size=(3, 16, 16))
-            sal = attribute(conv_model, x, 1, "saliency").values
-            ixg = attribute(conv_model, x, 1, "input-x-gradient").values
+            sal = attribute(conv_model, _fp(conv_model, x), 1,
+                            "saliency").values
+            ixg = attribute(conv_model, _fp(conv_model, x), 1,
+                            "input-x-gradient").values
             np.testing.assert_allclose(ixg, x * sal, atol=1e-14)
 
     def test_abs_option(self, conv_model):
         x = np.random.default_rng(11).uniform(0, 1, size=(3, 16, 16))
-        signed = attribute(conv_model, x, 0, "saliency").values
-        unsigned = attribute(conv_model, x, 0, "saliency",
+        signed = attribute(conv_model, _fp(conv_model, x), 0,
+                           "saliency").values
+        unsigned = attribute(conv_model, _fp(conv_model, x), 0, "saliency",
                              abs_values=True).values
         np.testing.assert_array_equal(unsigned, np.abs(signed))
 
     def test_deeplift_custom_baseline(self, conv_model):
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 1, size=(3, 16, 16))
-        h0 = attribute(conv_model, x, 0, "deeplift")
-        hb = attribute(conv_model, x, 0, "deeplift",
-                       deeplift_baseline=np.full_like(x, 0.5))
+        h0 = attribute(conv_model, _fp(conv_model, x), 0, "deeplift")
+        hb = attribute(conv_model, _fp(conv_model, x), 0, "deeplift",
+                       deeplift_baseline=_fp(conv_model, np.full_like(x, 0.5)))
         assert not np.array_equal(h0.values, hb.values)
 
     def test_deeplift_completeness(self, conv_model):
@@ -182,7 +194,7 @@ class TestInvariantsOnRandomNets:
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 1, size=(3, 16, 16))
         target = 1
-        h = attribute(conv_model, x, target, "deeplift")
+        h = attribute(conv_model, _fp(conv_model, x), target, "deeplift")
         fx = conv_model.scores(x[None])[0, target]
         f0 = conv_model.scores(np.zeros_like(x)[None])[0, target]
         assert h.values.sum() == pytest.approx(fx - f0, rel=1e-6)
@@ -209,8 +221,8 @@ class TestInvariantsOnRandomNets:
             z = float(w @ x)
             ratio = (max(z, 0.0) - max(zb, 0.0)) / (z - zb)
             assert 0.0 < ratio < 1.0
-            h = attribute(model, x, 0, "deeplift",
-                          deeplift_baseline=base).values
+            h = attribute(model, _fp(model, x), 0, "deeplift",
+                          deeplift_baseline=_fp(model, base)).values
             np.testing.assert_allclose(h, (x - base) * w * ratio,
                                        rtol=1e-12, atol=1e-15)
             assert abs(h.sum() - (max(z, 0.0) - max(zb, 0.0))) <= 1e-12
@@ -218,8 +230,8 @@ class TestInvariantsOnRandomNets:
             # baseline's: the multiplier is relu's derivative there
             level = base + rng.uniform(0.5, 2.0) * np.array([w[1], -w[0]])
             assert abs(w @ level - zb) < 1e-9
-            h = attribute(model, level, 0, "deeplift",
-                          deeplift_baseline=base).values
+            h = attribute(model, _fp(model, level), 0, "deeplift",
+                          deeplift_baseline=_fp(model, base)).values
             np.testing.assert_allclose(h, (level - base) * w * (zb > 0),
                                        rtol=1e-12, atol=1e-15)
 
@@ -227,15 +239,18 @@ class TestInvariantsOnRandomNets:
 class TestValidation:
     def test_unknown_method(self, linear_model):
         with pytest.raises(ValueError, match="unknown method"):
-            attribute(linear_model, np.zeros(5), 0, "lime")
+            attribute(linear_model, _fp(linear_model, np.zeros(5)), 0,
+                      "lime")
 
     def test_target_out_of_range(self, linear_model):
         with pytest.raises(ValueError, match="out of range"):
-            attribute(linear_model, np.zeros(5), 7, "saliency")
+            attribute(linear_model, _fp(linear_model, np.zeros(5)), 7,
+                      "saliency")
 
     def test_input_shape_checked(self, linear_model):
-        with pytest.raises(ShapeError):
-            attribute(linear_model, np.zeros(6), 0, "saliency")
+        # the graph's builder checks the sample's shape
+        with pytest.raises(ShapeError, match="sample shape"):
+            attribute_at_predicted(linear_model, np.zeros(6), "saliency")
 
     def test_parse_method(self):
         assert parse_method("layer-gradcam:pool1") == ("layer-gradcam", "pool1")
@@ -248,13 +263,20 @@ def _x16(seed):
     return np.random.default_rng(seed).uniform(0, 1, size=(3, 16, 16))
 
 
-# every heatmap kind one graph serves, as (method, keyword arguments)
-SHARED_CASES = [*((m, {}) for m in (*METHODS, "layer-gradcam:conv2")),
-                ("saliency", {"abs_values": True}),
-                ("deeplift", {"deeplift_baseline": _x16(30)})]
-# methods that raise on a graph after checking the request
-FAILING_CASES = [("layer-gradcam:nope", {}),
-                 ("deeplift", {"deeplift_baseline": np.zeros((3, 8, 8))})]
+def _shared_cases(model):
+    """Every heatmap kind one graph serves, as (method, keyword arguments),
+    with a fresh baseline graph."""
+    return [*((m, {}) for m in (*METHODS, "layer-gradcam:conv2")),
+            ("saliency", {"abs_values": True}),
+            ("deeplift", {"deeplift_baseline": _fp(model, _x16(30))})]
+
+
+# methods that raise on a graph after checking the request: an unknown
+# layer, and a baseline graph of another input shape
+FAILING_CASES = [
+    ("layer-gradcam:nope", {}),
+    ("deeplift", {"deeplift_baseline": _fp(
+        MiniConvNet(input_shape=(3, 8, 8), seed=1), np.zeros((3, 8, 8)))})]
 
 
 def _same_bytes(a, b):
@@ -265,10 +287,10 @@ class TestSharedGraph:
     @pytest.mark.parametrize("order", ["forward", "reverse", "after-failure"])
     def test_heatmaps_match_fresh_graphs(self, conv_model, order):
         x = _x16(31)
-        fresh = [attribute(conv_model, x, 1, m, **kw).values
-                 for m, kw in SHARED_CASES]
-        graph = conv_model.forward_graph(x[None])
-        cases = list(enumerate(SHARED_CASES))
+        fresh = [attribute(conv_model, _fp(conv_model, x), 1, m, **kw)
+                 for m, kw in _shared_cases(conv_model)]
+        graph = _fp(conv_model, x)
+        cases = list(enumerate(_shared_cases(conv_model)))
         if order == "reverse":
             cases.reverse()
         shared = {}
@@ -276,18 +298,18 @@ class TestSharedGraph:
             if order == "after-failure":
                 for bad, bad_kw in FAILING_CASES:
                     with pytest.raises(ValueError):
-                        attribute(conv_model, x, 1, bad, graph=graph, **bad_kw)
-            shared[i] = attribute(conv_model, x, 1, method, graph=graph,
-                                  **kw).values
+                        attribute(conv_model, graph, 1, bad, **bad_kw)
+            shared[i] = attribute(conv_model, graph, 1, method, **kw).values
         # compared after every sweep ran: no sweep wrote an earlier heatmap
         for i, want in enumerate(fresh):
-            assert _same_bytes(shared[i], want), SHARED_CASES[i]
+            assert _same_bytes(shared[i], want.values), (i, want.method)
 
     def test_at_predicted_matches_a_fresh_graph(self, conv_model):
         x = _x16(32)
         pred, _ = predict_graph(conv_model, x)
         for method in METHODS:
-            want = normalize(attribute(conv_model, x, pred, method))
+            want = normalize(attribute(conv_model, _fp(conv_model, x),
+                                       pred, method))
             got = attribute_at_predicted(conv_model, x, method)
             assert got.target_class == pred
             assert _same_bytes(got.values, want.values)
@@ -309,50 +331,39 @@ class TestSharedGraph:
                                                         requests):
         x = _x16(34)
         graph = predict_graph(conv_model, x)[1]
-        got = [attribute(conv_model, x, t, m, graph=graph, **kw).values
+        got = [attribute(conv_model, graph, t, m, **kw).values
                for t, m, kw in requests]
         for (t, m, kw), values in zip(requests, got):
-            want = attribute(conv_model, x, t, m, **kw).values
+            want = attribute(conv_model, _fp(conv_model, x), t, m,
+                             **kw).values
             assert _same_bytes(values, want), (t, m, kw)
 
     def test_editing_a_heatmap_leaves_the_record_intact(self, conv_model):
         x = _x16(35)
         graph = predict_graph(conv_model, x)[1]
-        sal = attribute(conv_model, x, 1, "saliency", graph=graph).values
+        sal = attribute(conv_model, graph, 1, "saliency").values
         sal[...] = np.nan
         for method in ("input-x-gradient", "saliency", "layer-gradcam"):
-            got = attribute(conv_model, x, 1, method, graph=graph).values
-            assert _same_bytes(got, attribute(conv_model, x, 1,
-                                              method).values), method
+            got = attribute(conv_model, graph, 1, method).values
+            want = attribute(conv_model, _fp(conv_model, x), 1, method).values
+            assert _same_bytes(got, want), method
 
     def test_deeplift_baseline_graph_matches_its_array(self, conv_model):
         x, base = _x16(36), _x16(37)
         base_graph = predict_graph(conv_model, base)[1]
         for _ in range(2):      # the baseline graph serves many calls
-            got = attribute(conv_model, x, 1, "deeplift",
+            got = attribute(conv_model, _fp(conv_model, x), 1, "deeplift",
                             deeplift_baseline=base_graph).values
-            want = attribute(conv_model, x, 1, "deeplift",
-                             deeplift_baseline=base).values
+            want = attribute(conv_model, _fp(conv_model, x), 1, "deeplift",
+                             deeplift_baseline=_fp(conv_model, base)).values
             assert _same_bytes(got, want)
         with pytest.raises(ShapeError, match="baseline graph input shape"):
-            attribute(conv_model, x, 1, "deeplift",
+            attribute(conv_model, _fp(conv_model, x), 1, "deeplift",
                       deeplift_baseline=conv_model.forward_graph(
                           np.stack([base, base])))
-
-    def test_graph_of_another_input_rejected(self, conv_model):
-        x = _x16(38)
-        graph = predict_graph(conv_model, _x16(39))[1]
-        for method in METHODS:
-            with pytest.raises(ValueError, match="another input"):
-                attribute(conv_model, x, 0, method, graph=graph)
-        # one flipped sign bit is another input
-        graph = predict_graph(conv_model, np.where(x == x.max(), -0.0, x))[1]
-        with pytest.raises(ValueError, match="another input"):
-            attribute(conv_model, np.where(x == x.max(), 0.0, x), 0,
-                      "saliency", graph=graph)
 
     def test_graph_of_another_shape_rejected(self, conv_model):
         x = _x16(33)
         with pytest.raises(ShapeError, match="graph input shape"):
-            attribute(conv_model, x, 0, "saliency",
-                      graph=conv_model.forward_graph(np.stack([x, x])))
+            attribute(conv_model, conv_model.forward_graph(np.stack([x, x])),
+                      0, "saliency")

@@ -478,6 +478,25 @@ def test_unusable_model_is_one_line(tiny_run, tmp_path, capsys, entry, edit,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["attribute", "ax-sweep", "gax"])
+def test_one_class_model_is_one_line(tiny_run, tmp_path, capsys, command):
+    # a one-class head loads as a working net, but no CO score exists for it
+    from gaxkit.formats import read_gaxm, write_gaxm
+
+    data, model = tiny_run
+    named = read_gaxm(model)
+    named["fc.w"], named["fc.b"] = named["fc.w"][:1], named["fc.b"][:1]
+    bad = tmp_path / "one.gaxm"
+    write_gaxm(bad, named)
+    out = tmp_path / "out"
+    assert main([command, "--model", str(bad), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: entry 'fc.b' must hold at least 2 class biases, "
+        "got 1\n")
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_nonfinite_loss_is_one_line(tiny_run, tmp_path, capsys):
     # the first update leaves the float32 grid; no numpy warning comes first
@@ -621,11 +640,10 @@ def test_attribute_target_and_abs_are_attribute_arguments(tiny_run, tmp_path):
                  "--index", str(index), "--target", "1", "--abs",
                  "--method", "guided-backprop",
                  "--out", str(tmp_path / "cli" / "heat")]) == 0
-    heat = attribute(net, split.x[index], 1, "guided-backprop",
-                     abs_values=True)
+    fp = net.forward_graph(split.x[index][None])
+    heat = attribute(net, fp, 1, "guided-backprop", abs_values=True)
     # the signed map has negative entries, so --abs changes the bytes
-    assert (attribute(net, split.x[index], 1, "guided-backprop").values
-            < 0).any()
+    assert (attribute(net, fp, 1, "guided-backprop").values < 0).any()
     export_heatmap(normalize(heat), tmp_path / "lib" / "heat")
     assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
 

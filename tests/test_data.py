@@ -1,5 +1,7 @@
 """Synthetic data generation, disk layout, and image ingestion."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,32 @@ class TestManifestErrors:
             load_dataset(tmp_path)
 
 
+    def test_duplicate_sample_id_in_a_split_named(self, tmp_path):
+        # gax and ax-sweep key their outputs by sample id, per split
+        gen_data(DatasetSpec(train=2, val=0, test=2, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines, 1)
+                     if line.startswith("sample,test,"))
+        rel = lines[first - 1].split(",")[3]
+        name = Path(rel).name
+        other = tmp_path / "test" / "other"
+        other.mkdir()
+        (other / name).write_bytes((tmp_path / rel).read_bytes())
+        # one id in two splits is fine
+        lines.append(f"sample,val,0,test/other/{name}")
+        manifest.write_text("\n".join(lines) + "\n")
+        assert load_dataset(tmp_path).val.ids == [Path(rel).stem]
+        lines.append(f"sample,test,0,test/other/{name}")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{manifest} line {len(lines)}: sample id {Path(rel).stem!r} is "
+            f"already the id of line {first} in split 'test'")
+
+
 class TestIngest:
     def _write_class_dirs(self, root, shapes, *, color=False):
         rng = np.random.default_rng(0)
@@ -241,6 +269,16 @@ class TestIngest:
             ingest_images(tmp_path, (4, 4))
         assert str(info.value).startswith(f"{bad}: sample id ")
         assert "comma or a line break" in str(info.value)
+
+    def test_two_files_with_one_id_named(self, tmp_path):
+        self._write_class_dirs(tmp_path, [(4, 4)])
+        pgm = tmp_path / "class_0" / "s0.pgm"
+        ppm = pgm.with_suffix(".ppm")
+        formats.write_ppm(ppm, np.zeros((4, 4, 3), dtype=np.uint8))
+        with pytest.raises(ValueError) as info:
+            ingest_images(tmp_path, (4, 4), grayscale_stack=True)
+        assert str(info.value) == \
+            f"{pgm} and {ppm} both give sample id 'class_0/s0'"
 
     def test_empty_class_folder_is_error(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4)])

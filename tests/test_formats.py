@@ -212,11 +212,11 @@ class TestCorruption:
 
 class TestHeatmapRendering:
     def test_zero_map_renders_white(self, tmp_path):
-        rgb = formats.heatmap_to_rgb(np.zeros((3, 3)))
+        rgb = formats.heatmap_to_rgb(np.zeros((3, 3)), 0.0)
         assert (rgb == 255).all()
 
     def test_colormap_endpoints(self):
-        rgb = formats.heatmap_to_rgb(np.array([[1.0, -1.0, 0.0]]))
+        rgb = formats.heatmap_to_rgb(np.array([[1.0, -1.0, 0.0]]), 1.0)
         np.testing.assert_array_equal(rgb[0, 0], [255, 0, 0])    # pure red
         np.testing.assert_array_equal(rgb[0, 1], [0, 0, 255])    # pure blue
         np.testing.assert_array_equal(rgb[0, 2], [255, 255, 255])

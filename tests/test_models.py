@@ -85,6 +85,16 @@ class TestLoadChecks:
         assert str(info.value) == \
             f"{path}: entry 'fc.w' holds a non-finite value"
 
+    def test_one_class_head(self, named):
+        path, entries = named
+        entries["fc.w"], entries["fc.b"] = entries["fc.w"][:1], \
+            entries["fc.b"][:1]
+        write_gaxm(path, entries)
+        with pytest.raises(ValueError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == \
+            f"{path}: entry 'fc.b' must hold at least 2 class biases, got 1"
+
     def test_even_kernel(self, named):
         # the entries agree, but convs padded by kernel // 2 would not keep
         # H and W

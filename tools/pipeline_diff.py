@@ -55,8 +55,11 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # heatmaps (also with the bias and with no similarity penalty), and the
 # parameter gradients of one training step at batch 32 and one at batch 3:
 # conv2d's kernel gradient reads its window matrix in place at the first
-# and copies it at the second.
+# and copies it at the second.  ``explain`` calls ``attribute`` in the form
+# the tree takes: a sample's graph, or (in trees before it took one) the
+# sample itself.
 PROBE = """
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +77,15 @@ def dump(name, values):
 
 model = MiniConvNet.load("rgb.gaxm")
 ds = load_dataset("rgb")
+if "graph" in inspect.signature(attribute).parameters:
+    def explain(x, target, method):
+        return attribute(model, x, target, method)
+else:
+    def explain(x, target, method):
+        return attribute(model, model.forward_graph(x[None]), target, method)
 for method in (*METHODS, "layer-gradcam:conv2"):
     dump("attribute_" + method.replace(":", "_"),
-         [attribute(model, ds.test.x[i], i % 2, method).values
-          for i in range(4)])
+         [explain(ds.test.x[i], i % 2, method).values for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
 methods = [*reversed(METHODS)]
@@ -112,6 +120,25 @@ for batch, tag in ((32, ""), (3, "_batch3")):
     fp.scores.backward(p / batch, wrt=list(fp.params.values()))
     for name, leaf in fp.params.items():
         dump(f"grad{tag}_{name}", leaf.grad)
+"""
+
+# inputs the CLI must reject with one line: a weight file whose head has
+# one class, and a copy of rgb whose manifest lists one test sample twice,
+# so two test samples share one sample id
+BAD_INPUTS = """
+import shutil
+from pathlib import Path
+
+from gaxkit.formats import read_gaxm, write_gaxm
+
+named = read_gaxm("rgb.gaxm")
+named["fc.w"], named["fc.b"] = named["fc.w"][:1], named["fc.b"][:1]
+write_gaxm("one_class.gaxm", named)
+shutil.copytree("rgb", "dup_ids")
+manifest = Path("dup_ids/manifest.txt")
+lines = manifest.read_text().splitlines()
+lines.append(next(line for line in lines if line.startswith("sample,test,")))
+manifest.write_text("\\n".join(lines) + "\\n")
 """
 
 
@@ -187,6 +214,13 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("toy-sweep tilted", "toy-sweep", "--a1", "0.7", "--a2", "0.3",
              "--keta", "2.5", "--out", "toy_tilted.csv"),
         # known error cases: one line on stderr, no traceback
+        ("write bad inputs", ("-c", BAD_INPUTS)),
+        _cli("error one-class model", "gax", "--model", "one_class.gaxm",
+             "--data", "rgb", "--first-n", "2", "--max-iterations", "5",
+             "--out", "gax_one_class"),
+        _cli("error duplicate sample id", "ax-sweep", "--model", "rgb.gaxm",
+             "--data", "dup_ids", "--methods", "saliency", "--out",
+             "dup_ids.csv"),
         _cli("error unknown method", "attribute", "--model", "rgb.gaxm",
              "--data", "rgb", "--method", "nope", "--out", "attr/bad"),
         _cli("error index", "attribute", "--model", "rgb.gaxm", "--data",
