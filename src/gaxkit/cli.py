@@ -24,20 +24,19 @@ from .models import MiniConvNet, predict_graph
 from .training import TrainConfig, train
 
 
-def _shape(names: str):
-    """argparse type: the integers >= 1 ``names`` lists, split by ',' or
-    'x'."""
-    def parse(text: str) -> tuple[int, ...]:
-        parts = text.replace("x", ",").split(",")
-        if len(parts) != len(names.split(",")):
-            raise argparse.ArgumentTypeError(f"expected {names}, got {text!r}")
-        dims = tuple(int(p) for p in parts)
-        if min(dims) < 1:
-            raise argparse.ArgumentTypeError(
-                f"expected {names} entries >= 1, got {text!r}")
-        return dims
-    parse.__name__ = names      # argparse: "invalid C,H,W value: '3,a,8'"
-    return parse
+def _image_shape(text: str) -> tuple[int, int, int]:
+    """argparse type: C,H,W integers >= 1, split by ',' or 'x'."""
+    parts = text.replace("x", ",").split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected C,H,W, got {text!r}")
+    dims = tuple(int(p) for p in parts)
+    if min(dims) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected C,H,W entries >= 1, got {text!r}")
+    return dims
+
+
+_image_shape.__name__ = "C,H,W"     # argparse: "invalid C,H,W value: '3,a,8'"
 
 
 def _csv_list(check):
@@ -73,16 +72,14 @@ def _check_out_dirs(args, *dests: str) -> None:
                              "a directory")
 
 
-def _load_split(data_dir: str, split: str, resize, stack: bool):
+def _load_split(data_dir: str, split: str | None, image_shape):
     root = Path(data_dir)
     if (root / "manifest.txt").exists():
-        ds = load_dataset(root)
-        return getattr(ds, split)
-    if resize is None:
-        raise ValueError(
-            f"{root} has no manifest.txt; pass --resize to ingest raw "
-            "class directories")
-    return ingest_images(root, resize, grayscale_stack=stack)
+        return getattr(load_dataset(root), split or "test")
+    if split is not None:
+        raise ValueError(f"--split {split}: {root} has no manifest.txt; a "
+                         "raw class directory is a single split")
+    return ingest_images(root, image_shape)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,11 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--model", required=True)
     inputs.add_argument("--data", required=True)
-    inputs.add_argument("--split", default="test", choices=SPLITS)
-    inputs.add_argument("--resize", type=_shape("H,W"), default=None,
-                        help="H,W for ingesting raw class directories")
-    inputs.add_argument("--stack", action="store_true",
-                        help="stack grayscale images to 3 channels on ingest")
+    inputs.add_argument("--split", default=None, choices=SPLITS,
+                        help="split of a manifest dataset (default: test)")
 
     p = sub.add_parser("gen-data", help="generate a synthetic blob dataset")
     p.add_argument("--out", required=True)
@@ -106,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=DatasetSpec.train)
     p.add_argument("--val", type=int, default=DatasetSpec.val)
     p.add_argument("--test", type=int, default=DatasetSpec.test)
-    p.add_argument("--shape", type=_shape("C,H,W"),
+    p.add_argument("--shape", type=_image_shape,
                    default=DatasetSpec.image_shape, help="image shape C,H,W")
     p.add_argument("--seed", type=int, default=DatasetSpec.seed)
 
@@ -208,7 +202,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_attribute(args) -> int:
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, args.resize, args.stack)
+    split = _load_split(args.data, args.split, model.input_shape)
     if not 0 <= args.index < len(split):
         raise ValueError(f"--index {args.index} out of range for a split "
                          f"of {len(split)} samples")
@@ -225,7 +219,7 @@ def _cmd_attribute(args) -> int:
 def _cmd_ax_sweep(args) -> int:
     _check_out_dirs(args, "out")
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, args.resize, args.stack)
+    split = _load_split(args.data, args.split, model.input_shape)
     records, errors = ax_mod.ax_sweep(model, split, args.methods,
                                       args.variants)
     ax_mod.write_scores_csv(records, args.out)
@@ -263,7 +257,7 @@ def _cmd_gap_stats(args) -> int:
 
 def _cmd_gax(args) -> int:
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, args.resize, args.stack)
+    split = _load_split(args.data, args.split, model.input_shape)
     use_bias = args.bias
     if use_bias is None:
         # dark datasets stall without the bias: w * 0 stays 0 under tanh

@@ -43,7 +43,6 @@ class Split:
     x: np.ndarray                  # (N, C, H, W) float64 in [0, 1]
     y: np.ndarray                  # (N,) int64
     ids: list[str]
-    class_names: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.y)
@@ -246,19 +245,20 @@ def nearest_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[ri][:, ci]
 
 
-def ingest_images(directory, resize_to: tuple[int, int],
-                  grayscale_stack: bool = False) -> Split:
-    """Read a directory of per-class PGM/PPM folders into one labeled split.
+def ingest_images(directory, image_shape: tuple[int, int, int]) -> Split:
+    """Read a directory of per-class PGM/PPM folders into one labeled split
+    of ``image_shape`` (C, H, W) images.
 
-    Images are nearest-neighbor resized to ``resize_to``, scaled to [0, 1],
-    and optionally stacked from 1 to 3 channels.  Unreadable files are
-    skipped with a warning; an empty class folder is an error.
+    Images are nearest-neighbor resized to H x W, a 1-channel image is
+    repeated to 3 channels when C is 3, and values are scaled to [0, 1].
+    Any other channel count than C is an error naming the file.  Unreadable
+    files are skipped with a warning; an empty class folder is an error.
     """
     root = Path(directory)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise ValueError(f"no class subdirectories under {root}")
-    out_h, out_w = resize_to
+    c, out_h, out_w = image_shape
     images, labels = [], []
     files_of = {}               # sample id -> file that gave it
     for label, cdir in enumerate(class_dirs):
@@ -276,20 +276,17 @@ def ingest_images(directory, resize_to: tuple[int, int],
                 raise ValueError(f"{files_of[sid]} and {f} both give sample "
                                  f"id {sid!r}")
             files_of[sid] = f
+            depth = 1 if img.ndim == 2 else img.shape[2]
+            if depth != c and (depth, c) != (1, 3):
+                raise ValueError(f"{f}: {depth} channels, expected {c}")
             img = nearest_resize(img, out_h, out_w)
-            if img.ndim == 2:
-                chans = np.repeat(img[None], 3, axis=0) if grayscale_stack \
-                    else img[None]
-            else:
-                chans = np.moveaxis(img, 2, 0)
+            chans = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
+            if depth != c:
+                chans = np.repeat(chans, c, axis=0)
             images.append(chans / 255.0)
             labels.append(label)
             loaded += 1
         if loaded == 0:
             raise ValueError(f"empty class folder: {cdir}")
-    depth = {img.shape[0] for img in images}
-    if len(depth) != 1:
-        raise ValueError(
-            f"mixed channel counts {sorted(depth)}; pass grayscale_stack=True")
     return Split(np.stack(images), np.asarray(labels, dtype=np.int64),
-                 list(files_of), class_names=[d.name for d in class_dirs])
+                 list(files_of))

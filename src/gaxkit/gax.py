@@ -214,7 +214,10 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for trace in traces:
-            write_trace_csv(trace, out / f"{trace.sample_id}.trace.csv")
+            # a raw sample id is <class dir>/<stem>
+            path = out / f"{trace.sample_id}.trace.csv"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_trace_csv(trace, path)
         write_manifest(traces, out / "manifest.csv")
         if errors:
             write_lines(out / "errors.log",

@@ -218,7 +218,7 @@ class TestIngest:
 
     def test_grayscale_stack_replicates_channels(self, tmp_path):
         self._write_class_dirs(tmp_path, [(8, 8), (8, 8)])
-        split = ingest_images(tmp_path, (8, 8), grayscale_stack=True)
+        split = ingest_images(tmp_path, (3, 8, 8))
         assert split.x.shape == (4, 3, 8, 8)
         np.testing.assert_array_equal(split.x[:, 0], split.x[:, 1])
         np.testing.assert_array_equal(split.x[:, 0], split.x[:, 2])
@@ -229,13 +229,13 @@ class TestIngest:
         d = tmp_path / "class_a"
         d.mkdir()
         formats.write_ppm(d / "x.ppm", img)
-        split = ingest_images(tmp_path, (6, 6))
+        split = ingest_images(tmp_path, (3, 6, 6))
         np.testing.assert_array_equal(split.x[0],
                                       np.moveaxis(img, 2, 0) / 255.0)
 
     def test_mixed_sizes_resized_to_target(self, tmp_path):
         self._write_class_dirs(tmp_path, [(5, 7), (12, 4)], color=True)
-        split = ingest_images(tmp_path, (8, 8))
+        split = ingest_images(tmp_path, (3, 8, 8))
         assert split.x.shape == (4, 3, 8, 8)
         assert split.x.min() >= 0.0 and split.x.max() <= 1.0
 
@@ -244,7 +244,7 @@ class TestIngest:
         bad = tmp_path / "class_0" / "bad.pgm"
         bad.write_bytes(b"not an image")
         with pytest.warns(UserWarning) as record:
-            split = ingest_images(tmp_path, (4, 4))
+            split = ingest_images(tmp_path, (1, 4, 4))
         assert len(split) == 4
         assert [str(w.message) for w in record] == [
             f"skipping {bad}: unsupported PNM magic b'not'"]
@@ -254,7 +254,7 @@ class TestIngest:
         bad = tmp_path / "class_0" / "empty.pgm"
         bad.write_bytes(b"P5\n0 4\n255\n")
         with pytest.warns(UserWarning) as record:
-            split = ingest_images(tmp_path, (8, 8))
+            split = ingest_images(tmp_path, (1, 8, 8))
         assert len(split) == 4
         assert [str(w.message) for w in record] == [
             f"skipping {bad}: width 0 is below 1"]
@@ -266,7 +266,7 @@ class TestIngest:
         bad = tmp_path / "class_0" / name
         (tmp_path / "class_0" / "s0.pgm").rename(bad)
         with pytest.raises(ValueError) as info:
-            ingest_images(tmp_path, (4, 4))
+            ingest_images(tmp_path, (1, 4, 4))
         assert str(info.value).startswith(f"{bad}: sample id ")
         assert "comma or a line break" in str(info.value)
 
@@ -276,7 +276,7 @@ class TestIngest:
         ppm = pgm.with_suffix(".ppm")
         formats.write_ppm(ppm, np.zeros((4, 4, 3), dtype=np.uint8))
         with pytest.raises(ValueError) as info:
-            ingest_images(tmp_path, (4, 4), grayscale_stack=True)
+            ingest_images(tmp_path, (3, 4, 4))
         assert str(info.value) == \
             f"{pgm} and {ppm} both give sample id 'class_0/s0'"
 
@@ -284,10 +284,35 @@ class TestIngest:
         self._write_class_dirs(tmp_path, [(4, 4)])
         (tmp_path / "class_empty").mkdir()
         with pytest.raises(ValueError, match="empty class"):
-            ingest_images(tmp_path, (4, 4))
+            ingest_images(tmp_path, (1, 4, 4))
 
     def test_class_names_follow_directory_order(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4), (4, 4)])
-        split = ingest_images(tmp_path, (4, 4))
-        assert split.class_names == ["class_0", "class_1"]
-        np.testing.assert_array_equal(np.unique(split.y), [0, 1])
+        split = ingest_images(tmp_path, (1, 4, 4))
+        assert split.ids == ["class_0/s0", "class_0/s1",
+                             "class_1/s0", "class_1/s1"]
+        np.testing.assert_array_equal(split.y, [0, 0, 1, 1])
+
+    def test_gray_and_color_images_meet_at_three_channels(self, tmp_path):
+        self._write_class_dirs(tmp_path, [(4, 4)])
+        rgb = np.random.default_rng(1).integers(0, 256, size=(4, 4, 3),
+                                                dtype=np.uint8)
+        (tmp_path / "class_1").mkdir()
+        formats.write_ppm(tmp_path / "class_1" / "c.ppm", rgb)
+        split = ingest_images(tmp_path, (3, 4, 4))
+        assert split.ids == ["class_0/s0", "class_0/s1", "class_1/c"]
+        np.testing.assert_array_equal(split.x[2],
+                                      np.moveaxis(rgb, 2, 0) / 255.0)
+        np.testing.assert_array_equal(split.x[0, 0], split.x[0, 2])
+
+    @pytest.mark.parametrize("color, shape", [(True, (1, 4, 4)),
+                                              (False, (2, 4, 4))],
+                             ids=["color-into-one", "gray-into-two"])
+    def test_channel_count_the_shape_cannot_take_named(self, tmp_path, color,
+                                                       shape):
+        self._write_class_dirs(tmp_path, [(4, 4)], color=color)
+        first = tmp_path / "class_0" / ("s0.ppm" if color else "s0.pgm")
+        with pytest.raises(ValueError) as info:
+            ingest_images(tmp_path, shape)
+        assert str(info.value) == \
+            f"{first}: {3 if color else 1} channels, expected {shape[0]}"

@@ -55,11 +55,8 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # heatmaps (also with the bias and with no similarity penalty), and the
 # parameter gradients of one training step at batch 32 and one at batch 3:
 # conv2d's kernel gradient reads its window matrix in place at the first
-# and copies it at the second.  ``explain`` calls ``attribute`` in the form
-# the tree takes: a sample's graph, or (in trees before it took one) the
-# sample itself.
+# and copies it at the second.
 PROBE = """
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +74,10 @@ def dump(name, values):
 
 model = MiniConvNet.load("rgb.gaxm")
 ds = load_dataset("rgb")
-if "graph" in inspect.signature(attribute).parameters:
-    def explain(x, target, method):
-        return attribute(model, x, target, method)
-else:
-    def explain(x, target, method):
-        return attribute(model, model.forward_graph(x[None]), target, method)
 for method in (*METHODS, "layer-gradcam:conv2"):
     dump("attribute_" + method.replace(":", "_"),
-         [explain(ds.test.x[i], i % 2, method).values for i in range(4)])
+         [attribute(model, model.forward_graph(ds.test.x[i][None]), i % 2,
+                    method).values for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
 methods = [*reversed(METHODS)]
@@ -179,13 +171,15 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("ax-sweep gray gradcam first", "ax-sweep", "--model",
              "gray.gaxm", "--data", "gray", "--methods",
              GRADCAM_FIRST_METHODS, "--out", "gray_gradcam_first.csv"),
+        # raw class directories, read at the model's input shape: gray
+        # 12x12 as is, and resized to 16x16 and repeated to 3 channels
         _cli("ax-sweep raw", "ax-sweep", "--model", "gray.gaxm", "--data",
-             "gray/test", "--resize", "12,12", "--methods",
-             "saliency,deeplift", "--out", "raw.csv"),
+             "gray/test", "--methods", "saliency,deeplift", "--out",
+             "raw.csv"),
         _cli("ax-sweep raw stack", "ax-sweep", "--model", "rgb.gaxm",
-             "--data", "gray/test", "--resize", "16,16", "--stack",
-             "--methods", "guided-backprop,layer-gradcam", "--variants",
-             "mul", "--out", "stack.csv"),
+             "--data", "gray/test", "--methods",
+             "guided-backprop,layer-gradcam", "--variants", "mul", "--out",
+             "stack.csv"),
         _cli("gap-stats", "gap-stats", "--scores", "scores.csv"),
         _cli("gap-stats filtered", "gap-stats", "--scores", "scores.csv",
              "--method", "saliency", "--variant", "sum", "--hist",
@@ -229,8 +223,10 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--data", "rgb", "--out", "bad.csv"),
         _cli("error model shape", "ax-sweep", "--model", "gray.gaxm",
              "--data", "rgb", "--out", "bad.csv"),
-        _cli("error no manifest", "ax-sweep", "--model", "rgb.gaxm",
-             "--data", "gray/test", "--out", "bad.csv"),
+        _cli("error raw channels", "ax-sweep", "--model", "gray.gaxm",
+             "--data", "rgb/test", "--out", "bad.csv"),
+        _cli("error raw split", "ax-sweep", "--model", "rgb.gaxm", "--data",
+             "gray/test", "--split", "train", "--out", "bad.csv"),
         _cli("error snapshot every", "gax", "--model", "rgb.gaxm", "--data",
              "rgb", "--snapshot-every", "0", "--out", "gax_bad"),
         _cli("error shape count", "gen-data", "--out", "bad", "--shape",
