@@ -102,16 +102,15 @@ def check_variant(variant: str) -> None:
 
 
 def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
-             variants, *, fx=None) -> np.ndarray:
+             variants, *, fx) -> np.ndarray:
     """CO scores of one sample against its groundtruth, shape
     ``(len(heatmaps), len(variants))``: entry ``[j, k]`` combines ``x`` with
     ``heatmaps[j]`` under ``variants[k]``.
 
-    Every combined input goes through one ``model.scores`` call.  ``fx`` is
-    the model's raw-score vector f(x), shape (C,), when the caller already
-    has it (``predict`` returns it); otherwise ``x`` joins that call.  A
-    batch-invariant ``scores`` (``MiniConvNet``'s) gives each entry the
-    bytes a call on that combined input alone gives.
+    ``fx`` is the model's raw-score vector f(x), shape (C,), as ``predict``
+    returns it.  Every combined input goes through one ``model.scores``
+    call; a batch-invariant ``scores`` (``MiniConvNet``'s) gives each entry
+    the bytes a call on that combined input alone gives.
     """
     for variant in variants:
         check_variant(variant)
@@ -126,12 +125,9 @@ def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
     constants = ScoreConstants(model.num_classes, int(groundtruth))
     combined = [x + h.values if variant == "sum" else x * h.values
                 for h in heatmaps for variant in variants]
-    if fx is None:
-        fx, *rows = model.scores(np.stack([x, *combined]))
-    elif np.shape(fx) != (model.num_classes,):
+    if np.shape(fx) != (model.num_classes,):
         raise ShapeError(f"fx shape {np.shape(fx)} != ({model.num_classes},)")
-    else:
-        rows = model.scores(np.stack(combined)) if combined else []
+    rows = model.scores(np.stack(combined)) if combined else []
     return np.reshape([constants.apply(row - fx) for row in rows],
                       (len(heatmaps), len(variants)))
 

@@ -172,7 +172,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
     return trace, heat
 
 
-def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
+def gax_sweep(model, split, cfg: GaxConfig, *, out_dir,
               limit: int | None = None
               ) -> tuple[list[GaxTrace], list[tuple[str, str]]]:
     """Run GAX over the correctly-classified samples of a split.
@@ -181,7 +181,7 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
     failures are logged and skipped; a run stopped by a non-finite loss
     keeps its trace and is logged too.  Returns (traces, errors).
 
-    With ``out_dir`` set, the run directory holds each run's snapshots,
+    The run directory ``out_dir`` holds each run's snapshots,
     ``<id>.trace.csv``, ``manifest.csv`` and, if any run failed,
     ``errors.log``; invalid inputs raise before anything is written.
     """
@@ -210,18 +210,17 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir=None,
         traces.append(trace)
         if trace.error is not None:
             errors.append((sid, trace.error))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for trace in traces:
-            # a raw sample id is <class dir>/<stem>
-            path = out / f"{trace.sample_id}.trace.csv"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(trace, path)
-        write_manifest(traces, out / "manifest.csv")
-        if errors:
-            write_lines(out / "errors.log",
-                        (f"{sid}: {msg}" for sid, msg in errors))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for trace in traces:
+        # a raw sample id is <class dir>/<stem>
+        path = out / f"{trace.sample_id}.trace.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(trace, path)
+    write_manifest(traces, out / "manifest.csv")
+    if errors:
+        write_lines(out / "errors.log",
+                    (f"{sid}: {msg}" for sid, msg in errors))
     return traces, errors
 
 

@@ -54,34 +54,34 @@ def snap32(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)
 
 
+CHANNELS = (8, 16)      # output channels of conv1 and conv2
+KERNEL = 3              # both convs' kernel size; each pads by KERNEL // 2
+
+
 class MiniConvNet:
     """Two conv-relu-pool blocks plus a fully connected raw-score head.
+
+    The convs have ``CHANNELS`` output channels and ``KERNEL`` x ``KERNEL``
+    kernels; a weight file of any other geometry does not load.
 
     Layer names are unique ("conv1", "pool1", "conv2", "pool2", "fc") so
     that activation-based attribution can address them.
     """
 
     def __init__(self, input_shape=(3, 32, 32), num_classes: int = 2,
-                 channels=(8, 16), kernel: int = 3, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
+                 seed: int = 0, params: dict[str, np.ndarray] | None = None):
         self.input_shape = tuple(int(d) for d in input_shape)
         self.num_classes = int(num_classes)
-        self.channels = tuple(int(c) for c in channels)
-        self.kernel = int(kernel)
         cin, h, w = self.input_shape
-        c1, c2 = self.channels
-        k = self.kernel
-        # the convs pad by k // 2 to keep H and W, and two 2x2 pools follow
+        (c1, c2), k = CHANNELS, KERNEL
+        # the convs keep H and W, and two 2x2 pools follow
         if min(h, w) < 4:
             raise ShapeError(f"input_shape {self.input_shape}: H and W must "
                              "be at least 4")
-        if k % 2 == 0:
-            raise ShapeError(f"kernel {k} must be odd")
-        self.feature_dim = c2 * (h // 4) * (w // 4)
         shapes = {
             "conv1.w": (c1, cin, k, k), "conv1.b": (c1,),
             "conv2.w": (c2, c1, k, k), "conv2.b": (c2,),
-            "fc.w": (self.num_classes, self.feature_dim),
+            "fc.w": (self.num_classes, c2 * (h // 4) * (w // 4)),
             "fc.b": (self.num_classes,),
         }
         if params is None:
@@ -112,7 +112,7 @@ class MiniConvNet:
         run one sample of the batch ``a`` at a time to give each sample the
         bytes it gets alone; ``forward_graph`` ignores it."""
         def conv(name):
-            return partial(ad.conv2d, k=leaves[name], pad=self.kernel // 2)
+            return partial(ad.conv2d, k=leaves[name], pad=KERNEL // 2)
 
         def bias(name):
             return partial(ad.bias_add, b=leaves[name])
@@ -158,7 +158,7 @@ class MiniConvNet:
     def save(self, path) -> None:
         named = dict(self.params)
         named["input_shape"] = np.asarray(self.input_shape, dtype=np.float64)
-        named["kernel"] = np.asarray([self.kernel], dtype=np.float64)
+        named["kernel"] = np.asarray([KERNEL], dtype=np.float64)
         write_gaxm(path, named)
 
     @classmethod
@@ -172,16 +172,18 @@ class MiniConvNet:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: entry {name!r} holds a non-finite "
                                  "value")
-        input_shape = _positive_ints(path, named, "input_shape", 3)
-        (kernel,) = _positive_ints(path, named, "kernel", 1)
-        channels = (named["conv1.w"].shape[0], named["conv2.w"].shape[0])
+        input_shape = _positive_ints(path, named, "input_shape")
+        kernel = named.pop("kernel")
+        if kernel.tolist() != [KERNEL]:
+            raise ValueError(f"{path}: entry 'kernel' must hold {KERNEL}, got "
+                             f"{kernel.tolist()}")
         num_classes = named["fc.b"].shape[0]
         if num_classes < 2:
             raise ValueError(f"{path}: entry 'fc.b' must hold at least 2 "
                              f"class biases, got {num_classes}")
         try:
             return cls(input_shape=input_shape, num_classes=num_classes,
-                       channels=channels, kernel=kernel, params=named)
+                       params=named)
         except ShapeError as exc:
             raise ShapeError(f"{path}: {exc}") from None
 
@@ -192,14 +194,13 @@ def _area_not_8(a) -> bool:
     return a.shape[2] * a.shape[3] % 8 != 0
 
 
-def _positive_ints(path, named, name: str, count: int) -> tuple[int, ...]:
-    """Pop entry ``name`` of a weight file, which must hold ``count``
-    positive integers."""
+def _positive_ints(path, named, name: str) -> tuple[int, ...]:
+    """Pop entry ``name`` of a weight file, which must hold 3 positive
+    integers."""
     arr = named.pop(name)
-    if arr.shape != (count,) or not (arr >= 1).all() or (arr % 1).any():
-        noun = "integer" if count == 1 else "integers"
-        raise ValueError(f"{path}: entry {name!r} must hold {count} positive "
-                         f"{noun}, got {arr.tolist()}")
+    if arr.shape != (3,) or not (arr >= 1).all() or (arr % 1).any():
+        raise ValueError(f"{path}: entry {name!r} must hold 3 positive "
+                         f"integers, got {arr.tolist()}")
     return tuple(int(v) for v in arr)
 
 

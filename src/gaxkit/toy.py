@@ -63,25 +63,20 @@ def delta_gradient(inst: ToyInstance) -> np.ndarray:
                      -(wi[1, 1] - wi[0, 1]) * x2])
 
 
-def closed_form_heatmap(inst: ToyInstance, w=(1.0, 1.0)) -> np.ndarray:
-    """Heatmap after ``k_eta`` total ascent on delta: (w + k*eta*grad) * x."""
+def closed_form_heatmap(inst: ToyInstance) -> np.ndarray:
+    """Heatmap after ``k_eta`` total ascent on delta from w = (1, 1):
+    (w + k*eta*grad) * x."""
     x = sample_vector(inst)
-    return (np.asarray(w, dtype=np.float64)
-            + inst.k_eta * delta_gradient(inst)) * x
+    return (1.0 + inst.k_eta * delta_gradient(inst)) * x
 
 
-def rotation_sweep(a1: float, a2: float, k_eta: float,
-                   thetas=None) -> np.ndarray:
+def rotation_sweep(a1: float, a2: float, k_eta: float) -> np.ndarray:
     """Rows of (theta, x1, x2, h1, h2) across a rotation grid.
 
-    The default grid spans [-pi, pi] with 97 points, covering both the
+    The grid spans [-pi, pi] with 97 points, covering both the
     non-negative quadrant sweep and the full-range variant.
     """
-    if thetas is None:
-        thetas = np.linspace(-np.pi, np.pi, 97)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if thetas.size == 0:
-        raise ValueError("rotation_sweep: empty theta grid")
+    thetas = np.linspace(-np.pi, np.pi, 97)
     rows = np.empty((thetas.size, 5))
     for i, theta in enumerate(thetas):
         inst = ToyInstance(float(theta), a1, a2, k_eta)

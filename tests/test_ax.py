@@ -24,6 +24,12 @@ class _ShiftedModel:
         return self.inner.scores(x) + self.c
 
 
+def _co(model, x, heatmaps, groundtruth, variants):
+    """``co_score`` with f(x) from the scoring model's own ``scores``."""
+    return co_score(model, x, heatmaps, groundtruth, variants,
+                    fx=model.scores(np.asarray(x)[None])[0])
+
+
 def _count_rows(monkeypatch, model) -> list[int]:
     """Record the batch size of every forward pass the model runs."""
     rows: list[int] = []
@@ -68,17 +74,16 @@ class TestCoScore:
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=0)
         x = np.random.default_rng(1).uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(np.zeros_like(x), "saliency", 0)
-        assert co_score(model, x, [h], 0, ["sum"])[0, 0] == 0.0
+        assert _co(model, x, [h], 0, ["sum"])[0, 0] == 0.0
 
     def test_uniform_output_shift_leaves_score_unchanged(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.2, size=(3, 8, 8)), "saliency", 1)
-        base = co_score(model, x, [h], 1, ["sum"])[0, 0]
+        base = _co(model, x, [h], 1, ["sum"])[0, 0]
         for c in (0.5, -3.0, 1e3):
-            shifted = co_score(_ShiftedModel(model, c), x, [h], 1,
-                               ["sum"])[0, 0]
+            shifted = _co(_ShiftedModel(model, c), x, [h], 1, ["sum"])[0, 0]
             assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_toy_identity_heatmap_scores_coefficient_gap(self):
@@ -89,8 +94,7 @@ class TestCoScore:
             a2 = rng.uniform(0.01, 1.0)
             a1 = a2 + rng.uniform(0.01, 1.0)
             x = np.array([a1, a2])
-            got = co_score(model, x, [Heatmap(x, "identity", 0)], 0,
-                           ["sum"])[0, 0]
+            got = _co(model, x, [Heatmap(x, "identity", 0)], 0, ["sum"])[0, 0]
             assert got == pytest.approx(a1 - a2, abs=1e-12)
 
     def test_groundtruth_swap_negates_for_two_classes(self):
@@ -98,8 +102,8 @@ class TestCoScore:
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.3, size=(3, 8, 8)), "saliency", 0)
-        s0 = co_score(model, x, [h], 0, ["sum"])[0, 0]
-        s1 = co_score(model, x, [h], 1, ["sum"])[0, 0]
+        s0 = _co(model, x, [h], 0, ["sum"])[0, 0]
+        s1 = _co(model, x, [h], 1, ["sum"])[0, 0]
         assert s1 == pytest.approx(-s0, abs=1e-12)
 
     def test_linear_in_final_layer_scale(self):
@@ -107,11 +111,11 @@ class TestCoScore:
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.3, size=(3, 8, 8)), "saliency", 0)
-        base = co_score(model, x, [h], 0, ["sum"])[0, 0]
+        base = _co(model, x, [h], 0, ["sum"])[0, 0]
         lam = 2.0  # exactly representable so the scaling stays exact
         model.params["fc.w"] = model.params["fc.w"] * lam
         model.params["fc.b"] = model.params["fc.b"] * lam
-        assert co_score(model, x, [h], 0, ["sum"])[0, 0] == pytest.approx(
+        assert _co(model, x, [h], 0, ["sum"])[0, 0] == pytest.approx(
             lam * base, rel=1e-12)
 
     def test_mul_variant(self):
@@ -119,16 +123,14 @@ class TestCoScore:
         x = np.array([0.5, 0.25])
         h = Heatmap(np.array([1.0, -1.0]), "m", 0)
         # f(x*h) - f(x) = (0, -0.5); kappa = (1, -1) -> 0.5
-        assert co_score(model, x, [h], 0, ["mul"])[0, 0] == pytest.approx(0.5)
+        assert _co(model, x, [h], 0, ["mul"])[0, 0] == pytest.approx(0.5)
 
     def test_shape_and_variant_validation(self):
         model = LinearModel(np.eye(2))
         with pytest.raises(ValueError, match="variant"):
-            co_score(model, np.zeros(2), [Heatmap(np.zeros(2), "m", 0)], 0,
-                     ["xor"])
+            _co(model, np.zeros(2), [Heatmap(np.zeros(2), "m", 0)], 0, ["xor"])
         with pytest.raises(ShapeError):
-            co_score(model, np.zeros(2), [Heatmap(np.zeros(3), "m", 0)], 0,
-                     ["sum"])
+            _co(model, np.zeros(2), [Heatmap(np.zeros(3), "m", 0)], 0, ["sum"])
 
     def test_precomputed_fx_is_bitwise_equal(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)
@@ -136,9 +138,10 @@ class TestCoScore:
         x = rng.uniform(0, 1, size=(3, 8, 8))
         h = Heatmap(rng.normal(0, 0.2, size=(3, 8, 8)), "saliency", 1)
         fx = model.scores(x[None])[0]
-        for variant in ("sum", "mul"):
+        for variant, g in (("sum", x + h.values), ("mul", x * h.values)):
+            diff = model.scores(g[None])[0] - fx
             assert (co_score(model, x, [h], 1, [variant], fx=fx)[0, 0]
-                    == co_score(model, x, [h], 1, [variant])[0, 0])
+                    == ScoreConstants(2, 1).apply(diff))
         for bad in (fx[None], np.zeros(3)):
             with pytest.raises(ShapeError, match="fx shape"):
                 co_score(model, x, [h], 1, ["sum"], fx=bad)
@@ -152,18 +155,18 @@ class TestCoScore:
         heats = [Heatmap(rng.normal(0, 0.3, size=x.shape), "m", 0)
                  for _ in range(7)]
         variants = ["mul", "sum"]
-        for fx in (None, model.scores(x[None])[0]):
-            got = co_score(model, x, heats, 2, variants, fx=fx)
-            assert got.shape == (7, 2)
-            alone = [[co_score(model, x, [h], 2, [v])[0, 0] for v in variants]
-                     for h in heats]
-            assert got.tobytes() == np.array(alone).tobytes()
+        fx = model.scores(x[None])[0]
+        got = co_score(model, x, heats, 2, variants, fx=fx)
+        assert got.shape == (7, 2)
+        alone = [[co_score(model, x, [h], 2, [v], fx=fx)[0, 0]
+                  for v in variants] for h in heats]
+        assert got.tobytes() == np.array(alone).tobytes()
 
     def test_no_heatmaps_scores_nothing(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=4)
         x = np.zeros((3, 8, 8))
-        for fx in (None, np.zeros(2)):
-            assert co_score(model, x, [], 0, ["sum"], fx=fx).shape == (0, 1)
+        assert co_score(model, x, [], 0, ["sum"],
+                        fx=np.zeros(2)).shape == (0, 1)
 
 
 @pytest.fixture(scope="module")

@@ -485,14 +485,18 @@ def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
     ("input_shape", lambda a: a + [0.0, 0.5, 0.0],
      "entry 'input_shape' must hold 3 positive integers, got [3.0, 8.5, 8.0]"),
     ("kernel", lambda a: np.repeat(a, 2),
-     "entry 'kernel' must hold 1 positive integer, got [3.0, 3.0]"),
+     "entry 'kernel' must hold 3, got [3.0, 3.0]"),
     ("fc.w", lambda a: a[:, :10],
      "parameter 'fc.w' has shape (2, 10), expected (2, 64)"),
-    ("kernel", lambda a: a - 1, "kernel 2 must be odd"),
+    ("kernel", lambda a: a - 1, "entry 'kernel' must hold 3, got [2.0]"),
+    ("kernel", lambda a: a + 2, "entry 'kernel' must hold 3, got [5.0]"),
+    ("conv1.w", lambda a: np.repeat(a, 2, axis=0),
+     "parameter 'conv1.w' has shape (16, 3, 3, 3), expected (8, 3, 3, 3)"),
     ("input_shape", lambda a: a - [0.0, 5.0, 0.0],
      "input_shape (3, 3, 8): H and W must be at least 4"),
 ], ids=["input_shape", "fc.w", "shape-two-values", "shape-fraction",
-        "kernel-two-values", "cut-fc-w", "even-kernel", "small-input"])
+        "kernel-two-values", "cut-fc-w", "even-kernel", "kernel-five",
+        "conv1-channels", "small-input"])
 def test_unusable_model_is_one_line(tiny_run, tmp_path, capsys, entry, edit,
                                     message):
     from gaxkit.formats import read_gaxm, write_gaxm

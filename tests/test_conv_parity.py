@@ -60,10 +60,12 @@ def _case(rng, n, cin, h, w, cout, kh, kw, pad):
 # MiniConvNet's conv1 and conv2 as (cin, h, w, cout, k), pad k // 2: the
 # default input (3, 32, 32), then gen-data --shape 3,16,16 and 1,12,12.
 # The last conv at odd N >= 25 is where the input gradient needs the
-# transposed product.
+# transposed product.  A weight file fixes every count but conv1's input
+# channels, so conv1 also runs at C = 2 and 4.
 MODEL_CONVS = [(3, 32, 32, 8, 3), (8, 16, 16, 16, 3),
                (3, 16, 16, 8, 3), (8, 8, 8, 16, 3),
-               (1, 12, 12, 8, 3), (8, 6, 6, 16, 3)]
+               (1, 12, 12, 8, 3), (8, 6, 6, 16, 3),
+               (2, 16, 16, 8, 3), (4, 9, 9, 8, 3)]
 
 
 @pytest.mark.parametrize("n", range(1, 34))

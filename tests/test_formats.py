@@ -128,7 +128,7 @@ class TestTruncation:
 
     def test_every_cut_of_a_saved_model(self, tmp_path):
         path = tmp_path / "net.gaxm"
-        MiniConvNet(input_shape=(1, 4, 4), channels=(2, 2), seed=0).save(path)
+        MiniConvNet(input_shape=(1, 4, 4), seed=0).save(path)
         fields, pos = [(0, "magic"), (4, "version"), (6, "entry count")], 10
         for i, (name, arr) in enumerate(formats.read_gaxm(path).items()):
             fields += [(pos, f"entry {i} name length"),

@@ -209,13 +209,14 @@ class TestRun:
 
 
 class TestSweepAndExport:
-    def test_empty_split_gives_empty_list(self, tiny_model):
+    def test_empty_split_gives_empty_list(self, tiny_model, tmp_path):
         empty = make_blobs(DatasetSpec(train=0, val=0, test=0,
                                        image_shape=(3, 8, 8), seed=0))
-        traces, errors = gax_sweep(tiny_model, empty.test, GaxConfig())
+        traces, errors = gax_sweep(tiny_model, empty.test, GaxConfig(),
+                                   out_dir=tmp_path)
         assert traces == [] and errors == []
 
-    def test_misclassified_samples_excluded(self, tiny_ds):
+    def test_misclassified_samples_excluded(self, tiny_ds, tmp_path):
         # an anti-trained stub misclassifies everything except by luck;
         # count traces = count of correct predictions
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=43)
@@ -223,28 +224,33 @@ class TestSweepAndExport:
                       == int(tiny_ds.test.y[i])
                       for i in range(len(tiny_ds.test)))
         cfg = GaxConfig(target_co=-1e9, max_iterations=0)
-        traces, _ = gax_sweep(model, tiny_ds.test, cfg)
+        traces, _ = gax_sweep(model, tiny_ds.test, cfg, out_dir=tmp_path)
         assert len(traces) == correct
 
     @pytest.mark.parametrize("limit", [0, -1])
-    def test_limit_below_one_rejected(self, tiny_model, tiny_ds, limit):
+    def test_limit_below_one_rejected(self, tiny_model, tiny_ds, tmp_path,
+                                      limit):
+        out = tmp_path / "g"
         with pytest.raises(ValueError, match="limit must be at least 1"):
-            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(), limit=limit)
+            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(), out_dir=out,
+                      limit=limit)
+        assert not out.exists()
 
-    def test_nonfinite_loss_reported_as_error(self, tiny_ds):
+    def test_nonfinite_loss_reported_as_error(self, tiny_ds, tmp_path):
         # an infinite class-0 bias: class-0 samples count as correct, and
         # the score difference inf - inf is NaN from the first step
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=41)
         model.params["fc.b"] = np.array([np.inf, 0.0])
         traces, errors = gax_sweep(model, tiny_ds.test,
-                                   GaxConfig(max_iterations=5))
+                                   GaxConfig(max_iterations=5),
+                                   out_dir=tmp_path)
         assert traces
         assert all(t.error == "non-finite loss at step 0"
                    and not t.iterations for t in traces)
         assert errors == [(t.sample_id, t.error) for t in traces]
 
     def test_programming_error_propagates(self, tiny_model, tiny_ds,
-                                          monkeypatch):
+                                          tmp_path, monkeypatch):
         import gaxkit.gax
 
         def broken(*args, **kwargs):
@@ -252,7 +258,8 @@ class TestSweepAndExport:
 
         monkeypatch.setattr(gaxkit.gax, "_objective", broken)
         with pytest.raises(TypeError, match="broken loss"):
-            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(max_iterations=1))
+            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(max_iterations=1),
+                      out_dir=tmp_path)
 
     def test_trace_csv_and_manifest(self, tiny_model, tiny_ds, tmp_path):
         from gaxkit import write_manifest, write_trace_csv

@@ -176,7 +176,7 @@ def tiny_files(tmp_path):
     data, model_path = tmp_path / "data", tmp_path / "m.gaxm"
     gen_data(DatasetSpec(class_count=2, train=0, val=0, test=1,
                          image_shape=(1, 4, 4), seed=0), data)
-    model = MiniConvNet(input_shape=(1, 4, 4), channels=(2, 2), seed=0)
+    model = MiniConvNet(input_shape=(1, 4, 4), seed=0)
     model.params["fc.w"][:] = 0.0
     model.params["fc.b"] = np.array([1.0, 0.0])
     model.save(model_path)

@@ -115,17 +115,24 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 """
 
 # inputs the CLI must reject with one line: a weight file whose head has
-# one class, and a copy of rgb whose manifest lists one test sample twice,
-# so two test samples share one sample id
+# one class, one whose conv1 has 16 output channels (conv2 takes all 16, so
+# the entries agree with each other), and a copy of rgb whose manifest lists
+# one test sample twice, so two test samples share one sample id
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
+
+import numpy as np
 
 from gaxkit.formats import read_gaxm, write_gaxm
 
 named = read_gaxm("rgb.gaxm")
 named["fc.w"], named["fc.b"] = named["fc.w"][:1], named["fc.b"][:1]
 write_gaxm("one_class.gaxm", named)
+named = read_gaxm("rgb.gaxm")
+for name, axis in (("conv1.w", 0), ("conv1.b", 0), ("conv2.w", 1)):
+    named[name] = np.repeat(named[name], 2, axis=axis)
+write_gaxm("conv16.gaxm", named)
 shutil.copytree("rgb", "dup_ids")
 manifest = Path("dup_ids/manifest.txt")
 lines = manifest.read_text().splitlines()
@@ -212,6 +219,9 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error one-class model", "gax", "--model", "one_class.gaxm",
              "--data", "rgb", "--first-n", "2", "--max-iterations", "5",
              "--out", "gax_one_class"),
+        _cli("error conv1 channels", "ax-sweep", "--model", "conv16.gaxm",
+             "--data", "rgb", "--methods", "saliency", "--out",
+             "conv16.csv"),
         _cli("error duplicate sample id", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "dup_ids", "--methods", "saliency", "--out",
              "dup_ids.csv"),
