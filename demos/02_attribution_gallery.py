@@ -2,15 +2,17 @@
 """All six attribution methods on one trained desk-scale classifier.
 
 Trains the small conv net on synthetic blobs, picks one test sample, and
-exports a heatmap per method (raw tensor + red/blue PPM per channel).
+exports a heatmap per method (raw tensor + red/blue PPM per channel), each
+explaining the predicted class through the sample's one forward graph.
 Outputs land under attribution_gallery/.
 """
 
 from pathlib import Path
 
 from gaxkit import (METHODS, DatasetSpec, MiniConvNet, TrainConfig,
-                    attribute_at_predicted, make_blobs, predict, train)
+                    attribute, make_blobs, normalize, train)
 from gaxkit.formats import export_heatmap, write_ppm
+from gaxkit.models import predict_graph
 import numpy as np
 
 OUT = Path("attribution_gallery")
@@ -26,7 +28,8 @@ print(f"trained to validation accuracy {result.val_accuracy:.3f} "
       f"in {result.iterations_run} iterations")
 
 x = ds.test.x[0]
-pred, raw = predict(model, x)
+pred, fp = predict_graph(model, x)
+raw = fp.scores.data[0]
 print(f"sample {ds.test.ids[0]}: groundtruth {ds.test.y[0]}, "
       f"predicted {pred}, raw scores {np.round(raw, 3)}\n")
 
@@ -35,7 +38,7 @@ write_ppm(OUT / "input.ppm",
           np.moveaxis(np.rint(x * 255).astype(np.uint8), 0, 2))
 
 for method in METHODS:
-    heat = attribute_at_predicted(model, x, method)
+    heat = normalize(attribute(model, fp, pred, method))
     paths = export_heatmap(heat, OUT / method.replace(":", "_"))
     peak = np.abs(heat.values).max()
     print(f"{method:>18}: peak |h| = {peak:.3f} "

@@ -8,8 +8,7 @@ gradient descent (GAX), with an exactly solvable 2D toy model for
 verification.
 """
 
-from .attribution import (Heatmap, METHODS, attribute, attribute_at_predicted,
-                          normalize)
+from .attribution import Heatmap, METHODS, attribute, normalize
 from .autodiff import (BACKWARD_RULES, RULE_DECONV, RULE_GUIDED,
                        RULE_STANDARD, ShapeError, Tensor)
 from .ax import (GapStats, ScoreConstants, ScoreRecord, ax_sweep, co_score,
@@ -32,11 +31,11 @@ __all__ = [
     "GaxConfig", "GaxTrace", "Heatmap", "METHODS", "Metrics", "MiniConvNet",
     "RULE_DECONV", "RULE_GUIDED", "RULE_STANDARD", "ScoreConstants",
     "ScoreRecord", "ShapeError", "Split", "Tensor", "ToyInstance",
-    "TrainConfig", "TrainResult", "attribute", "attribute_at_predicted",
-    "ax_sweep", "closed_form_heatmap", "co_score", "delta", "delta_gradient",
-    "evaluate", "gap_stats", "gax_run", "gax_sweep", "gen_data",
-    "ingest_images", "load_dataset", "make_blobs", "normalize", "predict",
-    "read_scores_csv", "rotation_sweep", "train", "write_dataset",
-    "write_histogram_csv", "write_manifest", "write_scores_csv",
-    "write_sweep_csv", "write_trace_csv",
+    "TrainConfig", "TrainResult", "attribute", "ax_sweep",
+    "closed_form_heatmap", "co_score", "delta", "delta_gradient", "evaluate",
+    "gap_stats", "gax_run", "gax_sweep", "gen_data", "ingest_images",
+    "load_dataset", "make_blobs", "normalize", "predict", "read_scores_csv",
+    "rotation_sweep", "train", "write_dataset", "write_histogram_csv",
+    "write_manifest", "write_scores_csv", "write_sweep_csv",
+    "write_trace_csv",
 ]

@@ -42,7 +42,7 @@ from .autodiff import (RULE_DECONV, RULE_GUIDED, RULE_STANDARD, ShapeError,
 from .data import nearest_resize
 # ``predict`` stays bound here unused: bench/test_bench.py checks that the
 # tracer wraps this binding
-from .models import ForwardPass, predict, predict_graph  # noqa: F401
+from .models import ForwardPass, predict  # noqa: F401
 
 # these two gradient methods differ from saliency only in the rectifier's
 # backward rule
@@ -164,9 +164,3 @@ def _standard_sweep(fp, seed, target):
         fp.sweeps[key] = (fp.input.grad, {name: act.grad for name, act
                                           in fp.activations.items()})
     return fp.sweeps[key]
-
-
-def attribute_at_predicted(model, x, method: str) -> Heatmap:
-    """Heatmap for the model's own prediction, normalized to peak one."""
-    pred, fp = predict_graph(model, x)
-    return normalize(attribute(model, fp, pred, method))

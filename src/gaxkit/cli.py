@@ -63,11 +63,15 @@ def _positive_int(text: str) -> int:
 
 
 def _check_out_dirs(args, *dests: str) -> None:
-    """Fail before any work when the directory of an output file flag's
-    path is not an existing directory."""
+    """Fail before any work when an output file flag's path is a directory
+    or its parent is not an existing directory."""
     for dest in dests:
         path = getattr(args, dest)
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ValueError(f"--{dest} {path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise ValueError(f"--{dest} {path}: {Path(path).parent} is not "
                              "a directory")
 

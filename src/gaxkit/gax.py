@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import Heatmap
+from .autodiff import ShapeError
 from .ax import ScoreConstants
 from .models import predict
 from .optim import Adam
@@ -119,22 +120,27 @@ def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
     return float(loss), float(co), h[0], gradient
 
 
-def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
-            sample_id: str = "sample", out_dir=None) -> tuple[GaxTrace, Heatmap]:
+def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
+            out_dir) -> tuple[GaxTrace, Heatmap]:
     """Optimize one sample's heatmap until the CO target or iteration cap.
 
-    The sample must be correctly classified.  A trace records every
-    iteration; snapshots of the evolving heatmap are written under
-    ``out_dir`` at the configured cadence and at convergence.
+    ``fx`` is the model's raw scores for ``x`` (``predict`` returns them),
+    shaped ``(num_classes,)``; the sample must be correctly classified by
+    them.  A trace records every iteration; snapshots of the evolving
+    heatmap are written under ``out_dir/sample_id`` at the configured
+    cadence and at convergence.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_unit_interval(x)
-    pred, raw = predict(model, x)
+    fx = np.asarray(fx, dtype=np.float64)
+    if fx.shape != (model.num_classes,):
+        raise ShapeError(f"fx shape {fx.shape} != ({model.num_classes},)")
+    pred = int(fx.argmax())
     if pred != int(groundtruth):
         raise ValueError(f"misclassified sample: model predicts {pred} for "
                          f"a sample labeled {groundtruth}")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
-    fx = raw[None]
+    fx = fx[None]
     params = {"w": np.full(x.shape, W_INIT)}
     if cfg.use_bias:
         params["b"] = np.full(x.shape, BIAS_INIT)
@@ -154,8 +160,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *,
             trace.iterations.append((step, loss_val, co_val))
             heat = Heatmap(h.copy(), "gax", int(groundtruth))
             converged = co_val >= cfg.target_co
-            if out_dir is not None and (step % cfg.snapshot_every == 0
-                                        or converged):
+            if step % cfg.snapshot_every == 0 or converged:
                 rel = f"{sample_id}/step_{step:06d}"
                 export_heatmap(heat, Path(out_dir) / rel)
                 # relative to out_dir so sweep outputs stay relocatable
@@ -197,12 +202,12 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir,
         sid = split.ids[i]
         x = split.x[i]
         truth = int(split.y[i])
-        pred, _ = predict(model, x)
+        pred, fx = predict(model, x)
         if pred != truth:
             continue
         taken += 1
         try:
-            trace, _ = gax_run(model, x, truth, cfg, sample_id=sid,
+            trace, _ = gax_run(model, x, truth, cfg, fx=fx, sample_id=sid,
                                out_dir=out_dir)
         except ValueError as exc:  # data errors; bugs propagate
             errors.append((sid, str(exc)))

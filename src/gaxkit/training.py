@@ -11,7 +11,7 @@ of iterations) or at the iteration cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .optim import Adam
 
 @dataclass(frozen=True)
 class TrainConfig:
-    target_val_accuracy: float | None = 0.99
+    target_val_accuracy: float = 0.99
     max_iterations: int = 20000
     min_iterations: int = 0
     val_every: int = 100
@@ -57,8 +57,6 @@ class TrainResult:
     val_accuracy: float
     iterations_run: int
     stop_reason: str
-    loss_history: np.ndarray
-    val_history: list[tuple[int, float]] = field(default_factory=list)
 
 
 # samples per ``scores`` call in evaluate; ``scores`` is batch-invariant, so
@@ -112,20 +110,21 @@ def evaluate(model, split) -> Metrics:
 def train(model, dataset, cfg: TrainConfig) -> TrainResult:
     """Fit ``model`` in place on ``dataset.train``; returns run metrics.
 
-    Metrics are taken on the test split (the validation split when the
-    test split is empty).  Model parameters stay on the float32 grid (see
-    ``snap32``) so a trained model serializes losslessly.
+    Both splits must be non-empty.  ``val_accuracy`` is the validation
+    accuracy after the last update; metrics are taken on the test split
+    (the validation split when the test split is empty).  Model parameters
+    stay on the float32 grid (see ``snap32``) so a trained model serializes
+    losslessly.
     """
     train_split = dataset.train
     if len(train_split.y) == 0:
         raise ValueError("train: empty training split")
-    if cfg.target_val_accuracy is not None and len(dataset.val.y) == 0:
-        raise ValueError("train: empty validation split with a stop target set")
+    if len(dataset.val.y) == 0:
+        raise ValueError("train: empty validation split")
     opt = Adam(cfg.learning_rate, BETA1)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_split.y)
-    losses: list[float] = []
-    val_history: list[tuple[int, float]] = []
+    checked_at = None      # the iteration of the last validation check
     stop_reason = "max-iterations"
     iterations_run = 0
 
@@ -144,27 +143,20 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
                 raise ValueError(f"non-finite parameter {name!r} after the "
                                  f"update at iteration {it}")
             model.params[name] = arr
-        losses.append(loss_val)
         iterations_run = it
-        if (cfg.target_val_accuracy is not None
-                and it % cfg.val_every == 0 and it >= cfg.min_iterations):
-            acc = evaluate(model, dataset.val).accuracy
-            val_history.append((it, acc))
-            if acc >= cfg.target_val_accuracy:
+        if it % cfg.val_every == 0 and it >= cfg.min_iterations:
+            val_acc = evaluate(model, dataset.val).accuracy
+            checked_at = it
+            if val_acc >= cfg.target_val_accuracy:
                 stop_reason = "target-accuracy"
                 break
 
     held_out = dataset.test if len(dataset.test.y) else dataset.val
-    if val_history and val_history[-1][0] == iterations_run:
-        final_val = val_history[-1][1]   # checked after the last update
-    else:
-        final_val = (evaluate(model, dataset.val).accuracy
-                     if len(dataset.val.y) else float("nan"))
+    if checked_at != iterations_run:    # not checked after the last update
+        val_acc = evaluate(model, dataset.val).accuracy
     return TrainResult(
         metrics=evaluate(model, held_out),
-        val_accuracy=final_val,
+        val_accuracy=val_acc,
         iterations_run=iterations_run,
         stop_reason=stop_reason if iterations_run else "no-iterations",
-        loss_history=np.asarray(losses),
-        val_history=val_history,
     )

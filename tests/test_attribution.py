@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from gaxkit import (METHODS, Heatmap, MiniConvNet, attribute,
-                    attribute_at_predicted, normalize)
+from gaxkit import METHODS, Heatmap, MiniConvNet, attribute, normalize
 from gaxkit.attribution import parse_method
 from gaxkit.autodiff import ShapeError
 from gaxkit.models import predict_graph
@@ -14,6 +13,13 @@ from oracle_models import LinearModel
 def _fp(model, x):
     """The one-row forward graph ``attribute`` explains ``x`` through."""
     return model.forward_graph(np.asarray(x, dtype=np.float64)[None])
+
+
+def _at_predicted(model, x, method):
+    """The normalized heatmap of the predicted class, explained through
+    the prediction's own graph."""
+    pred, fp = predict_graph(model, x)
+    return normalize(attribute(model, fp, pred, method))
 
 
 @pytest.fixture(scope="module")
@@ -117,20 +123,20 @@ class TestAtPredicted:
     def test_toy_identity_saliency_direction(self):
         # with identity weights, the class-1 score only sees the first pixel
         model = LinearModel(np.eye(2))
-        h = attribute_at_predicted(model, np.array([1.0, 0.0]), "saliency")
+        h = _at_predicted(model, np.array([1.0, 0.0]), "saliency")
         assert h.target_class == 0
         assert h.values[0] > 0 and h.values[1] == 0.0
 
     def test_toy_symmetric_input_targets_class_two(self):
         model = LinearModel(np.eye(2))
-        h = attribute_at_predicted(model, np.array([0.0, 1.0]), "saliency")
+        h = _at_predicted(model, np.array([0.0, 1.0]), "saliency")
         assert h.target_class == 1
 
     def test_normalized_peak_is_one(self, conv_model):
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, size=(3, 16, 16))
         for method in ("saliency", "deeplift", "guided-backprop"):
-            h = attribute_at_predicted(conv_model, x, method)
+            h = _at_predicted(conv_model, x, method)
             assert np.abs(h.values).max() == pytest.approx(1.0)
             assert h.normalized
 
@@ -250,7 +256,7 @@ class TestValidation:
     def test_input_shape_checked(self, linear_model):
         # the graph's builder checks the sample's shape
         with pytest.raises(ShapeError, match="sample shape"):
-            attribute_at_predicted(linear_model, np.zeros(6), "saliency")
+            predict_graph(linear_model, np.zeros(6))
 
     def test_parse_method(self):
         assert parse_method("layer-gradcam:pool1") == ("layer-gradcam", "pool1")
@@ -305,12 +311,13 @@ class TestSharedGraph:
             assert _same_bytes(shared[i], want.values), (i, want.method)
 
     def test_at_predicted_matches_a_fresh_graph(self, conv_model):
+        # every method read off the prediction's one graph, as demo 02 and
+        # ax-sweep read them
         x = _x16(32)
-        pred, _ = predict_graph(conv_model, x)
+        pred, fp = predict_graph(conv_model, x)
         for method in METHODS:
-            want = normalize(attribute(conv_model, _fp(conv_model, x),
-                                       pred, method))
-            got = attribute_at_predicted(conv_model, x, method)
+            want = attribute(conv_model, _fp(conv_model, x), pred, method)
+            got = attribute(conv_model, fp, pred, method)
             assert got.target_class == pred
             assert _same_bytes(got.values, want.values)
 

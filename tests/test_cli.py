@@ -1,5 +1,7 @@
 """CLI surface: flags, determinism, error contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -440,13 +442,18 @@ BAD_OUTPUT_IDS = ["toy-sweep", "train", "ax-sweep", "gap-stats-out",
                   "gap-stats-hist"]
 
 
-def _bad_output_run(tmp_path, capsys, argv, bad):
+def _bad_output_run(tmp_path, capsys, argv, bad, make_dir=False):
+    """Run ``argv`` with ``{bad}`` in its output path; ``make_dir`` makes
+    that output path a directory."""
     names = {"bad": bad, "none": tmp_path / "none", "ok": tmp_path}
     argv = [arg.format(**names) for arg in argv]
+    if make_dir:
+        Path(argv[-1]).mkdir()
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
-    assert capsys.readouterr().err == \
-        f"error: {argv[-2]} {argv[-1]}: {bad} is not a directory\n"
+    reason = "is a directory" if make_dir else f"{bad} is not a directory"
+    assert capsys.readouterr().err == f"error: {argv[-2]} {argv[-1]}: " \
+        f"{reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -461,6 +468,12 @@ def test_write_under_a_file_names_the_path(tmp_path, capsys, argv):
     bad = tmp_path / "file"
     bad.write_text("")
     _bad_output_run(tmp_path, capsys, argv, bad)
+
+
+@pytest.mark.parametrize("argv", BAD_OUTPUT_ARGV, ids=BAD_OUTPUT_IDS)
+def test_write_to_a_directory_names_the_path(tmp_path, capsys, argv):
+    # fails before any work, not after it when the write does
+    _bad_output_run(tmp_path, capsys, argv, tmp_path, make_dir=True)
 
 
 @pytest.mark.parametrize("size", [8, 200])

@@ -45,9 +45,7 @@ class TestBlobs:
         probe = LinearModel(
             np.random.default_rng(0).normal(0.0, 0.01, size=(2, 3 * 16 * 16)),
             input_shape=(3, 16, 16))
-        result = train(probe, ds,
-                       TrainConfig(target_val_accuracy=None,
-                                   max_iterations=300, seed=0))
+        result = train(probe, ds, TrainConfig(max_iterations=300, seed=0))
         assert result.val_accuracy > 0.9
 
     def test_balanced_labels(self):

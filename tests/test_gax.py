@@ -5,6 +5,7 @@ import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, gax_run, gax_sweep,
                     make_blobs, predict)
+from gaxkit.autodiff import ShapeError
 from gaxkit.ax import ScoreConstants
 from gaxkit.gax import EPSILON, _objective
 from gradcheck import max_relative_error, numeric_gradient
@@ -20,6 +21,13 @@ def tiny_model():
 def tiny_ds():
     return make_blobs(DatasetSpec(class_count=2, train=16, val=8, test=12,
                                   image_shape=(3, 8, 8), seed=42))
+
+
+def _run(model, x, truth, cfg, out_dir, sample_id="s"):
+    """``gax_run`` with the f(x) ``predict`` gives, as ``gax_sweep`` calls
+    it."""
+    return gax_run(model, x, truth, cfg, fx=predict(model, x)[1],
+                   sample_id=sample_id, out_dir=out_dir)
 
 
 def _loss(model, x, w, b, truth, cfg):
@@ -63,11 +71,12 @@ class TestLoss:
         expected_sim = 100.0 / ((0.0 - 0.5 + 1e-4) ** 2 / (0.5 + 1e-4))
         assert loss == pytest.approx(-0.0 + expected_sim, rel=1e-12)
 
-    def test_rejects_inputs_outside_unit_interval(self, tiny_model):
+    def test_rejects_inputs_outside_unit_interval(self, tiny_model,
+                                                  tmp_path):
         cfg = GaxConfig()
         x = np.full((3, 8, 8), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            gax_run(tiny_model, x, 0, cfg)
+            _run(tiny_model, x, 0, cfg, tmp_path)
 
     def test_bias_enters_preactivation(self, tiny_model):
         rng = np.random.default_rng(2)
@@ -121,24 +130,27 @@ class TestRun:
                 return x, truth
         pytest.skip("no correctly classified sample available")
 
-    def test_trivial_target_converges_immediately(self, tiny_model, tiny_ds):
+    def test_trivial_target_converges_immediately(self, tiny_model, tiny_ds,
+                                                  tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         cfg = GaxConfig(target_co=-1e9, max_iterations=50)
-        trace, _ = gax_run(tiny_model, x, truth, cfg)
+        trace, _ = _run(tiny_model, x, truth, cfg, tmp_path)
         assert trace.converged
         assert trace.iterations[0][0] == 0
 
-    def test_zero_iterations_reports_initial_state(self, tiny_model, tiny_ds):
+    def test_zero_iterations_reports_initial_state(self, tiny_model, tiny_ds,
+                                                   tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         cfg = GaxConfig(target_co=1e9, max_iterations=0)
-        trace, _ = gax_run(tiny_model, x, truth, cfg)
+        trace, _ = _run(tiny_model, x, truth, cfg, tmp_path)
         assert not trace.converged
         assert len(trace.iterations) == 1
         assert trace.final_co == trace.iterations[0][2]
 
     def test_one_forward_per_step_plus_fx(self, tiny_model, tiny_ds,
-                                          monkeypatch):
+                                          monkeypatch, tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
+        _, fx = predict(tiny_model, x)
         calls = []
         inner = tiny_model.forward_graph
 
@@ -152,58 +164,75 @@ class TestRun:
         monkeypatch.setattr(tiny_model, "scores",
                             lambda t: plain.append(t) or inner_scores(t))
         cfg = GaxConfig(target_co=1e9, max_iterations=4)
-        trace, _ = gax_run(tiny_model, x, truth, cfg)
-        # f(x) once, graph-free, for the prediction and the score base, then
-        # one forward graph per step
-        assert len(plain) == 1
+        trace, _ = gax_run(tiny_model, x, truth, cfg, fx=fx, sample_id="s",
+                           out_dir=tmp_path)
+        # f(x) comes from the caller's prediction, so no graph-free scores
+        # call; one forward graph per step
+        assert plain == []
         assert len(calls) == len(trace.iterations)
 
-    def test_heatmap_stays_in_tanh_range(self, tiny_model, tiny_ds):
+    @pytest.mark.parametrize("fx,message", [
+        (np.zeros(3), r"fx shape \(3,\) != \(2,\)"),
+        (np.zeros((1, 2)), r"fx shape \(1, 2\) != \(2,\)"),
+    ], ids=["three-classes", "row"])
+    def test_wrong_shape_fx_rejected(self, tiny_model, tiny_ds, tmp_path, fx,
+                                     message):
+        x, truth = self._correct_sample(tiny_model, tiny_ds)
+        out = tmp_path / "g"
+        with pytest.raises(ShapeError, match=message):
+            gax_run(tiny_model, x, truth, GaxConfig(max_iterations=1), fx=fx,
+                    sample_id="s", out_dir=out)
+        assert not out.exists()
+
+    def test_heatmap_stays_in_tanh_range(self, tiny_model, tiny_ds,
+                                         tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         cfg = GaxConfig(target_co=3.0, max_iterations=100)
-        trace, heat = gax_run(tiny_model, x, truth, cfg)
+        trace, heat = _run(tiny_model, x, truth, cfg, tmp_path)
         assert np.abs(heat.values).max() <= 1.0
 
-    def test_converged_iff_final_co_reaches_target(self, tiny_model, tiny_ds):
+    def test_converged_iff_final_co_reaches_target(self, tiny_model, tiny_ds,
+                                                   tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         for target in (-10.0, 2.0, 1e9):
             cfg = GaxConfig(target_co=target, max_iterations=60)
-            trace, _ = gax_run(tiny_model, x, truth, cfg)
+            trace, _ = _run(tiny_model, x, truth, cfg, tmp_path / str(target))
             assert trace.converged == (trace.final_co >= target)
 
     def test_misclassified_sample_rejected_without_override(self, tiny_model,
-                                                            tiny_ds):
+                                                            tiny_ds,
+                                                            tmp_path):
         for i in range(len(tiny_ds.test)):
             x = tiny_ds.test.x[i]
             truth = int(tiny_ds.test.y[i])
             if predict(tiny_model, x)[0] != truth:
                 cfg = GaxConfig(target_co=1.0, max_iterations=5)
                 with pytest.raises(ValueError, match="misclassif"):
-                    gax_run(tiny_model, x, truth, cfg)
+                    _run(tiny_model, x, truth, cfg, tmp_path)
                 return
         pytest.skip("untrained model classified everything correctly")
 
     def test_snapshots_written_at_cadence(self, tiny_model, tiny_ds, tmp_path):
         x, truth = self._correct_sample(tiny_model, tiny_ds)
         cfg = GaxConfig(target_co=1e9, max_iterations=9, snapshot_every=4)
-        trace, _ = gax_run(tiny_model, x, truth, cfg, sample_id="s0",
-                           out_dir=tmp_path)
+        trace, _ = _run(tiny_model, x, truth, cfg, tmp_path, "s0")
         steps = [s for s, _ in trace.snapshots]
         assert steps == [0, 4, 8]
         for _, ref in trace.snapshots:
             assert (tmp_path / "s0").exists()
             assert ref.endswith(".gaxh")
 
-    def test_ascent_direction_on_linear_model(self):
+    def test_ascent_direction_on_linear_model(self, tmp_path):
         # with the similarity term off and a purely linear model, one small
-        # gradient step from w = 1 must increase the score
+        # gradient step from w = 1 must increase the score; the input is an
+        # image, as gax_run writes its snapshots as heatmap images
         rng = np.random.default_rng(7)
-        model = LinearModel(rng.normal(size=(2, 6)), input_shape=(6,))
-        x = rng.uniform(0.1, 1.0, size=6)
+        model = LinearModel(rng.normal(size=(2, 6)), input_shape=(1, 2, 3))
+        x = rng.uniform(0.1, 1.0, size=6).reshape(1, 2, 3)
         truth = predict(model, x)[0]
         cfg = GaxConfig(target_co=1e9, max_iterations=1, learning_rate=1e-4,
                         similarity_factor=0.0)
-        trace, _ = gax_run(model, x, truth, cfg)
+        trace, _ = _run(model, x, truth, cfg, tmp_path)
         assert len(trace.iterations) == 2
         assert trace.iterations[1][2] > trace.iterations[0][2]
 
@@ -226,6 +255,19 @@ class TestSweepAndExport:
         cfg = GaxConfig(target_co=-1e9, max_iterations=0)
         traces, _ = gax_sweep(model, tiny_ds.test, cfg, out_dir=tmp_path)
         assert len(traces) == correct
+
+    def test_one_prediction_per_sample(self, tiny_model, tiny_ds, tmp_path,
+                                       monkeypatch):
+        # the prediction that picks a correct sample also gives its f(x)
+        calls = []
+        inner = tiny_model.scores
+        monkeypatch.setattr(tiny_model, "scores",
+                            lambda t: calls.append(len(t)) or inner(t))
+        traces, errors = gax_sweep(tiny_model, tiny_ds.test,
+                                   GaxConfig(target_co=1e9, max_iterations=2),
+                                   out_dir=tmp_path)
+        assert traces and not errors
+        assert calls == [1] * len(tiny_ds.test)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_rejected(self, tiny_model, tiny_ds, tmp_path,
@@ -269,7 +311,7 @@ class TestSweepAndExport:
                 x, truth = tiny_ds.test.x[i], int(tiny_ds.test.y[i])
                 break
         cfg = GaxConfig(target_co=1e9, max_iterations=3)
-        trace, _ = gax_run(tiny_model, x, truth, cfg, sample_id="s9")
+        trace, _ = _run(tiny_model, x, truth, cfg, tmp_path / "runs", "s9")
         p = tmp_path / "trace.csv"
         write_trace_csv(trace, p)
         lines = p.read_text().splitlines()

@@ -55,8 +55,10 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # heatmaps (also with the bias and with no similarity penalty), and the
 # parameter gradients of one training step at batch 32 and one at batch 3:
 # conv2d's kernel gradient reads its window matrix in place at the first
-# and copies it at the second.
+# and copies it at the second.  The GAX runs' snapshots land under
+# probe/gax.
 PROBE = """
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +99,15 @@ gax_runs += [(correct[0], "_bias", GaxConfig(target_co=5.0, max_iterations=30,
                                              use_bias=True)),
              (correct[1], "_nosim", GaxConfig(target_co=5.0, max_iterations=30,
                                               similarity_factor=0.0))]
+# temporary: a tree whose gax_run predicts the sample itself takes no fx;
+# delete this shim once no tree compared is older than gax_run's fx
+takes_fx = "fx" in inspect.signature(gax_run).parameters
 for i, tag, cfg in gax_runs:
-    trace, heat = gax_run(model, ds.test.x[i], ds.test.y[i], cfg)
+    x = ds.test.x[i]
+    with_fx = {"fx": predict(model, x)[1]} if takes_fx else {}
+    trace, heat = gax_run(model, x, ds.test.y[i], cfg, **with_fx,
+                          sample_id=f"{ds.test.ids[i]}{tag}",
+                          out_dir=out / "gax")
     dump(f"gax_{i}{tag}_trace", trace.iterations)
     dump(f"gax_{i}{tag}_heatmap", heat.values)
 for batch, tag in ((32, ""), (3, "_batch3")):
@@ -116,8 +125,9 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 
 # inputs the CLI must reject with one line: a weight file whose head has
 # one class, one whose conv1 has 16 output channels (conv2 takes all 16, so
-# the entries agree with each other), and a copy of rgb whose manifest lists
-# one test sample twice, so two test samples share one sample id
+# the entries agree with each other), a copy of rgb whose manifest lists
+# one test sample twice, so two test samples share one sample id, and a
+# directory where train is told to write its weight file
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -138,6 +148,7 @@ manifest = Path("dup_ids/manifest.txt")
 lines = manifest.read_text().splitlines()
 lines.append(next(line for line in lines if line.startswith("sample,test,")))
 manifest.write_text("\\n".join(lines) + "\\n")
+Path("model_dir").mkdir()
 """
 
 
@@ -246,6 +257,8 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error scores file", "gap-stats", "--scores", "missing.csv"),
         _cli("error missing out directory", "toy-sweep", "--out",
              "missing/t.csv"),
+        _cli("error out is a directory", "train", "--data", "rgb", "--out",
+             "model_dir", "--max-iterations", "5"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
     return steps
