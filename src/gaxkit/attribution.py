@@ -19,13 +19,12 @@ heatmap to the input, so sign carries the confidence-increasing direction;
 
 Methods that share a sample's forward graph share its work.  Saliency,
 input x gradient and Grad-CAM read one standard-rule sweep per (graph,
-target): the first of them sweeps with ``wrt=[fp.input]``, which also
-sets the gradient of every activation between the input and the scores,
-and records those arrays in the graph's ``ForwardPass.sweeps`` under
-``(RULE_STANDARD, target)``; the others read the record.  The record lives
-and dies with its graph, and no later sweep writes its arrays (see
-:mod:`gaxkit.autodiff`).  Heatmaps are fresh arrays, so editing one leaves
-the record intact.  DeepLIFT takes its baseline as a
+target): the first of them sweeps with ``wrt`` set to the input and every
+named activation, and records those gradients in the graph's
+``ForwardPass.sweeps`` under ``(RULE_STANDARD, target)``; the others read
+the record.  The record lives and dies with its graph, and no later sweep
+writes its arrays (see :mod:`gaxkit.autodiff`).  Heatmaps are fresh arrays,
+so editing one leaves the record intact.  DeepLIFT takes its baseline as a
 :class:`~gaxkit.models.ForwardPass` too, which a sweep over many inputs
 builds once.
 """
@@ -160,7 +159,8 @@ def _standard_sweep(fp, seed, target):
     this graph and target, read from the record after that."""
     key = (RULE_STANDARD, target)
     if key not in fp.sweeps:
-        fp.scores.backward(seed, RULE_STANDARD, wrt=[fp.input])
+        fp.scores.backward(seed, RULE_STANDARD,
+                           wrt=[fp.input, *fp.activations.values()])
         fp.sweeps[key] = (fp.input.grad, {name: act.grad for name, act
                                           in fp.activations.items()})
     return fp.sweeps[key]

@@ -25,10 +25,12 @@ uses its standard gradient.
 
 :meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
 rule) share one reverse sweep.  Both take ``wrt``, the tensors whose ``grad``
-the caller reads: only the nodes on a path from a ``wrt`` tensor to the root
-get a ``grad`` (every other node's is ``None``), and a vjp skips the parent
-gradients no such node takes.  Their finite-difference checker lives with the
-tests (``tests/gradcheck.py``).
+the caller reads, and only those keep a ``grad`` after the sweep; every other
+node's is ``None``.  The sweep computes gradients only on the nodes on a path
+from a ``wrt`` tensor to the root, a vjp skips the parent gradients no such
+node takes, and each intermediate gradient is dropped as soon as its node's
+vjp has pulled it.  Their finite-difference checker lives with the tests
+(``tests/gradcheck.py``).
 
 A graph may be swept any number of times, with any rule and ``wrt``, also
 after a sweep that raised: a sweep resets every ``grad`` of the graph, stores
@@ -86,7 +88,7 @@ class Tensor:
 
     def backward(self, seed, rule: str = RULE_STANDARD, *, wrt) -> None:
         """Set ``grad`` on each tensor of ``wrt``, which must be part of this
-        root's graph, and on the nodes between them; others get ``None``.
+        root's graph; every other node's is ``None``.
 
         ``seed`` must match the root shape.  Gradients from multiple uses of
         a node accumulate.
@@ -102,13 +104,16 @@ def _backprop(root: Tensor, order: list[Tensor], seed, wrt, pull) -> None:
     ``wrt`` tensor to ``root``, seed the root, then add ``pull(node)`` (one
     gradient per parent) into the marked parents in reverse.  A first
     contribution is stored as ``pg + 0.0`` (the bytes of ``0.0 + pg``) so no
-    ``grad`` aliases a vjp output and later ones add in place."""
+    ``grad`` aliases a vjp output and later ones add in place.  A node not
+    in ``wrt`` drops its ``grad`` once its own pull has read it, so at most
+    the gradients still to be pulled are alive."""
     seed_arr = _arr(seed)
     if seed_arr.shape != root.data.shape:
         raise ShapeError(
             f"backward seed shape {seed_arr.shape} does not match "
             f"root shape {root.data.shape}")
-    wanted = {id(t) for t in wrt}
+    keep = {id(t) for t in wrt}
+    wanted = set(keep)
     feeding = []        # the nodes with a parent that needs a gradient
     try:
         for node in order:
@@ -129,6 +134,8 @@ def _backprop(root: Tensor, order: list[Tensor], seed, wrt, pull) -> None:
                     parent.grad = pg + 0.0
                 else:
                     parent.grad += pg
+            if id(node) not in keep:
+                node.grad = None
     finally:
         for node in order:
             node._needs_grad = True
@@ -348,7 +355,8 @@ def rescale_multipliers(root: Tensor, baseline_root: Tensor, seed, *,
     within ``_NEAR_ZERO``; all other ops propagate like standard gradients.
 
     Like :meth:`Tensor.backward`, sets ``grad`` on each ``wrt`` tensor of
-    the main graph, and on the nodes between, to its accumulated multiplier.
+    the main graph to its accumulated multiplier; every other node's is
+    ``None``.
     """
     order = _topo(root)
     order_b = _topo(baseline_root)

@@ -79,7 +79,8 @@ def _check_out_dirs(args, *dests: str) -> None:
 def _load_split(data_dir: str, split: str | None, image_shape):
     root = Path(data_dir)
     if (root / "manifest.txt").exists():
-        return getattr(load_dataset(root), split or "test")
+        split = split or "test"
+        return getattr(load_dataset(root, splits=(split,)), split)
     if split is not None:
         raise ValueError(f"--split {split}: {root} has no manifest.txt; a "
                          "raw class directory is a single split")

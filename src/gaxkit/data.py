@@ -50,9 +50,9 @@ class Split:
 
 @dataclass
 class Dataset:
-    train: Split
-    val: Split
-    test: Split
+    train: Split | None            # None: a split ``load_dataset`` skipped
+    val: Split | None
+    test: Split | None
     class_count: int
     image_shape: tuple[int, int, int]
     seed: int
@@ -135,8 +135,13 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
     return manifest
 
 
-def load_dataset(root) -> Dataset:
-    """Load a dataset previously written by :func:`write_dataset`."""
+def load_dataset(root, splits=SPLITS) -> Dataset:
+    """Load a dataset previously written by :func:`write_dataset`.
+
+    The whole manifest is parsed and checked (header, fields, labels and
+    sample ids), but images are read only for the splits named in
+    ``splits``; every other split of the result is ``None``.
+    """
     root = Path(root)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -192,17 +197,11 @@ def load_dataset(root) -> Dataset:
         if label >= header["class_count"]:
             raise ValueError(f"{where}: label {label} is out of range for "
                              f"class_count {header['class_count']}")
-    shape = header["image_shape"]
-    c, h, w = shape
-
-    def load_split(name: str) -> Split:
-        entries = samples[name]
-        if not entries:
-            return _empty_split(shape)
-        x = np.empty((len(entries), c, h, w))
-        y = np.empty(len(entries), dtype=np.int64)
+    # sample ids come from file names, so no image is read to check them
+    ids: dict[str, list[str]] = {}
+    for name, entries in samples.items():
         lines_of = {}           # sample id -> manifest line that gave it
-        for i, (label, rel, lineno) in enumerate(entries):
+        for _, rel, lineno in entries:
             path = root / rel
             sid = _sample_id(path.stem, path)
             if sid in lines_of:
@@ -210,6 +209,20 @@ def load_dataset(root) -> Dataset:
                     f"{manifest} line {lineno}: sample id {sid!r} is already "
                     f"the id of line {lines_of[sid]} in split {name!r}")
             lines_of[sid] = lineno
+        ids[name] = list(lines_of)
+    shape = header["image_shape"]
+    c, h, w = shape
+
+    def load_split(name: str) -> Split | None:
+        if name not in splits:
+            return None
+        entries = samples[name]
+        if not entries:
+            return _empty_split(shape)
+        x = np.empty((len(entries), c, h, w))
+        y = np.empty(len(entries), dtype=np.int64)
+        for i, (label, rel, _) in enumerate(entries):
+            path = root / rel
             img = read_pnm(path)
             arr = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
             if arr.shape != shape:
@@ -218,7 +231,7 @@ def load_dataset(root) -> Dataset:
                     f"{manifest} gives image_shape {c}x{h}x{w}")
             x[i] = arr / 255.0
             y[i] = label
-        return Split(x, y, list(lines_of))
+        return Split(x, y, ids[name])
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
                    header["class_count"], shape, header.get("seed", 0))

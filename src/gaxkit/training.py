@@ -130,7 +130,14 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
 
     for it in range(1, cfg.max_iterations + 1):
         idx = rng.integers(0, n, size=cfg.batch_size)
-        fp = model.forward_graph(train_split.x[idx])
+        batch = train_split.x[idx]
+        # Only one graph is alive at a time: the previous one goes after the
+        # batch is drawn and before the next one is built, so the next graph
+        # reuses the heap the previous one held.  Dropping it any earlier
+        # lets the allocator hand that heap back to the system, and the next
+        # graph faults it in again.
+        fp = None
+        fp = model.forward_graph(batch)
         loss_val, dz = _cross_entropy(fp.scores.data, train_split.y[idx])
         if not np.isfinite(loss_val):
             raise ValueError(f"non-finite loss at iteration {it}")

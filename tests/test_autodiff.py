@@ -333,6 +333,32 @@ def test_parameter_sweep_matches_full_sweep(net, n):
     _assert_same_bytes(sweep)
 
 
+@pytest.mark.parametrize("rule", [*ad.BACKWARD_RULES, "rescale"])
+def test_only_wrt_tensors_keep_a_gradient(net, rule):
+    # the input and two activations on one path: the nodes between them
+    # take gradients during the sweep but keep none after it
+    x = _batch(2)
+
+    def sweep(full):
+        fp = net.forward_graph(x)
+        order = ad._topo(fp.scores)
+        wanted = [fp.input, fp.activations["conv1"], fp.activations["pool2"]]
+        wrt = order if full else wanted
+        if rule == "rescale":
+            base = net.forward_graph(np.zeros_like(x))
+            ad.rescale_multipliers(fp.scores, base.scores, _one_hot(2),
+                                   wrt=wrt)
+        else:
+            fp.scores.backward(_one_hot(2), rule, wrt=wrt)
+        if not full:
+            kept = {id(t) for t in wanted}
+            assert all(node.grad is None for node in order
+                       if id(node) not in kept)
+        return [t.grad for t in wanted]
+
+    _assert_same_bytes(sweep)
+
+
 def test_unwanted_nodes_hold_no_gradient():
     x, k, b = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), \
         Tensor(np.zeros(2))

@@ -140,6 +140,26 @@ def test_attribute_exports_heatmap(tiny_run, tmp_path):
     assert np.abs(values).max() <= 1.0 + 1e-12
 
 
+def test_attribute_reads_only_its_split(tmp_path, monkeypatch):
+    import gaxkit.data as data_mod
+
+    data, model = tmp_path / "data", tmp_path / "m.gaxm"
+    assert main(["gen-data", "--out", str(data), "--train", "200",
+                 "--val", "50", "--test", "20", "--shape", "3,8,8"]) == 0
+    MiniConvNet(input_shape=(3, 8, 8)).save(model)
+    real_read_pnm, read = data_mod.read_pnm, []
+
+    def counting_read_pnm(path):
+        read.append(Path(path))
+        return real_read_pnm(path)
+
+    monkeypatch.setattr(data_mod, "read_pnm", counting_read_pnm)
+    assert main(["attribute", "--model", str(model), "--data", str(data),
+                 "--index", "0", "--out", str(tmp_path / "heat")]) == 0
+    assert len(read) == 20
+    assert all(p.relative_to(data).parts[0] == "test" for p in read)
+
+
 @pytest.mark.parametrize("index", ["16", "99", "-1"])
 def test_attribute_index_out_of_range_is_one_line(tiny_run, tmp_path, capsys,
                                                   index):

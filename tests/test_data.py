@@ -84,6 +84,27 @@ class TestDiskRoundTrip:
         gen_data(spec, tmp_path)
         assert list(tmp_path.glob("train/class_*/*.pgm"))
 
+    def test_only_the_asked_splits_are_read(self, tmp_path):
+        spec = DatasetSpec(train=6, val=2, test=3, image_shape=(1, 4, 4),
+                           seed=2)
+        ds = make_blobs(spec)
+        write_dataset(ds, tmp_path)
+        # a train image that does not parse stops only a load that reads it
+        (bad,) = [p for p in tmp_path.glob("train/class_*/*.pgm")
+                  if p.stem == ds.train.ids[0]]
+        bad.write_bytes(b"P5\n")
+        loaded = load_dataset(tmp_path, splits=("test",))
+        assert loaded.train is None and loaded.val is None
+        np.testing.assert_array_equal(loaded.test.x, ds.test.x)
+        assert loaded.test.ids == ds.test.ids
+        with pytest.raises(ValueError, match=str(bad)):
+            load_dataset(tmp_path)
+        # the manifest is still checked whole: a bad train line stops it
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "sample,train,7,x.pgm\n")
+        with pytest.raises(ValueError, match="label 7 is out of range"):
+            load_dataset(tmp_path, splits=("test",))
+
     def test_zero_samples_gives_valid_manifest(self, tmp_path):
         spec = DatasetSpec(train=0, val=0, test=0, seed=0)
         gen_data(spec, tmp_path)
@@ -198,6 +219,9 @@ class TestManifestErrors:
         assert str(info.value) == (
             f"{manifest} line {len(lines)}: sample id {Path(rel).stem!r} is "
             f"already the id of line {first} in split 'test'")
+        # checked from the manifest alone, also when test is not read
+        with pytest.raises(ValueError, match="is already the id of line"):
+            load_dataset(tmp_path, splits=("train",))
 
 
 class TestIngest:

@@ -1,6 +1,8 @@
 """Training loop behavior: stop rules, metrics, loss trend, the
 deliberately-undertrained protocol."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,25 @@ def test_loss_trend_decreases(small_ds):
     before = train_loss()
     train(model, small_ds, TrainConfig(max_iterations=500, seed=7))
     assert train_loss() < 0.5 * before
+
+
+def test_train_holds_one_graph_at_a_time(small_ds, monkeypatch):
+    # a Tensor takes no weakref (it has __slots__), so track an array only
+    # the graph holds: conv1's activation
+    model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=3)
+    build = model.forward_graph
+    previous = []
+
+    def forward_graph(x):
+        assert all(ref() is None for ref in previous), \
+            "the previous graph is alive while the next one is built"
+        fp = build(x)
+        previous[:] = [weakref.ref(fp.activations["conv1"].data)]
+        return fp
+
+    monkeypatch.setattr(model, "forward_graph", forward_graph)
+    result = train(model, small_ds, TrainConfig(max_iterations=5, seed=1))
+    assert result.iterations_run == 5 and len(previous) == 1
 
 
 def test_empty_training_split_rejected(small_ds):

@@ -58,7 +58,6 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # and copies it at the second.  The GAX runs' snapshots land under
 # probe/gax.
 PROBE = """
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -99,13 +98,10 @@ gax_runs += [(correct[0], "_bias", GaxConfig(target_co=5.0, max_iterations=30,
                                              use_bias=True)),
              (correct[1], "_nosim", GaxConfig(target_co=5.0, max_iterations=30,
                                               similarity_factor=0.0))]
-# temporary: a tree whose gax_run predicts the sample itself takes no fx;
-# delete this shim once no tree compared is older than gax_run's fx
-takes_fx = "fx" in inspect.signature(gax_run).parameters
 for i, tag, cfg in gax_runs:
     x = ds.test.x[i]
-    with_fx = {"fx": predict(model, x)[1]} if takes_fx else {}
-    trace, heat = gax_run(model, x, ds.test.y[i], cfg, **with_fx,
+    trace, heat = gax_run(model, x, ds.test.y[i], cfg,
+                          fx=predict(model, x)[1],
                           sample_id=f"{ds.test.ids[i]}{tag}",
                           out_dir=out / "gax")
     dump(f"gax_{i}{tag}_trace", trace.iterations)
@@ -127,7 +123,9 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 # one class, one whose conv1 has 16 output channels (conv2 takes all 16, so
 # the entries agree with each other), a copy of rgb whose manifest lists
 # one test sample twice, so two test samples share one sample id, and a
-# directory where train is told to write its weight file
+# directory where train is told to write its weight file; also a copy of
+# rgb with one truncated train image, which stops train but not a command
+# that reads the test split
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -149,6 +147,9 @@ lines = manifest.read_text().splitlines()
 lines.append(next(line for line in lines if line.startswith("sample,test,")))
 manifest.write_text("\\n".join(lines) + "\\n")
 Path("model_dir").mkdir()
+shutil.copytree("rgb", "bad_train")
+train_image = sorted(Path("bad_train/train").rglob("*.ppm"))[0]
+train_image.write_bytes(train_image.read_bytes()[:20])
 """
 
 
@@ -259,6 +260,10 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "missing/t.csv"),
         _cli("error out is a directory", "train", "--data", "rgb", "--out",
              "model_dir", "--max-iterations", "5"),
+        _cli("error bad train image", "train", "--data", "bad_train",
+             "--out", "bad_train.gaxm", "--max-iterations", "5"),
+        _cli("attribute beside a bad train image", "attribute", "--model",
+             "rgb.gaxm", "--data", "bad_train", "--out", "attr/bad_train"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
     return steps
