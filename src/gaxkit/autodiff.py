@@ -221,45 +221,37 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-def _out_size(n: int, k: int, stride: int, pad: int, op: str) -> int:
-    span = n + 2 * pad - k
-    if span < 0:
-        raise ShapeError(f"{op}: window {k} exceeds padded extent {n + 2 * pad}")
-    return span // stride + 1
-
-
 # OpenBLAS multiplies products of at most this many multiply-adds (M*N*K)
 # with its small-matrix kernel, which sums a transposed operand in another
 # order than a contiguous one.
 _SMALL_GEMM = 1_000_000
 
 
-def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
-    """Stride-1 cross-correlation of (N, C_in, H, W) with kernel
-    (C_out, C_in, KH, KW)."""
+def conv2d(x: Tensor, k: Tensor) -> Tensor:
+    """Stride-1 cross-correlation of (N, C_in, H, W), zero-padded by K // 2,
+    with an odd square kernel (C_out, C_in, K, K): the output is H x W."""
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernel {k.shape}")
     if x.shape[1] != k.shape[1]:
         raise ShapeError(
             f"conv2d: input channels {x.shape[1]} != kernel channels {k.shape[1]}")
-    if pad < 0:
-        raise ValueError("conv2d: pad must be >= 0")
     n, _, h, w = x.shape
     cout, cin, kh, kw = k.shape
-    oh = _out_size(h, kh, 1, pad, "conv2d")
-    ow = _out_size(w, kw, 1, pad, "conv2d")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d: kernel {k.shape} is not odd and square")
+    pad = kh // 2
     xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad: pad + h, pad: pad + w] = x.data
-    # The windows are gathered once, laid out (C, kh, kw, N, oh, ow): the
+    # The windows are gathered once, laid out (C, kh, kw, N, H, W): the
     # operand every GEMM reads.  Results match the einsum reference in
     # tests/test_conv_parity.py bit for bit.
-    cols = np.empty((cin, kh, kw, n, oh, ow))
+    cols = np.empty((cin, kh, kw, n, h, w))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp.transpose(1, 0, 2, 3)[:, :, i: i + oh, j: j + ow]
-    cols = cols.reshape(cin * kh * kw, n * oh * ow)
+            cols[:, i, j] = xp.transpose(1, 0, 2, 3)[:, :, i: i + h, j: j + w]
+    cols = cols.reshape(cin * kh * kw, n * h * w)
     kmat = k.data.reshape(cout, -1)
-    out = (kmat @ cols).reshape(cout, n, oh, ow).transpose(1, 0, 2, 3)
+    out = (kmat @ cols).reshape(cout, n, h, w).transpose(1, 0, 2, 3)
 
     def vjp(g, rule):
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
@@ -274,7 +266,7 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
             gk = (gmat @ ct).reshape(k.shape)
         if x._needs_grad:
             # Above the cutoff kmat.T @ gmat differs from the einsum when
-            # N*oh*ow is not a multiple of 8, and the transposed product
+            # N*H*W is not a multiple of 8, and the transposed product
             # matches it (355 and 0 of 1920 cases: h = 4..19, N = 1..40,
             # convs 1->8, 3->8, 8->16).  Only there: the scatter then reads
             # dcols strided, 1.8 ms slower for conv2 at N=32.
@@ -282,27 +274,27 @@ def conv2d(x: Tensor, k: Tensor, pad: int = 0) -> Tensor:
                 dmat = kmat.T @ gmat
             else:
                 dmat = (gmat.T @ kmat).T
-            dcols = dmat.reshape(cin, kh, kw, n, oh, ow)
+            dcols = dmat.reshape(cin, kh, kw, n, h, w)
             gxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
             gxt = gxp.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
-                    gxt[:, :, i: i + oh, j: j + ow] += dcols[:, i, j]
+                    gxt[:, :, i: i + h, j: j + w] += dcols[:, i, j]
             gx = gxp[:, :, pad: pad + h, pad: pad + w]
         return (gx, gk)
 
     return Tensor(out, (x, k), "conv2d", vjp)
 
 
-def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride = size); ties route the gradient
-    to the first maximum in scan order, and a NaN counts as the maximum."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"max_pool2d: expected 4D input, got {x.shape}")
-    oh = _out_size(x.shape[2], size, size, 0, "max_pool2d")
-    ow = _out_size(x.shape[3], size, size, 0, "max_pool2d")
-    cells = [np.s_[:, :, i: size * oh: size, j: size * ow: size]
-             for i in range(size) for j in range(size)]
+def max_pool2d(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2; ties route the gradient to the first
+    maximum in scan order, and a NaN counts as the maximum."""
+    if x.data.ndim != 4 or min(x.shape[2:]) < 2:
+        raise ShapeError("max_pool2d: expected a 4D input with H and W of "
+                         f"at least 2, got {x.shape}")
+    oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    cells = [np.s_[:, :, i: 2 * oh: 2, j: 2 * ow: 2]
+             for i in range(2) for j in range(2)]
     # np.maximum keeps the first NaN but may keep either of -0.0 and 0.0, so
     # an input with a sign bit set takes the first maximum by comparison
     signed = np.signbit(x.data).any()
@@ -318,21 +310,19 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 
     def vjp(g, rule):
         nonlocal hits
+        if hits is None:
+            masks = []
+            claimed = np.zeros(out.shape, dtype=bool)
+            for cell in cells:
+                v = x.data[cell].copy()
+                hit = ((v == out) | (v != v)) & ~claimed
+                claimed |= hit
+                masks.append(hit)
+            hits = masks    # only once every mask is computed
         g0 = g + 0.0
         gx = np.zeros_like(x.data)
-        if hits is not None:
-            for cell, hit in zip(cells, hits):
-                gx[cell] = np.where(hit, g0, 0.0)
-            return (gx,)
-        masks = []
-        claimed = np.zeros(out.shape, dtype=bool)
-        for cell in cells:
-            v = x.data[cell].copy()
-            hit = ((v == out) | (v != v)) & ~claimed
+        for cell, hit in zip(cells, hits):
             gx[cell] = np.where(hit, g0, 0.0)
-            claimed |= hit
-            masks.append(hit)
-        hits = masks    # only once every mask is computed
         return (gx,)
 
     return Tensor(out, (x,), "max-pool", vjp)

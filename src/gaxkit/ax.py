@@ -142,18 +142,16 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
     standard sweep of it), and one ``co_score`` call scores all of them
     under every variant.  DeepLIFT's zero baseline gets one graph per call,
     built only when ``methods`` include ``deeplift``.  Per-method failures
-    are collected, not fatal; returns (records, errors) with records sorted
-    for deterministic export.  A split whose samples do not fit the model
-    raises ``predict_graph``'s ``ShapeError``.
+    are collected, not fatal; returns (records, errors): records sorted
+    for deterministic export, errors in split order.  A split whose samples
+    do not fit the model raises ``predict_graph``'s ``ShapeError``.
     """
     records: list[ScoreRecord] = []
     errors: list[tuple[str, str]] = []
     # DeepLIFT's zero baseline has the same graph for every sample
     baseline = predict_graph(model, np.zeros(model.input_shape))[1] \
         if "deeplift" in methods else None
-    order = np.argsort(np.asarray(split.ids))
-    for i in order:
-        sid = split.ids[i]
+    for i, sid in enumerate(split.ids):
         x = split.x[i]
         truth = int(split.y[i])
         pred, graph = predict_graph(model, x)

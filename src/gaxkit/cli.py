@@ -76,15 +76,22 @@ def _check_out_dirs(args, *dests: str) -> None:
                              "a directory")
 
 
-def _load_split(data_dir: str, split: str | None, image_shape):
+def _load_split(data_dir: str, split: str | None, model):
+    """The split ``model`` explains; each label must be one of its classes."""
     root = Path(data_dir)
     if (root / "manifest.txt").exists():
         split = split or "test"
-        return getattr(load_dataset(root, splits=(split,)), split)
-    if split is not None:
+        loaded = getattr(load_dataset(root, splits=(split,)), split)
+    elif split is not None:
         raise ValueError(f"--split {split}: {root} has no manifest.txt; a "
                          "raw class directory is a single split")
-    return ingest_images(root, image_shape)
+    else:
+        loaded = ingest_images(root, model.input_shape)
+    top = loaded.y.max(initial=0)
+    if top >= model.num_classes:
+        raise ValueError(f"--data {data_dir}: label {top} is out of range "
+                         f"for a model of {model.num_classes} classes")
+    return loaded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +214,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_attribute(args) -> int:
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, model.input_shape)
+    split = _load_split(args.data, args.split, model)
     if not 0 <= args.index < len(split):
         raise ValueError(f"--index {args.index} out of range for a split "
                          f"of {len(split)} samples")
@@ -224,7 +231,7 @@ def _cmd_attribute(args) -> int:
 def _cmd_ax_sweep(args) -> int:
     _check_out_dirs(args, "out")
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, model.input_shape)
+    split = _load_split(args.data, args.split, model)
     records, errors = ax_mod.ax_sweep(model, split, args.methods,
                                       args.variants)
     ax_mod.write_scores_csv(records, args.out)
@@ -262,7 +269,7 @@ def _cmd_gap_stats(args) -> int:
 
 def _cmd_gax(args) -> int:
     model = MiniConvNet.load(args.model)
-    split = _load_split(args.data, args.split, model.input_shape)
+    split = _load_split(args.data, args.split, model)
     use_bias = args.bias
     if use_bias is None:
         # dark datasets stall without the bias: w * 0 stays 0 under tanh

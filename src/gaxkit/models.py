@@ -55,7 +55,7 @@ def snap32(a: np.ndarray) -> np.ndarray:
 
 
 CHANNELS = (8, 16)      # output channels of conv1 and conv2
-KERNEL = 3              # both convs' kernel size; each pads by KERNEL // 2
+KERNEL = 3              # both convs' kernel size; ad.conv2d keeps H and W
 
 
 class MiniConvNet:
@@ -112,21 +112,20 @@ class MiniConvNet:
         run one sample of the batch ``a`` at a time to give each sample the
         bytes it gets alone; ``forward_graph`` ignores it."""
         def conv(name):
-            return partial(ad.conv2d, k=leaves[name], pad=KERNEL // 2)
+            return partial(ad.conv2d, k=leaves[name])
 
         def bias(name):
             return partial(ad.bias_add, b=leaves[name])
 
-        pool = partial(ad.max_pool2d, size=2)
         fc = partial(ad.matmul, b=ad.transpose2d(leaves["fc.w"]))
         return ((None, conv("conv1.w"), _area_not_8),
                 ("conv1", bias("conv1.b"), None),
                 (None, ad.relu, None),
-                ("pool1", pool, None),
+                ("pool1", ad.max_pool2d, None),
                 (None, conv("conv2.w"), _area_not_8),
                 ("conv2", bias("conv2.b"), None),
                 (None, ad.relu, None),
-                ("pool2", pool, None),
+                ("pool2", ad.max_pool2d, None),
                 (None, ad.flatten, None),
                 (None, fc, lambda a: True),
                 ("fc", bias("fc.b"), None))
@@ -164,11 +163,14 @@ class MiniConvNet:
     @classmethod
     def load(cls, path) -> "MiniConvNet":
         named = read_gaxm(path)
-        for name in ("input_shape", "kernel", "conv1.w", "conv1.b", "conv2.w",
-                     "conv2.b", "fc.w", "fc.b"):
+        entries = ("input_shape", "kernel", "conv1.w", "conv1.b", "conv2.w",
+                   "conv2.b", "fc.w", "fc.b")
+        for name in entries:
             if name not in named:
                 raise ValueError(f"{path}: no {name!r} entry")
         for name, arr in named.items():
+            if name not in entries:
+                raise ValueError(f"{path}: unknown entry {name!r}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{path}: entry {name!r} holds a non-finite "
                                  "value")

@@ -29,10 +29,12 @@ class TestForward:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_conv2d_all_ones(self):
+        # same padding: each output sums the window's in-bounds ones
         x = Tensor(np.ones((1, 1, 3, 3)))
-        k = Tensor(np.ones((1, 1, 2, 2)))
+        k = Tensor(np.ones((1, 1, 3, 3)))
         out = ad.conv2d(x, k)
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        np.testing.assert_array_equal(
+            out.data, [[[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]]])
 
     def test_conv2d_matches_scipy(self):
         from scipy.signal import correlate2d
@@ -43,14 +45,14 @@ class TestForward:
             out = ad.conv2d(Tensor(x), Tensor(k)).data
             for n in range(2):
                 for o in range(4):
-                    ref = sum(correlate2d(x[n, c], k[o, c], mode="valid")
+                    ref = sum(correlate2d(x[n, c], k[o, c], mode="same")
                               for c in range(3))
                     np.testing.assert_allclose(out[n, o], ref, atol=1e-12)
 
     def test_max_pool_matches_loop(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 2, 6, 6))
-        out = ad.max_pool2d(Tensor(x), 2).data
+        out = ad.max_pool2d(Tensor(x)).data
         for n in range(2):
             for c in range(2):
                 for i in range(3):
@@ -62,13 +64,29 @@ class TestForward:
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="conv2d"):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 2, 2))))
+            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+
+    @pytest.mark.parametrize("kernel", [(1, 1, 2, 2), (1, 1, 4, 4),
+                                        (1, 1, 3, 1), (1, 1, 1, 3)])
+    def test_conv2d_rejects_an_even_or_non_square_kernel(self, kernel):
+        with pytest.raises(ShapeError) as info:
+            ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones(kernel)))
+        assert str(info.value) == \
+            f"conv2d: kernel {kernel} is not odd and square"
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 4), (1, 1, 4, 1),
+                                       (1, 1, 1, 1), (1, 1, 0, 0)])
+    def test_max_pool_rejects_an_extent_below_2(self, shape):
+        with pytest.raises(ShapeError) as info:
+            ad.max_pool2d(Tensor(np.ones(shape)))
+        assert str(info.value) == ("max_pool2d: expected a 4D input with H "
+                                   f"and W of at least 2, got {shape}")
 
     def test_outputs_finite(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 4, 4)))
         k = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        out = ad.flatten(ad.max_pool2d(ad.relu(ad.conv2d(x, k, pad=1)), 2))
+        out = ad.flatten(ad.max_pool2d(ad.relu(ad.conv2d(x, k))))
         assert np.isfinite(out.data).all()
 
 
@@ -132,7 +150,7 @@ class TestBackwardRules:
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
         k = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        out = ad.max_pool2d(ad.relu(ad.conv2d(x, k, pad=1)), 2)
+        out = ad.max_pool2d(ad.relu(ad.conv2d(x, k)))
         nodes = ad._topo(out)
         out.backward(np.ones(out.shape), wrt=nodes)
         for node in nodes:
@@ -362,7 +380,7 @@ def test_only_wrt_tensors_keep_a_gradient(net, rule):
 def test_unwanted_nodes_hold_no_gradient():
     x, k, b = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), \
         Tensor(np.zeros(2))
-    out = ad.bias_add(ad.conv2d(x, k, pad=1), b)
+    out = ad.bias_add(ad.conv2d(x, k), b)
     out.backward(np.ones(out.shape), wrt=[k])
     assert k.grad is not None and k.grad.shape == k.shape
     assert x.grad is None and b.grad is None
@@ -386,7 +404,7 @@ def test_vjp_outside_a_sweep_returns_every_gradient():
     rng = np.random.default_rng(23)
     x = Tensor(rng.normal(size=(2, 3, 5, 5)))
     k = Tensor(rng.normal(size=(4, 3, 3, 3)))
-    out = ad.conv2d(x, k, pad=1)
+    out = ad.conv2d(x, k)
     out.backward(np.ones(out.shape), wrt=[x])
     gx, gk = out._vjp(np.ones(out.shape), RULE_STANDARD)
     assert gx.shape == x.shape and gk.shape == k.shape

@@ -568,6 +568,25 @@ def test_one_class_model_is_one_line(tiny_run, tmp_path, capsys, command):
     assert sorted(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("command", ["attribute", "ax-sweep", "gax"])
+def test_label_beyond_the_model_classes_is_one_line(tiny_run, tmp_path,
+                                                    capsys, command):
+    # a 3-class split and a 2-class model: fails before any work
+    _, model = tiny_run
+    data = tmp_path / "three"
+    assert main(["gen-data", "--out", str(data), "--classes", "3",
+                 "--train", "3", "--val", "3", "--test", "6",
+                 "--shape", "3,8,8"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --data {data}: label 2 is out of range for a model of 2 "
+        "classes\n")
+    assert sorted(tmp_path.iterdir()) == [data]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_nonfinite_loss_is_one_line(tiny_run, tmp_path, capsys):
     # the first update leaves the float32 grid; no numpy warning comes first

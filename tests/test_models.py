@@ -74,6 +74,14 @@ class TestLoadChecks:
             MiniConvNet.load(path)
         assert str(info.value) == f"{path}: no 'input_shape' entry"
 
+    def test_unknown_entry(self, named):
+        path, entries = named
+        entries["bogus"] = np.zeros(5)
+        write_gaxm(path, entries)
+        with pytest.raises(ValueError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == f"{path}: unknown entry 'bogus'"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_value(self, named, value):

@@ -121,11 +121,11 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 
 # inputs the CLI must reject with one line: a weight file whose head has
 # one class, one whose conv1 has 16 output channels (conv2 takes all 16, so
-# the entries agree with each other), a copy of rgb whose manifest lists
-# one test sample twice, so two test samples share one sample id, and a
-# directory where train is told to write its weight file; also a copy of
-# rgb with one truncated train image, which stops train but not a command
-# that reads the test split
+# the entries agree with each other), one with an entry the model does not
+# read, a copy of rgb whose manifest lists one test sample twice, so two
+# test samples share one sample id, and a directory where train is told to
+# write its weight file; also a copy of rgb with one truncated train image,
+# which stops train but not a command that reads the test split
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -141,6 +141,9 @@ named = read_gaxm("rgb.gaxm")
 for name, axis in (("conv1.w", 0), ("conv1.b", 0), ("conv2.w", 1)):
     named[name] = np.repeat(named[name], 2, axis=axis)
 write_gaxm("conv16.gaxm", named)
+named = read_gaxm("rgb.gaxm")
+named["bogus"] = np.zeros(5)
+write_gaxm("bogus.gaxm", named)
 shutil.copytree("rgb", "dup_ids")
 manifest = Path("dup_ids/manifest.txt")
 lines = manifest.read_text().splitlines()
@@ -234,6 +237,19 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error conv1 channels", "ax-sweep", "--model", "conv16.gaxm",
              "--data", "rgb", "--methods", "saliency", "--out",
              "conv16.csv"),
+        _cli("error unknown model entry", "ax-sweep", "--model",
+             "bogus.gaxm", "--data", "rgb", "--methods", "saliency", "--out",
+             "bogus.csv"),
+        # a 3-class split for the 2-class rgb model
+        _cli("gen-data three classes", "gen-data", "--out", "three",
+             "--classes", "3", "--train", "3", "--val", "3", "--test", "6",
+             "--shape", "3,16,16", "--seed", "7"),
+        _cli("error label beyond the model ax-sweep", "ax-sweep", "--model",
+             "rgb.gaxm", "--data", "three", "--methods", "saliency",
+             "--out", "three.csv"),
+        _cli("error label beyond the model gax", "gax", "--model",
+             "rgb.gaxm", "--data", "three", "--max-iterations", "5",
+             "--out", "gax_three"),
         _cli("error duplicate sample id", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "dup_ids", "--methods", "saliency", "--out",
              "dup_ids.csv"),
