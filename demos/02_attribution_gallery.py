@@ -10,9 +10,8 @@ Outputs land under attribution_gallery/.
 from pathlib import Path
 
 from gaxkit import (METHODS, DatasetSpec, MiniConvNet, TrainConfig,
-                    attribute, make_blobs, normalize, train)
+                    attribute, make_blobs, normalize, predict_graph, train)
 from gaxkit.formats import export_heatmap, write_ppm
-from gaxkit.models import predict_graph
 import numpy as np
 
 OUT = Path("attribution_gallery")

@@ -18,7 +18,7 @@ from .data import (Dataset, DatasetSpec, Split, gen_data, ingest_images,
                    load_dataset, make_blobs, write_dataset)
 from .gax import (GaxConfig, GaxTrace, gax_run, gax_sweep, write_manifest,
                   write_trace_csv)
-from .models import MiniConvNet, predict
+from .models import MiniConvNet, predict, predict_graph
 from .optim import Adam
 from .toy import (ToyInstance, closed_form_heatmap, delta, delta_gradient,
                   rotation_sweep, write_sweep_csv)
@@ -34,8 +34,8 @@ __all__ = [
     "TrainConfig", "TrainResult", "attribute", "ax_sweep",
     "closed_form_heatmap", "co_score", "delta", "delta_gradient", "evaluate",
     "gap_stats", "gax_run", "gax_sweep", "gen_data", "ingest_images",
-    "load_dataset", "make_blobs", "normalize", "predict", "read_scores_csv",
-    "rotation_sweep", "train", "write_dataset", "write_histogram_csv",
-    "write_manifest", "write_scores_csv", "write_sweep_csv",
-    "write_trace_csv",
+    "load_dataset", "make_blobs", "normalize", "predict", "predict_graph",
+    "read_scores_csv", "rotation_sweep", "train", "write_dataset",
+    "write_histogram_csv", "write_manifest", "write_scores_csv",
+    "write_sweep_csv", "write_trace_csv",
 ]

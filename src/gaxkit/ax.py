@@ -133,7 +133,7 @@ def co_score(model, x, heatmaps: list[Heatmap], groundtruth: int,
 
 
 def ax_sweep(model, split, methods, variants=("sum", "mul")
-             ) -> tuple[list[ScoreRecord], list[tuple[str, str]]]:
+             ) -> tuple[list[ScoreRecord], list]:
     """Score every (sample, method, variant) combination of a split.
 
     Heatmaps target the predicted class and enter the score normalized.
@@ -141,13 +141,14 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
     method's heatmap (saliency, input x gradient and Grad-CAM read one
     standard sweep of it), and one ``co_score`` call scores all of them
     under every variant.  DeepLIFT's zero baseline gets one graph per call,
-    built only when ``methods`` include ``deeplift``.  Per-method failures
-    are collected, not fatal; returns (records, errors): records sorted
-    for deterministic export, errors in split order.  A split whose samples
-    do not fit the model raises ``predict_graph``'s ``ShapeError``.
+    built only when ``methods`` include ``deeplift``.  Returns
+    ``(records, [])``, records sorted for deterministic export; the second
+    element is always empty and stays only for the benchmark's callers,
+    which unpack a pair.  Nothing is caught: a method that cannot explain
+    the model (a Grad-CAM layer it lacks or that is not spatial) raises at
+    the first sample, and so does a split that does not fit the model.
     """
     records: list[ScoreRecord] = []
-    errors: list[tuple[str, str]] = []
     # DeepLIFT's zero baseline has the same graph for every sample
     baseline = predict_graph(model, np.zeros(model.input_shape))[1] \
         if "deeplift" in methods else None
@@ -155,13 +156,9 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
         x = split.x[i]
         truth = int(split.y[i])
         pred, graph = predict_graph(model, x)
-        heats = []
-        for method in methods:
-            try:
-                heats.append(normalize(attribute(
-                    model, graph, pred, method, deeplift_baseline=baseline)))
-            except ValueError as exc:  # data errors; bugs propagate
-                errors.append((sid, f"{method}: {exc}"))
+        heats = [normalize(attribute(model, graph, pred, method,
+                                     deeplift_baseline=baseline))
+                 for method in methods]
         scores = co_score(model, x, heats, truth, variants,
                           fx=graph.scores.data[0])
         records += [ScoreRecord(sid, h.method, variant, float(score), pred,
@@ -169,7 +166,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
                     for h, row in zip(heats, scores)
                     for variant, score in zip(variants, row)]
     records.sort(key=lambda r: (r.sample_id, r.method, r.variant))
-    return records, errors
+    return records, []
 
 
 def _summary(scores: np.ndarray) -> GroupSummary:

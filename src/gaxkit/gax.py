@@ -99,11 +99,8 @@ def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
     # the penalty's denominator mean((h - x + eps)^2 / (x + eps))
     dev = h - xb + EPSILON
     inv = 1.0 / (xb + EPSILON)
-    mean = (dev * dev * inv).mean()
-    if mean == 0.0:
-        raise ValueError("similarity penalty: mean((h - x + eps)^2 / (x + eps))"
-                         " is zero")
-    recip = 1.0 / mean
+    # a zero mean (every h == x - eps) makes the loss infinite
+    recip = 1.0 / (dev * dev * inv).mean()
     loss = recip * cfg.similarity_factor - co
 
     def gradient() -> dict[str, np.ndarray]:
@@ -149,8 +146,9 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
     heat = Heatmap(np.tanh(params["w"] * x + params.get("b", 0.0)),
                    "gax", int(groundtruth))
 
-    # an overflow or NaN surfaces as the non-finite loss checked below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow, a zero penalty mean or a NaN surfaces as the non-finite
+    # loss checked below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step in range(cfg.max_iterations + 1):
             loss_val, co_val, h, gradient = _objective(model, x, params, fx,
                                                        constants, cfg)
@@ -182,39 +180,31 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir,
               ) -> tuple[list[GaxTrace], list[tuple[str, str]]]:
     """Run GAX over the correctly-classified samples of a split.
 
-    Misclassified samples are excluded (not errors).  Other per-sample
-    failures are logged and skipped; a run stopped by a non-finite loss
-    keeps its trace and is logged too.  Returns (traces, errors).
+    Samples run in split order, misclassified ones are skipped (not
+    errors) and ``limit`` caps the runs.  Returns (traces, errors): a run
+    stopped by a non-finite loss keeps its trace and is the one error,
+    ``(sample id, "non-finite loss at step k")``.  Nothing is caught.
 
     The run directory ``out_dir`` holds each run's snapshots,
-    ``<id>.trace.csv``, ``manifest.csv`` and, if any run failed,
-    ``errors.log``; invalid inputs raise before anything is written.
+    ``<id>.trace.csv``, ``manifest.csv`` and, if any run stopped on a
+    non-finite loss, ``errors.log``.  Invalid inputs, a split outside
+    [0, 1] among them, raise before anything is written.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    _check_unit_interval(split.x)
     traces: list[GaxTrace] = []
-    errors: list[tuple[str, str]] = []
-    order = np.argsort(np.asarray(split.ids))
-    taken = 0
-    for i in order:
-        if limit is not None and taken >= limit:
+    for i, sid in enumerate(split.ids):
+        if limit is not None and len(traces) >= limit:
             break
-        sid = split.ids[i]
         x = split.x[i]
         truth = int(split.y[i])
         pred, fx = predict(model, x)
         if pred != truth:
             continue
-        taken += 1
-        try:
-            trace, _ = gax_run(model, x, truth, cfg, fx=fx, sample_id=sid,
-                               out_dir=out_dir)
-        except ValueError as exc:  # data errors; bugs propagate
-            errors.append((sid, str(exc)))
-            continue
-        traces.append(trace)
-        if trace.error is not None:
-            errors.append((sid, trace.error))
+        traces.append(gax_run(model, x, truth, cfg, fx=fx, sample_id=sid,
+                              out_dir=out_dir)[0])
+    errors = [(t.sample_id, t.error) for t in traces if t.error is not None]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for trace in traces:

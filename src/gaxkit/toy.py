@@ -45,12 +45,11 @@ def sample_vector(inst: ToyInstance) -> np.ndarray:
     return rotation(inst.theta) @ np.array([inst.a1, inst.a2])
 
 
-def delta(inst: ToyInstance, w=(1.0, 1.0)) -> float:
-    """A - B for heatmap weights ``w``: the score difference to maximize.
-
-    delta is linear in ``w``, so it is ``w`` dotted with its gradient.
-    """
-    return float(np.dot(w, delta_gradient(inst)))
+def delta(inst: ToyInstance) -> float:
+    """A - B for heatmap weights w = (1, 1): the score difference to
+    maximize.  delta is linear in w, so it is w dotted with its gradient:
+    here the gradient's sum."""
+    return float(delta_gradient(inst).sum())
 
 
 def delta_gradient(inst: ToyInstance) -> np.ndarray:

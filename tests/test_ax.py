@@ -205,13 +205,13 @@ class TestSweep:
         assert keys == sorted(keys)
         assert not errors
 
-    def test_failing_method_recorded_not_fatal(self, tiny):
+    def test_failing_method_stops_the_sweep(self, tiny):
+        # a layer the model lacks fails every sample alike: the first
+        # sample's error is the sweep's
         model, ds = tiny
-        records, errors = ax_sweep(model, ds.test,
-                                   ["saliency", "layer-gradcam:nope"], ["sum"])
-        assert len(records) == len(ds.test)      # saliency still swept
-        assert len(errors) == len(ds.test)
-        assert all("nope" in msg for _, msg in errors)
+        with pytest.raises(ValueError, match="unknown layer 'nope'"):
+            ax_sweep(model, ds.test, ["saliency", "layer-gradcam:nope"],
+                     ["sum"])
 
     def test_one_forward_row_for_fx_per_sample(self, tiny, monkeypatch):
         # per sample: one forward graph shared by f(x) and the 6
@@ -261,17 +261,17 @@ class TestSweep:
                           "rescale": len(ds.test)}
 
     def test_methods_sharing_a_graph_score_as_swept_alone(self, tiny):
-        # in reverse, with a failing method in the middle: any state one
+        # in reverse, with deeplift again after the others: any state one
         # method leaves on the sample's graph would move another's score
         model, ds = tiny
-        methods = [*reversed(METHODS)]
-        methods.insert(3, "layer-gradcam:nope")
+        methods = [*reversed(METHODS), "deeplift"]
         records, errors = ax_sweep(model, ds.test, methods, ["sum", "mul"])
-        alone = sorted((r for m in METHODS
+        alone = sorted((r for m in methods
                         for r in ax_sweep(model, ds.test, [m])[0]),
                        key=lambda r: (r.sample_id, r.method, r.variant))
+        assert len(records) == 2 * len(methods) * len(ds.test)
         assert records == alone
-        assert len(errors) == len(ds.test)
+        assert not errors
 
     def test_shape_mismatch_stops_the_sweep(self, tiny):
         # every sample of a split has one shape: the mismatch is the split's
@@ -291,8 +291,19 @@ class TestSweep:
         with pytest.raises(TypeError, match="broken attribution"):
             ax_sweep(model, ds.test, ["saliency"], ["sum"])
 
+    def test_shape_error_in_attribute_propagates(self, tiny, monkeypatch):
+        # a ShapeError is a ValueError, and the sweep catches neither
+        import gaxkit.ax
+
+        def broken(*args, **kwargs):
+            raise ShapeError("broken attribution shape")
+
+        monkeypatch.setattr(gaxkit.ax, "attribute", broken)
+        model, ds = tiny
+        with pytest.raises(ShapeError, match="broken attribution shape"):
+            ax_sweep(model, ds.test, ["saliency"], ["sum"])
+
     def test_key_error_from_a_bug_propagates(self, tiny, monkeypatch):
-        # only ValueError is an expected per-sample error
         import gaxkit.ax
 
         def broken(*args, **kwargs):

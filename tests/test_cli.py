@@ -219,6 +219,34 @@ def test_gax_logs_nonfinite_runs(tiny_run, tmp_path, capsys):
         f"0/{len(runs)} runs reached co >= 48.0; outputs under {out}\n")
 
 
+def test_gax_walks_the_split_in_manifest_order(tiny_run, tmp_path):
+    # with the test lines reversed, --first-n 1 optimizes the last sample
+    # the generator wrote that the model classifies correctly
+    import shutil
+    from gaxkit.data import load_dataset
+    from gaxkit.models import predict
+
+    data, model_path = tiny_run
+    reversed_data = tmp_path / "reversed"
+    shutil.copytree(data, reversed_data)
+    manifest = reversed_data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    test = [line for line in lines if line.startswith("sample,test,")]
+    manifest.write_text("\n".join(
+        [line for line in lines if line not in test] + test[::-1]) + "\n")
+    split = load_dataset(reversed_data, splits=("test",)).test
+    model = MiniConvNet.load(model_path)
+    correct = [sid for sid, x, y in zip(split.ids, split.x, split.y)
+               if predict(model, x)[0] == y]
+    assert len(correct) > 1 and correct[0] == max(correct)
+    out = tmp_path / "g"
+    assert main(["gax", "--model", str(model_path), "--data",
+                 str(reversed_data), "--first-n", "1", "--max-iterations",
+                 "1", "--out", str(out)]) == 0
+    runs = (out / "manifest.csv").read_text().splitlines()[1:]
+    assert [run.split(",")[0] for run in runs] == [correct[0]]
+
+
 def test_gax_bias_defaults_on_for_dark_split(tiny_run, tmp_path, capsys,
                                              monkeypatch):
     # mostly-zero pixels trigger the automatic bias unless overridden
@@ -350,20 +378,26 @@ def test_ax_sweep_rejects_unknown_entries_up_front(tiny_run, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_ax_sweep_unknown_gradcam_layer_is_per_sample(tiny_run, tmp_path,
-                                                      capsys):
+@pytest.mark.parametrize("layer, message", [
+    ("nope", "unknown layer 'nope'; model layers: ['conv1', 'conv2', 'fc', "
+             "'pool1', 'pool2']"),
+    ("fc", "layer 'fc' is not spatial (shape (1, 2))"),
+], ids=["nope", "fc"])
+def test_ax_sweep_bad_gradcam_layer_is_one_line(tiny_run, tmp_path, capsys,
+                                                layer, message):
+    # the first sample's error stops the sweep; attribute prints the same
     data, model = tiny_run
     out = tmp_path / "s.csv"
     code = main(["ax-sweep", "--model", str(model), "--data", str(data),
-                 "--methods", "saliency,layer-gradcam:nope",
+                 "--methods", f"saliency,layer-gradcam:{layer}",
                  "--variants", "sum", "--out", str(out)])
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 1 + 16
-    log = out.with_suffix(".errors.log").read_text().splitlines()
-    assert len(log) == 16
-    assert all(line.endswith(": layer-gradcam:nope: unknown layer 'nope'; "
-                             "model layers: ['conv1', 'conv2', 'fc', 'pool1', "
-                             "'pool2']") for line in log)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+    assert main(["attribute", "--model", str(model), "--data", str(data),
+                 "--method", f"layer-gradcam:{layer}", "--out",
+                 str(tmp_path / "h")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["attribute", "ax-sweep", "gax"])

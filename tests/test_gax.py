@@ -109,16 +109,19 @@ class TestLoss:
         assert max_relative_error(grads["w"], num_w) < 1e-5
         assert max_relative_error(grads["b"], num_b) < 1e-5
 
-    def test_zero_penalty_denominator_is_a_value_error(self, tiny_model):
+    def test_zero_penalty_mean_gives_an_infinite_loss(self, tiny_model):
         # x = 0 and tanh(b) == -eps exactly: every (h - x + eps) is 0, so the
-        # penalty's mean is 0; gax_sweep logs this error and carries on
+        # penalty's mean is 0 and the loss is infinite, which gax_run stops
+        # as a non-finite loss
         b = -0.00010000000033333334
         assert np.tanh(b) == -EPSILON
         x = np.zeros((3, 8, 8))
         params = {"w": np.ones_like(x), "b": np.full_like(x, b)}
-        with pytest.raises(ValueError, match="similarity penalty"):
-            _objective(tiny_model, x, params, tiny_model.scores(x[None]),
-                       ScoreConstants(2, 0), GaxConfig(use_bias=True))
+        with np.errstate(divide="ignore"):
+            loss, co, _, _ = _objective(
+                tiny_model, x, params, tiny_model.scores(x[None]),
+                ScoreConstants(2, 0), GaxConfig(use_bias=True))
+        assert loss == np.inf and np.isfinite(co)
 
 
 class TestRun:
@@ -290,6 +293,32 @@ class TestSweepAndExport:
         assert all(t.error == "non-finite loss at step 0"
                    and not t.iterations for t in traces)
         assert errors == [(t.sample_id, t.error) for t in traces]
+
+    def test_shape_error_in_gax_run_propagates(self, tiny_model, tiny_ds,
+                                               tmp_path, monkeypatch):
+        # a ShapeError is a ValueError, and the sweep catches neither
+        import gaxkit.gax
+
+        def broken(*args, **kwargs):
+            raise ShapeError("broken run shape")
+
+        monkeypatch.setattr(gaxkit.gax, "gax_run", broken)
+        out = tmp_path / "g"
+        with pytest.raises(ShapeError, match="broken run shape"):
+            gax_sweep(tiny_model, tiny_ds.test, GaxConfig(max_iterations=1),
+                      out_dir=out)
+        assert not out.exists()
+
+    def test_split_outside_unit_interval_raises_before_writing(
+            self, tiny_model, tiny_ds, tmp_path):
+        split = type(tiny_ds.test)(tiny_ds.test.x.copy(), tiny_ds.test.y,
+                                   tiny_ds.test.ids)
+        split.x[-1, 0, 0, 0] = 1.5
+        out = tmp_path / "g"
+        with pytest.raises(ValueError, match=r"\[0, 1\]-normalized"):
+            gax_sweep(tiny_model, split, GaxConfig(max_iterations=1),
+                      out_dir=out)
+        assert not out.exists()
 
     def test_programming_error_propagates(self, tiny_model, tiny_ds,
                                           tmp_path, monkeypatch):

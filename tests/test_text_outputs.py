@@ -184,19 +184,15 @@ def tiny_files(tmp_path):
 
 
 def test_ax_sweep_errors_log(tiny_files, tmp_path, capsys):
+    # ax-sweep writes no errors log: a method that fails a sample is the
+    # command's one error line, and neither the CSV nor a log is written
     data, model = tiny_files
     out = tmp_path / "s.csv"
     assert main(["ax-sweep", "--model", str(model), "--data", str(data),
-                 "--methods", "layer-gradcam:fc", "--out", str(out)]) == 0
-    log = tmp_path / "s.errors.log"
-    assert log.read_bytes() == (
-        b"test_00000: layer-gradcam:fc: layer 'fc' is not spatial "
-        b"(shape (1, 2))\n")
-    assert out.read_bytes() == \
-        b"sample_id,method,variant,co_score,pred,truth,correct\n"
+                 "--methods", "layer-gradcam:fc", "--out", str(out)]) == 1
     assert capsys.readouterr() == (
-        f"wrote 0 records to {out}\n",
-        f"1 sample failures logged to {log}\n")
+        "", "error: layer 'fc' is not spatial (shape (1, 2))\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "m.gaxm"]
 
 
 def test_gax_run_directory(tiny_files, tmp_path, capsys):

@@ -34,11 +34,10 @@ DEMOS = ("01_toy_rotation_sweep.py", "02_attribution_gallery.py",
 ATTRIBUTE_METHODS = ("saliency", "input-x-gradient", "deconvolution",
                      "guided-backprop", "deeplift", "layer-gradcam",
                      "layer-gradcam:conv2")
-# the six methods in reverse with a failing one in the middle: methods that
-# share a sample's graph would show any state they leak as a byte difference
-REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,"
-                    "layer-gradcam:nope,deconvolution,input-x-gradient,"
-                    "saliency")
+# the six methods in reverse: methods that share a sample's graph would
+# show any state they leak as a byte difference
+REVERSED_METHODS = ("layer-gradcam,deeplift,guided-backprop,deconvolution,"
+                    "input-x-gradient,saliency")
 # Grad-CAM before the gradient methods, so Grad-CAM's standard sweep is the
 # one saliency and input x gradient read; deeplift twice against the one
 # zero-baseline graph of the sweep
@@ -49,9 +48,9 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # The CLI writes float32 tensors and 9-digit text, which round a 1-ulp
 # change in a float64 result away.  This step writes raw float64 bytes of
 # what the workloads compute: heatmaps, CO scores (also of the methods in
-# reverse with a failing one in the middle, and of the gray model, whose
-# conv2 output area of 6 * 6 is not a multiple of BLAS's 8-column tiles, so
-# a batched forward that is not batch-invariant shows there), GAX traces and
+# reverse, and of the gray model, whose conv2 output area of 6 * 6 is not a
+# multiple of BLAS's 8-column tiles, so a batched forward that is not
+# batch-invariant shows there), GAX traces and
 # heatmaps (also with the bias and with no similarity penalty), and the
 # parameter gradients of one training step at batch 32 and one at batch 3:
 # conv2d's kernel gradient reads its window matrix in place at the first
@@ -64,6 +63,7 @@ import numpy as np
 
 from gaxkit import (METHODS, GaxConfig, MiniConvNet, attribute, ax_sweep,
                     gax_run, load_dataset, predict)
+from gaxkit.training import _cross_entropy
 
 out = Path("probe")
 out.mkdir()
@@ -81,9 +81,7 @@ for method in (*METHODS, "layer-gradcam:conv2"):
                     method).values for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
-methods = [*reversed(METHODS)]
-methods.insert(3, "layer-gradcam:nope")
-records, _ = ax_sweep(model, ds.test, methods)
+records, _ = ax_sweep(model, ds.test, [*reversed(METHODS)])
 dump("co_scores_reversed", [r.co_score for r in records])
 records, _ = ax_sweep(MiniConvNet.load("gray.gaxm"), load_dataset("gray").test,
                       METHODS)
@@ -109,12 +107,9 @@ for i, tag, cfg in gax_runs:
 for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
     fp = model.forward_graph(ds.train.x[idx])
-    # d mean cross-entropy / d scores: (softmax - one-hot) / batch
-    z = fp.scores.data
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(batch), ds.train.y[idx]] -= 1.0
-    fp.scores.backward(p / batch, wrt=list(fp.params.values()))
+    # seeded with d mean cross-entropy / d scores, as training seeds it
+    seed = _cross_entropy(fp.scores.data, ds.train.y[idx])[1]
+    fp.scores.backward(seed, wrt=list(fp.params.values()))
     for name, leaf in fp.params.items():
         dump(f"grad{tag}_{name}", leaf.grad)
 """
@@ -182,8 +177,8 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--data", "rgb", "--out", "scores.csv"),
         _cli("ax-sweep gradcam layers", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "rgb", "--split", "val", "--methods",
-             "layer-gradcam:conv2,layer-gradcam:nope,layer-gradcam:fc",
-             "--out", "gradcam.csv"),
+             "layer-gradcam:conv2,layer-gradcam:pool1", "--out",
+             "gradcam.csv"),
         _cli("ax-sweep reversed methods", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "rgb", "--methods", REVERSED_METHODS, "--out",
              "reversed.csv"),
@@ -250,6 +245,14 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error label beyond the model gax", "gax", "--model",
              "rgb.gaxm", "--data", "three", "--max-iterations", "5",
              "--out", "gax_three"),
+        # a Grad-CAM layer the model lacks, and one that is not spatial:
+        # the first sample's error stops the sweep
+        _cli("error unknown gradcam layer", "ax-sweep", "--model",
+             "rgb.gaxm", "--data", "rgb", "--methods",
+             "saliency,layer-gradcam:nope", "--out", "gradcam_nope.csv"),
+        _cli("error gradcam layer not spatial", "ax-sweep", "--model",
+             "rgb.gaxm", "--data", "rgb", "--methods", "layer-gradcam:fc",
+             "--out", "gradcam_fc.csv"),
         _cli("error duplicate sample id", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "dup_ids", "--methods", "saliency", "--out",
              "dup_ids.csv"),
