@@ -33,13 +33,18 @@ vjp has pulled it.  Their finite-difference checker lives with the tests
 (``tests/gradcheck.py``).
 
 A graph may be swept any number of times, with any rule and ``wrt``, also
-after a sweep that raised: a sweep resets every ``grad`` of the graph, stores
-each node's first contribution as a new array and writes no forward array.
-Each sweep so gives the bytes a fresh graph would, and never writes into the
-``grad`` arrays an earlier sweep left, so a caller may keep those arrays
-(attribution records a standard sweep's and reads them again).  A
-``max_pool2d`` node computes its routing masks in its first vjp and reuses
-them in every later sweep; they depend on the forward arrays alone.
+after a sweep that raised: a sweep resets every ``grad`` of the graph and
+writes no forward array.  A vjp never keeps an array it returns, so the
+sweep owns each one with no base that is not the pulled node's own ``grad``
+and adopts it, in place, as a parent's first contribution; it copies any
+other (a view, or ``bias_add``'s upstream ``g``).  Either way the ``grad``
+holds the bytes of ``0.0 + pg`` and shares memory with no other ``grad``
+and no forward array.  Each sweep so gives the bytes a fresh graph would,
+and never writes into the ``grad`` arrays an earlier sweep left, so a
+caller may keep those arrays (attribution records a standard sweep's and
+reads them again).  A ``max_pool2d`` node computes its routing masks in its
+first vjp and reuses them in every later sweep; they depend on the forward
+arrays alone.
 """
 
 from __future__ import annotations
@@ -103,10 +108,10 @@ def _backprop(root: Tensor, order: list[Tensor], seed, wrt, pull) -> None:
     """Mark the nodes of ``order`` (``_topo(root)``) on a path from a
     ``wrt`` tensor to ``root``, seed the root, then add ``pull(node)`` (one
     gradient per parent) into the marked parents in reverse.  A first
-    contribution is stored as ``pg + 0.0`` (the bytes of ``0.0 + pg``) so no
-    ``grad`` aliases a vjp output and later ones add in place.  A node not
-    in ``wrt`` drops its ``grad`` once its own pull has read it, so at most
-    the gradients still to be pulled are alive."""
+    contribution becomes ``0.0 + pg``, in place when the sweep owns ``pg``
+    (see the module docstring); later ones add in place.  A node not in
+    ``wrt`` drops its ``grad`` once its own pull has read it, so at most the
+    gradients still to be pulled are alive."""
     seed_arr = _arr(seed)
     if seed_arr.shape != root.data.shape:
         raise ShapeError(
@@ -131,7 +136,10 @@ def _backprop(root: Tensor, order: list[Tensor], seed, wrt, pull) -> None:
                 if not parent._needs_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = pg + 0.0
+                    if pg.base is None and pg is not node.grad:
+                        parent.grad = np.add(pg, 0.0, out=pg)
+                    else:
+                        parent.grad = pg + 0.0
                 else:
                     parent.grad += pg
             if id(node) not in keep:
@@ -311,14 +319,20 @@ def max_pool2d(x: Tensor) -> Tensor:
     def vjp(g, rule):
         nonlocal hits
         if hits is None:
+            # each window's out is one of its cells, or NaN when one is a
+            # NaN, so the fourth cell takes every window the others leave
+            nan = np.isnan(out).any()
             masks = []
             claimed = np.zeros(out.shape, dtype=bool)
-            for cell in cells:
-                v = x.data[cell].copy()
-                hit = ((v == out) | (v != v)) & ~claimed
+            for cell in cells[:-1]:
+                v = x.data[cell]
+                hit = v == out
+                if nan:
+                    hit |= v != v
+                hit &= ~claimed
                 claimed |= hit
                 masks.append(hit)
-            hits = masks    # only once every mask is computed
+            hits = masks + [~claimed]   # only once every mask is computed
         g0 = g + 0.0
         gx = np.zeros_like(x.data)
         for cell, hit in zip(cells, hits):

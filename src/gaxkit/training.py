@@ -59,9 +59,10 @@ class TrainResult:
     stop_reason: str
 
 
-# samples per ``scores`` call in evaluate; ``scores`` is batch-invariant, so
-# each sample scores as ``predict`` scores it, whatever the chunk
-_EVAL_CHUNK = 64
+# samples per ``scores`` call in evaluate: the default training batch, so an
+# evaluation inside ``train`` fits in the heap the dropped graph held; as
+# ``scores`` is batch-invariant, each sample scores as ``predict`` scores it
+_EVAL_CHUNK = TrainConfig.batch_size
 BETA1 = 0.5             # Adam's first-moment decay for training
 
 
@@ -135,7 +136,9 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
         # batch is drawn and before the next one is built, so the next graph
         # reuses the heap the previous one held.  Dropping it any earlier
         # lets the allocator hand that heap back to the system, and the next
-        # graph faults it in again.
+        # graph faults it in again.  Evaluation runs after the graph goes too,
+        # in batch-sized chunks, so it reuses that heap instead of mapping
+        # fresh pages on top of a live graph.
         fp = None
         fp = model.forward_graph(batch)
         loss_val, dz = _cross_entropy(fp.scores.data, train_split.y[idx])
@@ -152,12 +155,14 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
             model.params[name] = arr
         iterations_run = it
         if it % cfg.val_every == 0 and it >= cfg.min_iterations:
+            fp = None
             val_acc = evaluate(model, dataset.val).accuracy
             checked_at = it
             if val_acc >= cfg.target_val_accuracy:
                 stop_reason = "target-accuracy"
                 break
 
+    fp = None
     held_out = dataset.test if len(dataset.test.y) else dataset.val
     if checked_at != iterations_run:    # not checked after the last update
         val_acc = evaluate(model, dataset.val).accuracy

@@ -466,3 +466,36 @@ def test_later_sweeps_write_no_earlier_array(net):
     assert kept.tobytes() == before.tobytes()
     assert not np.shares_memory(kept, leaf.grad)
     assert [node.data.tobytes() for node in order] == forward
+
+
+@pytest.mark.parametrize("every_node", [False, True])
+@pytest.mark.parametrize("kind", [*ad.BACKWARD_RULES, "rescale", "train"])
+def test_no_gradient_shares_memory(net, kind, every_node):
+    # a sweep adopts the fresh arrays its vjps return as gradients: none may
+    # alias another gradient, a forward array or the caller's seed.  The
+    # activations include Grad-CAM's conv1, a bias_add node whose vjp
+    # returns its own gradient; training keeps only the parameter leaves.
+    n = 3
+    x = _batch(n)
+    fp = net.forward_graph(x)
+    order = ad._topo(fp.scores)
+    arrays = [node.data for node in order]
+    if kind == "train":
+        seed = _cross_entropy(fp.scores.data, np.arange(n) % 3)[1]
+        wrt = list(fp.params.values())
+    else:
+        seed = _one_hot(n)
+        wrt = [fp.input, *fp.activations.values()]
+    if every_node:
+        wrt = order
+    if kind == "rescale":
+        base = net.forward_graph(np.zeros_like(x))
+        arrays += [node.data for node in ad._topo(base.scores)]
+        ad.rescale_multipliers(fp.scores, base.scores, seed, wrt=wrt)
+    else:
+        rule = RULE_STANDARD if kind == "train" else kind
+        fp.scores.backward(seed, rule, wrt=wrt)
+    grads = [t.grad for t in wrt]
+    for i, g in enumerate(grads):
+        for other in [*arrays, seed, *grads[i + 1:]]:
+            assert not np.shares_memory(g, other), (i, wrt[i].op)

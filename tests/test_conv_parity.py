@@ -1,16 +1,14 @@
 """conv2d against its einsum formulation, the reference for its GEMMs.
 
-``reference_conv2d`` is the formulation conv2d used before it called the
-matrix products directly: np.pad, an (N, C, kh, kw, oh, ow) window array of
-its own, then three ``np.einsum(optimize=True)`` contractions over it.  The
-GEMM version must reproduce it byte for byte on the shapes the models use,
-at every batch size: BLAS sums a product differently depending on the
-memory layout of its operands.  Which layout matches depends on the size
-of the product, not on N alone: OpenBLAS's small-matrix kernel (M*N*K <=
-1e6) sums a transposed view in another order than a contiguous copy, and
-above that size the two agree.  The sweep covers the model's default convs
-and those of the smaller gen-data shapes, whose products cross that size
-within N = 1..33.
+``reference_conv2d`` (``tests/references.py``) is an np.pad, a window array
+of its own and three ``np.einsum`` contractions.  The GEMM version must
+reproduce it byte for byte on the shapes the models use, at every batch
+size: BLAS sums a product differently depending on the memory layout of its
+operands.  Which layout matches depends on the size of the product, not on
+N alone: OpenBLAS's small-matrix kernel (M*N*K <= 1e6) sums a transposed
+view in another order than a contiguous copy, and above that size the two
+agree.  The sweep covers the model's default convs and those of the smaller
+gen-data shapes, whose products cross that size within N = 1..33.
 """
 
 import tracemalloc
@@ -20,27 +18,7 @@ import pytest
 
 from gaxkit import autodiff as ad
 from gaxkit.autodiff import RULE_STANDARD, Tensor
-
-
-def reference_conv2d(x, k, g, pad=0):
-    """(output, input gradient, kernel gradient) for upstream gradient g."""
-    n, _, h, w = x.shape
-    _, _, kh, kw = k.shape
-    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, x.shape[1], kh, kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i: i + oh, j: j + ow]
-    out = np.einsum("ncijhw,ocij->nohw", cols, k, optimize=True)
-    gk = np.einsum("ncijhw,nohw->ocij", cols, g, optimize=True)
-    dcols = np.einsum("ocij,nohw->ncijhw", k, g, optimize=True)
-    gxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i: i + oh, j: j + ow] += dcols[:, :, i, j]
-    gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
-    return out, gx, gk
+from references import reference_conv2d
 
 
 def _case(rng, n, cin, h, w, cout, k):

@@ -164,7 +164,8 @@ class TestGraphFreeScores:
                              ids=lambda s: "x".join(map(str, s)))
     def test_batch_invariant(self, shape):
         model = MiniConvNet(input_shape=shape, seed=1)
-        x = np.random.default_rng(2).uniform(0, 1, size=(_EVAL_CHUNK, *shape))
+        x = np.random.default_rng(2).uniform(
+            0, 1, size=(max(33, _EVAL_CHUNK), *shape))
         alone = [model.scores(x[i: i + 1])[0].tobytes()
                  for i in range(len(x))]
         for n in [*range(1, 34), _EVAL_CHUNK]:

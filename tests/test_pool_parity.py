@@ -1,11 +1,9 @@
 """max_pool2d against its window-stack formulation.
 
-``reference_max_pool2d`` is the formulation max_pool2d used before it took
-strided maxima: stack every 2x2 window into an (N, C, oh, ow, 4) array,
-take the argmax (the first maximum in scan order, or the first NaN), and
-scatter the upstream gradient to it with ``np.add.at``.  The strided version
-must reproduce its output and input gradient byte for byte, including ties,
-signed zeros and NaN windows.
+``reference_max_pool2d`` (``tests/references.py``) stacks every 2x2 window,
+takes the argmax and scatters the upstream gradient to it.  The strided
+version must reproduce its output and input gradient byte for byte,
+including ties, signed zeros and NaN windows.
 """
 
 import numpy as np
@@ -13,23 +11,7 @@ import pytest
 
 from gaxkit import autodiff as ad
 from gaxkit.autodiff import RULE_STANDARD, Tensor
-
-
-def reference_max_pool2d(x, g):
-    """(output, input gradient) for upstream gradient g."""
-    n, c, h, w = x.shape
-    oh, ow = h // 2, w // 2
-    windows = np.empty((n, c, oh, ow, 4))
-    for i in range(2):
-        for j in range(2):
-            windows[..., i * 2 + j] = x[:, :, i: i + 2 * oh: 2,
-                                        j: j + 2 * ow: 2]
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    gx = np.zeros_like(x)
-    ni, ci, ohi, owi = np.indices(idx.shape)
-    np.add.at(gx, (ni, ci, ohi * 2 + idx // 2, owi * 2 + idx % 2), g)
-    return out, gx
+from references import reference_max_pool2d
 
 
 def assert_byte_equal(x, g):
@@ -151,3 +133,31 @@ def test_a_vjp_that_raises_leaves_later_sweeps_correct():
         g = draw()
         (gx,) = t._vjp(g, RULE_STANDARD)
         assert gx.tobytes() == reference_max_pool2d(x, g)[1].tobytes()
+
+
+# one window's four cells in scan order; the first vjp builds the routing
+# masks, testing for NaN only when the output holds one, and gives the
+# fourth cell every window the first three leave
+WINDOWS = {
+    "only-maximum-in-the-fourth-cell": [[1.0, 2.0], [3.0, 4.0]],
+    "four-way-tie": [[2.0, 2.0], [2.0, 2.0]],
+    "signed-zero-tie": [[-1.0, -0.0], [0.0, -2.0]],
+    "nan-only-in-the-fourth-cell": [[1.0, 2.0], [3.0, np.nan]],
+}
+
+
+@pytest.mark.parametrize("nan_elsewhere", [False, True])
+@pytest.mark.parametrize("case", WINDOWS)
+def test_window_cases_on_first_and_repeat_sweeps(case, nan_elsewhere):
+    rng = np.random.default_rng(40)
+    x, _ = _relu_case(rng, 2, 2, 4, 6)
+    x[1, 1, 2:, 2:4] = WINDOWS[case]
+    if nan_elsewhere:       # another window's NaN selects the NaN test
+        x[0, 0, 0, 5] = np.nan
+    t = ad.max_pool2d(Tensor(x))
+    for _ in range(2):
+        g = _signed_zero_g(rng, (2, 2, 2, 3))
+        want_out, want_gx = reference_max_pool2d(x, g)
+        (gx,) = t._vjp(g, RULE_STANDARD)
+        assert t.data.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gaxkit import (DatasetSpec, MiniConvNet, TrainConfig, evaluate,
-                    make_blobs, train)
+                    make_blobs, train, training)
 from gaxkit.training import _cross_entropy
 from gradcheck import max_relative_error, numeric_gradient
 
@@ -102,10 +102,11 @@ def test_loss_trend_decreases(small_ds):
     assert train_loss() < 0.5 * before
 
 
-def test_train_holds_one_graph_at_a_time(small_ds, monkeypatch):
-    # a Tensor takes no weakref (it has __slots__), so track an array only
-    # the graph holds: conv1's activation
-    model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=3)
+def _track_graphs(model, monkeypatch):
+    """Patch ``model.forward_graph`` to assert that the previous graph is
+    gone; returns the list holding a weakref to the last graph.  A Tensor
+    takes no weakref (it has __slots__), so the ref tracks an array only
+    the graph holds: conv1's activation."""
     build = model.forward_graph
     previous = []
 
@@ -117,8 +118,34 @@ def test_train_holds_one_graph_at_a_time(small_ds, monkeypatch):
         return fp
 
     monkeypatch.setattr(model, "forward_graph", forward_graph)
+    return previous
+
+
+def test_train_holds_one_graph_at_a_time(small_ds, monkeypatch):
+    model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=3)
+    previous = _track_graphs(model, monkeypatch)
     result = train(model, small_ds, TrainConfig(max_iterations=5, seed=1))
     assert result.iterations_run == 5 and len(previous) == 1
+
+
+def test_train_evaluates_after_the_graph_goes(small_ds, monkeypatch):
+    # checks at iterations 2 and 4, then validation and test after the loop
+    model = MiniConvNet(input_shape=(3, 16, 16), num_classes=2, seed=3)
+    previous = _track_graphs(model, monkeypatch)
+    calls = []
+
+    def evaluate_without_a_graph(model, split):
+        assert previous and previous[0]() is None, \
+            "a training graph is alive while evaluating"
+        calls.append(split)
+        return evaluate(model, split)
+
+    monkeypatch.setattr(training, "evaluate", evaluate_without_a_graph)
+    result = train(model, small_ds,
+                   TrainConfig(target_val_accuracy=2.0, max_iterations=5,
+                               val_every=2, seed=1))
+    assert result.iterations_run == 5
+    assert [split is small_ds.val for split in calls] == [True] * 3 + [False]
 
 
 def test_empty_training_split_rejected(small_ds):
