@@ -17,12 +17,12 @@ Saliency keeps the gradient sign because the augmentation process adds the
 heatmap to the input, so sign carries the confidence-increasing direction;
 ``abs_values=True`` restores the classical visualization variant.
 
-Methods that share a sample's forward graph share its work.  Saliency,
-input x gradient and Grad-CAM read one standard-rule sweep per (graph,
-target): the first of them sweeps with ``wrt`` set to the input and every
-named activation, and records those gradients in the graph's
-``ForwardPass.sweeps`` under ``(RULE_STANDARD, target)``; the others read
-the record.  The record lives and dies with its graph, and no later sweep
+Methods that share a sample's forward graph share its work.  The four
+gradient methods and Grad-CAM read one recorded sweep per (graph, rule,
+target): the first to need one sweeps with ``wrt`` set to the input and
+every named activation, and records those gradients in the graph's
+``ForwardPass.sweeps`` under ``(rule, target)``; the others read the
+record.  The record lives and dies with its graph, and no later sweep
 writes its arrays (see :mod:`gaxkit.autodiff`).  Heatmaps are fresh arrays,
 so editing one leaves the record intact.  DeepLIFT takes its baseline as a
 :class:`~gaxkit.models.ForwardPass` too, which a sweep over many inputs
@@ -122,10 +122,7 @@ def attribute(model, fp: ForwardPass, target: int, method: str, *,
 
     seed = np.zeros(fp.scores.shape)        # explains class ``target``
     seed[0, target] = 1.0
-    if kind in _RECTIFIER_RULES:
-        fp.scores.backward(seed, _RECTIFIER_RULES[kind], wrt=[leaf])
-        values = leaf.grad[0]
-    elif kind == "deeplift":
+    if kind == "deeplift":
         base = model.forward_graph(np.zeros_like(leaf.data)) \
             if deeplift_baseline is None else deeplift_baseline
         if base.input.shape != leaf.shape:
@@ -136,30 +133,31 @@ def attribute(model, fp: ForwardPass, target: int, method: str, *,
     elif kind == "layer-gradcam":
         layer = layer or DEFAULT_GRADCAM_LAYER
         act = _gradcam_layer(fp, layer)
-        _, layer_grads = _standard_sweep(fp, seed, target)
+        _, layer_grads = _sweep(fp, seed, RULE_STANDARD, target)
         weights = layer_grads[layer].mean(axis=(2, 3))  # (1, K) spatial mean
         cam = np.maximum((weights[:, :, None, None] * act.data).sum(axis=1),
                          0.0)
         plane = nearest_resize(cam[0], x.shape[1], x.shape[2])
         values = np.broadcast_to(plane, x.shape).copy()
     else:
-        input_grad, _ = _standard_sweep(fp, seed, target)
+        rule = _RECTIFIER_RULES.get(kind, RULE_STANDARD)
+        input_grad, _ = _sweep(fp, seed, rule, target)
         # a copy: the heatmap must not alias the record a later method reads
-        values = input_grad[0].copy() if kind == "saliency" else \
-            x * input_grad[0]
+        values = x * input_grad[0] if kind == "input-x-gradient" else \
+            input_grad[0].copy()
 
     if abs_values:
         values = np.abs(values)
     return Heatmap(values=values, method=method, target_class=target)
 
 
-def _standard_sweep(fp, seed, target):
-    """``(input grad, {layer: grad})`` under the standard rule for class
-    ``target``: swept and recorded in ``fp.sweeps`` on the first call for
-    this graph and target, read from the record after that."""
-    key = (RULE_STANDARD, target)
+def _sweep(fp, seed, rule, target):
+    """``(input grad, {layer: grad})`` under ``rule`` for class ``target``:
+    swept and recorded in ``fp.sweeps`` on the first call for this graph,
+    rule and target, read from the record after that."""
+    key = (rule, target)
     if key not in fp.sweeps:
-        fp.scores.backward(seed, RULE_STANDARD,
+        fp.scores.backward(seed, rule,
                            wrt=[fp.input, *fp.activations.values()])
         fp.sweeps[key] = (fp.input.grad, {name: act.grad for name, act
                                           in fp.activations.items()})

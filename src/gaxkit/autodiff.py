@@ -41,7 +41,7 @@ other (a view, or ``bias_add``'s upstream ``g``).  Either way the ``grad``
 holds the bytes of ``0.0 + pg`` and shares memory with no other ``grad``
 and no forward array.  Each sweep so gives the bytes a fresh graph would,
 and never writes into the ``grad`` arrays an earlier sweep left, so a
-caller may keep those arrays (attribution records a standard sweep's and
+caller may keep those arrays (attribution records one sweep per rule and
 reads them again).  A ``max_pool2d`` node computes its routing masks in its
 first vjp and reuses them in every later sweep; they depend on the forward
 arrays alone.

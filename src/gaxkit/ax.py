@@ -14,13 +14,12 @@ zero, any uniform shift of the raw outputs leaves the score unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .attribution import Heatmap, attribute, normalize
 from .autodiff import ShapeError
-from .formats import parse_number, write_rows
+from .formats import parse_number, read_lines, write_rows
 # ``predict`` stays bound here unused: bench/test_bench.py checks that the
 # tracer wraps this binding
 from .models import predict, predict_graph  # noqa: F401
@@ -138,8 +137,8 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
 
     Heatmaps target the predicted class and enter the score normalized.
     Each sample's one forward graph gives the class, f(x) and every
-    method's heatmap (saliency, input x gradient and Grad-CAM read one
-    standard sweep of it), and one ``co_score`` call scores all of them
+    method's heatmap (the gradient methods and Grad-CAM read one recorded
+    sweep of it per rule), and one ``co_score`` call scores all of them
     under every variant.  DeepLIFT's zero baseline gets one graph per call,
     built only when ``methods`` include ``deeplift``.  Returns
     ``(records, [])``, records sorted for deterministic export; the second
@@ -233,7 +232,7 @@ def write_scores_csv(records, path) -> None:
 
 
 def read_scores_csv(path) -> list[ScoreRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != SCORES_HEADER:
         raise ValueError(f"{path} is not a scores CSV")
     records = []

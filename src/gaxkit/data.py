@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import (parse_number, read_pnm, write_lines, write_pgm,
-                      write_ppm)
+from .formats import (parse_number, read_lines, read_pnm, write_lines,
+                      write_pgm, write_ppm)
 
 SPLITS = ("train", "val", "test")
 
@@ -150,7 +150,7 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
     # split -> (label, image path, manifest line number) per sample
     samples: dict[str, list[tuple[int, str, int]]] = {s: [] for s in SPLITS}
     label_lines: list[tuple[int, str]] = []
-    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(manifest)
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -189,6 +189,9 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
                 if key == "class_count" and header[key] < 2:
                     raise ValueError(f"{where}: class_count {value!r} is "
                                      "below 2")
+            else:
+                raise ValueError(f"{where}: unknown key {key!r}; expected "
+                                 "class_count, image_shape or seed")
     for key in ("image_shape", "class_count"):
         if key not in header:
             raise ValueError(f"{manifest}: no {key}= line")

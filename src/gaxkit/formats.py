@@ -1,5 +1,6 @@
 """Dependency-free file formats: PGM/PPM images, raw heatmaps, model weights,
-and the text writers every CSV, manifest, sidecar and log goes through.
+the text writers every CSV, manifest, sidecar and log goes through, and
+the UTF-8 line reader for the manifests and scores CSVs read back.
 
 Binary layouts (all integers little-endian):
 
@@ -47,6 +48,19 @@ def parse_number(text, kind, where, field: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{where}: {field} {text!r} is not {noun}") from None
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 raises one
+    ValueError naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the byte decodes; "x" stands in for the byte
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path} line {line}: byte 0x{data[exc.start]:02x} "
+                         "is not UTF-8") from None
 
 
 def _write_atomic(path, payload: bytes) -> None:
@@ -232,7 +246,11 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
         raw, pos = _take(data, pos, 4, path, f"entry {i} name length")
         (nlen,) = struct.unpack("<I", raw)
         raw, pos = _take(data, pos, nlen, path, f"entry {i} name")
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry {i} name {raw!r} is not "
+                             "UTF-8") from None
         out[name], pos = _unpack_array(data, pos, path, repr(name))
     _check_end(data, pos, path)
     return out

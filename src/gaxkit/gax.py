@@ -5,8 +5,10 @@ which bounds it to [-1, 1].  Adam descends on
 
     loss = -co + l_s / mean((h - x + eps)^2 / (x + eps))
 
-where the second term penalizes heatmaps indistinguishable from the input
-itself; it stays positive because inputs are required to lie in [0, 1].
+where ``co`` is ``ScoreConstants.apply`` of f(x + h) - f(x), the CO score
+``co_score`` gives ``h`` under the sum variant, and the second term
+penalizes heatmaps indistinguishable from the input itself; it stays
+positive because inputs are required to lie in [0, 1].
 
 Only the model runs through the autodiff engine: each step builds its graph
 from the input ``x + h`` and sweeps it once with ``wrt`` set to the graph's
@@ -77,44 +79,43 @@ def _check_unit_interval(x: np.ndarray) -> None:
 def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
                fx: np.ndarray, constants: ScoreConstants, cfg: GaxConfig):
     """The loss at ``params`` (``w`` and, with the bias, ``b``; each shaped
-    like ``x``) for one sample.
+    like ``x``) for one sample with raw scores ``fx``, shaped ``(C,)``.
 
     Returns ``(loss, co, h, gradient)``: two floats, the heatmap, and a
     function that returns the loss gradient by parameter name.  Only the
     model runs as an autodiff graph, from the input ``x + h``; the head is
     numpy.  ``gradient`` seeds the scores with d loss / d scores and adds
-    d penalty / dh to the input leaf's gradient, as d(x + h) / dh is the identity.
-    Each expression keeps the order of a reverse sweep through the head, and
-    its ``+ 0.0`` where a product may be -0.0, so the bytes match one.
+    d penalty / dh to the input leaf's gradient, as d(x + h) / dh is the
+    identity.
     """
-    xb = x[None]
-    pre = params["w"][None] * xb
+    pre = params["w"] * x
     if "b" in params:
-        pre = pre + params["b"][None]
+        pre = pre + params["b"]
     h = np.tanh(pre)
-    fp = model.forward_graph(xb + h)
-    kappa = constants.int_weights()[None]
-    c = 1.0 / (constants.num_classes - 1.0)
-    co = (kappa * (fp.scores.data - fx)).sum() * c
+    fp = model.forward_graph((x + h)[None])
+    co = constants.apply(fp.scores.data[0] - fx)
     # the penalty's denominator mean((h - x + eps)^2 / (x + eps))
-    dev = h - xb + EPSILON
-    inv = 1.0 / (xb + EPSILON)
+    dev = h - x + EPSILON
+    inv = 1.0 / (x + EPSILON)
     # a zero mean (every h == x - eps) makes the loss infinite
     recip = 1.0 / (dev * dev * inv).mean()
     loss = recip * cfg.similarity_factor - co
 
     def gradient() -> dict[str, np.ndarray]:
+        # d co / d scores is kappa: it sums to zero, so centering drops out
+        kappa = constants.int_weights()[None]
+        c = 1.0 / (constants.num_classes - 1.0)
         fp.scores.backward(-c * kappa, wrt=[fp.input])
-        ratio_grad = -cfg.similarity_factor * recip * recip / dev.size + 0.0
-        gh = 2.0 * dev * (ratio_grad * inv + 0.0) + 0.0
-        gh += fp.input.grad
-        gpre = gh * (1.0 - h * h) + 0.0
-        grads = {"w": gpre * xb + 0.0}
+        ratio_grad = -cfg.similarity_factor * recip * recip / dev.size
+        gh = 2.0 * dev * (ratio_grad * inv)
+        gh += fp.input.grad[0]
+        gpre = gh * (1.0 - h * h)
+        grads = {"w": gpre * x}
         if "b" in params:
             grads["b"] = gpre
-        return {name: g[0] for name, g in grads.items()}
+        return grads
 
-    return float(loss), float(co), h[0], gradient
+    return float(loss), co, h, gradient
 
 
 def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
@@ -137,7 +138,6 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
         raise ValueError(f"misclassified sample: model predicts {pred} for "
                          f"a sample labeled {groundtruth}")
     constants = ScoreConstants(model.num_classes, int(groundtruth))
-    fx = fx[None]
     params = {"w": np.full(x.shape, W_INIT)}
     if cfg.use_bias:
         params["b"] = np.full(x.shape, BIAS_INIT)
@@ -156,7 +156,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
                 trace.error = f"non-finite loss at step {step}"
                 break
             trace.iterations.append((step, loss_val, co_val))
-            heat = Heatmap(h.copy(), "gax", int(groundtruth))
+            heat = Heatmap(h, "gax", int(groundtruth))
             converged = co_val >= cfg.target_co
             if step % cfg.snapshot_every == 0 or converged:
                 rel = f"{sample_id}/step_{step:06d}"

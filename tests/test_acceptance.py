@@ -118,7 +118,7 @@ def test_c04_gradient_fidelity():
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(0.1, 0.9, size=(1, 4, 4))
-        fx = model.scores(x[None])
+        fx = model.scores(x[None])[0]
         w0 = rng.uniform(0.5, 1.5, size=(1, 4, 4))
         b0 = rng.uniform(-0.1, 0.1, size=(1, 4, 4))
         grads = _objective(model, x, {"w": w0, "b": b0}, fx, constants,

@@ -274,6 +274,7 @@ def _shared_cases(model):
     with a fresh baseline graph."""
     return [*((m, {}) for m in (*METHODS, "layer-gradcam:conv2")),
             ("saliency", {"abs_values": True}),
+            ("guided-backprop", {"abs_values": True}),
             ("deeplift", {"deeplift_baseline": _fp(model, _x16(30))})]
 
 
@@ -348,9 +349,10 @@ class TestSharedGraph:
     def test_editing_a_heatmap_leaves_the_record_intact(self, conv_model):
         x = _x16(35)
         graph = predict_graph(conv_model, x)[1]
-        sal = attribute(conv_model, graph, 1, "saliency").values
-        sal[...] = np.nan
-        for method in ("input-x-gradient", "saliency", "layer-gradcam"):
+        for method in ("saliency", "deconvolution"):
+            attribute(conv_model, graph, 1, method).values[...] = np.nan
+        for method in ("input-x-gradient", "saliency", "layer-gradcam",
+                       "deconvolution"):
             got = attribute(conv_model, graph, 1, method).values
             want = attribute(conv_model, _fp(conv_model, x), 1, method).values
             assert _same_bytes(got, want), method

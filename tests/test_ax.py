@@ -238,8 +238,9 @@ class TestSweep:
         assert rows == [1] * len(ds.test)
 
     def test_three_sweeps_and_one_rescale_per_sample(self, tiny, monkeypatch):
-        # saliency, input x gradient and Grad-CAM share one standard sweep;
-        # deconvolution and guided backprop sweep once each
+        # one recorded sweep per rule: saliency, input x gradient and
+        # Grad-CAM share the standard one, and deconvolution and guided
+        # backprop read one each
         import gaxkit.autodiff as ad
         model, ds = tiny
         counts = {"backward": 0, "rescale": 0}

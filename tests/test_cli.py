@@ -1,5 +1,6 @@
 """CLI surface: flags, determinism, error contract."""
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -794,3 +795,43 @@ def test_every_option_is_read_by_its_command():
                    for action in parser._actions
                    if action.dest != "help" and action.dest not in read]
     assert not unread
+
+
+def _non_utf8_weights(tmp_path, data, model):
+    bad = tmp_path / "bad.gaxm"
+    raw = model.read_bytes()
+    assert raw.count(b"conv1.w") == 1
+    bad.write_bytes(raw.replace(b"conv1.w", b"\xffonv1.w"))
+    return (["ax-sweep", "--model", str(bad), "--data", str(data), "--out",
+             str(tmp_path / "s.csv")],
+            f"{bad}: entry 0 name b'\\xffonv1.w' is not UTF-8")
+
+
+def _non_utf8_manifest(tmp_path, data, model):
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "manifest.txt"
+    lines = manifest.read_bytes().splitlines()
+    manifest.write_bytes(b"\n".join([*lines, b"\xff"]) + b"\n")
+    return (["ax-sweep", "--model", str(model), "--data", str(copy), "--out",
+             str(tmp_path / "s.csv")],
+            f"{manifest} line {len(lines) + 1}: byte 0xff is not UTF-8")
+
+
+def _non_utf8_scores(tmp_path, data, model):
+    from gaxkit.ax import SCORES_HEADER
+
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(SCORES_HEADER.encode() + b"\ns1,saliency,sum,0.5,1,1,"
+                       b"true\ns\xff,saliency,sum,0.5,0,1,false\n")
+    return (["gap-stats", "--scores", str(scores)],
+            f"{scores} line 3: byte 0xff is not UTF-8")
+
+
+@pytest.mark.parametrize("make", [_non_utf8_weights, _non_utf8_manifest,
+                                  _non_utf8_scores],
+                         ids=["weights", "manifest", "scores"])
+def test_non_utf8_input_names_its_file(tiny_run, tmp_path, capsys, make):
+    argv, message = make(tmp_path, *tiny_run)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -129,9 +129,11 @@ class TestManifestErrors:
         ("sample,train,5,x.pgm", "label 5 is out of range for class_count 2"),
         ("class_count=1", "class_count '1' is below 2"),
         ("image_shape=3x-8x8", "image_shape '3x-8x8' has a dimension below 1"),
+        ("sed=7", "unknown key 'sed'; expected class_count, image_shape or "
+                  "seed"),
     ], ids=["split", "short-line", "label", "no-equals", "shape-dims",
             "shape-int", "class-count", "label-range", "class-count-range",
-            "shape-range"])
+            "shape-range", "unknown-key"])
     def test_bad_line_named(self, tmp_path, line, message):
         gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
                              seed=0), tmp_path)

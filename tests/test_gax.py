@@ -5,8 +5,9 @@ import pytest
 
 from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, gax_run, gax_sweep,
                     make_blobs, predict)
+from gaxkit.attribution import Heatmap
 from gaxkit.autodiff import ShapeError
-from gaxkit.ax import ScoreConstants
+from gaxkit.ax import ScoreConstants, co_score
 from gaxkit.gax import EPSILON, _objective
 from gradcheck import max_relative_error, numeric_gradient
 from oracle_models import LinearModel
@@ -33,7 +34,7 @@ def _run(model, x, truth, cfg, out_dir, sample_id="s"):
 def _loss(model, x, w, b, truth, cfg):
     """(loss, co, h) of the GAX objective at fixed w and b (None: no bias)."""
     params = {"w": w} if b is None else {"w": w, "b": b}
-    loss, co, h, _ = _objective(model, x, params, model.scores(x[None]),
+    loss, co, h, _ = _objective(model, x, params, model.scores(x[None])[0],
                                 ScoreConstants(model.num_classes, truth), cfg)
     return loss, co, h
 
@@ -93,7 +94,7 @@ class TestLoss:
         cfg = GaxConfig(similarity_factor=10.0)
         constants = ScoreConstants(2, 0)
         x = rng.uniform(0.1, 0.9, size=(3, 8, 8))
-        fx = tiny_model.scores(x[None])
+        fx = tiny_model.scores(x[None])[0]
         w0 = rng.uniform(0.5, 1.5, size=(3, 8, 8))
         b0 = rng.uniform(-0.1, 0.1, size=(3, 8, 8))
 
@@ -119,9 +120,50 @@ class TestLoss:
         params = {"w": np.ones_like(x), "b": np.full_like(x, b)}
         with np.errstate(divide="ignore"):
             loss, co, _, _ = _objective(
-                tiny_model, x, params, tiny_model.scores(x[None]),
+                tiny_model, x, params, tiny_model.scores(x[None])[0],
                 ScoreConstants(2, 0), GaxConfig(use_bias=True))
         assert loss == np.inf and np.isfinite(co)
+
+
+class TestScoresAsAx:
+    """GAX's CO is ``ScoreConstants.apply``'s: byte for byte the score
+    ``co_score`` gives its heatmap under the sum variant, at any class
+    count (at two classes every CO formula agrees)."""
+
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_objective_co_is_co_score(self, classes):
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=classes,
+                            seed=43)
+        rng = np.random.default_rng(classes)
+        for k in range(20):
+            truth = k % classes
+            x = rng.uniform(0.0, 1.0, size=(3, 8, 8))
+            fx = model.scores(x[None])[0]
+            params = {"w": rng.uniform(0.5, 1.5, size=x.shape)}
+            _, co, h, _ = _objective(model, x, params, fx,
+                                     ScoreConstants(classes, truth),
+                                     GaxConfig())
+            heat = Heatmap(h, "gax", truth)
+            assert co == co_score(model, x, [heat], truth, ["sum"],
+                                  fx=fx)[0, 0], k
+
+    def test_final_co_is_the_returned_heatmaps_co_score(self, tmp_path):
+        model = MiniConvNet(input_shape=(3, 8, 8), num_classes=3, seed=43)
+        ds = make_blobs(DatasetSpec(class_count=3, train=4, val=4, test=40,
+                                    image_shape=(3, 8, 8), seed=44))
+        cfg = GaxConfig(target_co=5.0, max_iterations=10)
+        runs = 0
+        for i, sid in enumerate(ds.test.ids):
+            x, truth = ds.test.x[i], int(ds.test.y[i])
+            pred, fx = predict(model, x)
+            if pred != truth:
+                continue
+            trace, heat = gax_run(model, x, truth, cfg, fx=fx, sample_id=sid,
+                                  out_dir=tmp_path)
+            assert trace.final_co == co_score(model, x, [heat], truth,
+                                              ["sum"], fx=fx)[0, 0], sid
+            runs += 1
+        assert runs >= 10
 
 
 class TestRun:

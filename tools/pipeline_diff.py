@@ -51,7 +51,9 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # reverse, and of the gray model, whose conv2 output area of 6 * 6 is not a
 # multiple of BLAS's 8-column tiles, so a batched forward that is not
 # batch-invariant shows there), GAX traces and
-# heatmaps (also with the bias and with no similarity penalty), and the
+# heatmaps (also with the bias, with no similarity penalty and on a
+# 3-class model, where a CO formula other than ``ScoreConstants.apply``'s
+# would differ from it in the last bits), and the
 # parameter gradients of one training step at batch 32 and one at batch 3:
 # conv2d's kernel gradient reads its window matrix in place at the first
 # and copies it at the second.  The GAX runs' snapshots land under
@@ -104,6 +106,19 @@ for i, tag, cfg in gax_runs:
                           out_dir=out / "gax")
     dump(f"gax_{i}{tag}_trace", trace.iterations)
     dump(f"gax_{i}{tag}_heatmap", heat.values)
+model3 = MiniConvNet.load("rgb3.gaxm")
+test3 = load_dataset("rgb3", ["test"]).test
+for i in range(len(test3)):
+    x = test3.x[i]
+    pred, fx = predict(model3, x)
+    if pred == test3.y[i]:
+        trace, heat = gax_run(model3, x, pred, GaxConfig(target_co=5.0,
+                                                         max_iterations=30),
+                              fx=fx, sample_id=f"{test3.ids[i]}_three",
+                              out_dir=out / "gax")
+        dump(f"gax_{i}_three_trace", trace.iterations)
+        dump(f"gax_{i}_three_heatmap", heat.values)
+        break
 for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
     fp = model.forward_graph(ds.train.x[idx])
@@ -117,10 +132,11 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 # inputs the CLI must reject with one line: a weight file whose head has
 # one class, one whose conv1 has 16 output channels (conv2 takes all 16, so
 # the entries agree with each other), one with an entry the model does not
-# read, a copy of rgb whose manifest lists one test sample twice, so two
-# test samples share one sample id, and a directory where train is told to
-# write its weight file; also a copy of rgb with one truncated train image,
-# which stops train but not a command that reads the test split
+# read, one whose first entry name is not UTF-8, a copy of rgb whose
+# manifest lists one test sample twice, so two test samples share one
+# sample id, and a directory where train is told to write its weight file;
+# also a copy of rgb with one truncated train image, which stops train but
+# not a command that reads the test split
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -139,6 +155,9 @@ write_gaxm("conv16.gaxm", named)
 named = read_gaxm("rgb.gaxm")
 named["bogus"] = np.zeros(5)
 write_gaxm("bogus.gaxm", named)
+raw = Path("rgb.gaxm").read_bytes()
+Path("non_utf8.gaxm").write_bytes(raw.replace(b"conv1.w", b"\\xffonv1.w",
+                                             1))
 shutil.copytree("rgb", "dup_ids")
 manifest = Path("dup_ids/manifest.txt")
 lines = manifest.read_text().splitlines()
@@ -165,6 +184,9 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--val", "10", "--test", "10", "--shape", "1,12,12",
              "--seed", "6"),
         _cli("gen-data defaults", "gen-data", "--out", "defaults"),
+        _cli("gen-data rgb3", "gen-data", "--out", "rgb3", "--classes", "3",
+             "--train", "60", "--val", "20", "--test", "16", "--shape",
+             "3,16,16", "--seed", "8"),
         _cli("train defaults", "train", "--data", "rgb", "--out", "rgb.gaxm",
              "--max-iterations", "40"),
         _cli("train batch 3", "train", "--data", "rgb", "--out", "b3.gaxm",
@@ -172,6 +194,8 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "10", "--min-iterations", "10", "--target-val-acc", "0.9"),
         _cli("train gray", "train", "--data", "gray", "--out", "gray.gaxm",
              "--max-iterations", "30"),
+        _cli("train rgb3", "train", "--data", "rgb3", "--out", "rgb3.gaxm",
+             "--max-iterations", "60"),
         ("float64 probe", ("-c", PROBE)),
         _cli("ax-sweep all methods", "ax-sweep", "--model", "rgb.gaxm",
              "--data", "rgb", "--out", "scores.csv"),
@@ -210,6 +234,9 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("gax huge similarity", "gax", "--model", "rgb.gaxm", "--data",
              "rgb", "--similarity-factor", "1e308", "--first-n", "2",
              "--max-iterations", "20", "--out", "gax_huge"),
+        _cli("gax three classes", "gax", "--model", "rgb3.gaxm", "--data",
+             "rgb3", "--target-co", "5", "--first-n", "3",
+             "--max-iterations", "100", "--out", "gax_three_classes"),
     ]
     for i, method in enumerate(ATTRIBUTE_METHODS):
         stem = method.replace(":", "_")
@@ -235,6 +262,9 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error unknown model entry", "ax-sweep", "--model",
              "bogus.gaxm", "--data", "rgb", "--methods", "saliency", "--out",
              "bogus.csv"),
+        _cli("error non-utf-8 entry name", "ax-sweep", "--model",
+             "non_utf8.gaxm", "--data", "rgb", "--methods", "saliency",
+             "--out", "non_utf8.csv"),
         # a 3-class split for the 2-class rgb model
         _cli("gen-data three classes", "gen-data", "--out", "three",
              "--classes", "3", "--train", "3", "--val", "3", "--test", "6",
