@@ -6,7 +6,9 @@ graph is rebuilt on every forward pass, which keeps repeated re-evaluation
 (as in iterative heatmap optimization) trivially correct.
 
 The ops are the ones the model builds its graph from: ``relu``, ``matmul``,
-``transpose2d``, ``flatten``, ``bias_add``, ``conv2d`` and ``max_pool2d``.
+``transpose2d``, ``flatten``, ``bias_add`` (the fc head's bias), ``conv2d``
+and ``max_pool2d``.  ``conv2d`` adds its layer's bias itself, in place on its
+product, so a conv layer is one node.
 Every sweep starts at the model's raw scores with a seed the caller gives:
 attribution's one-hot row, or a loss gradient that training or GAX computes
 in numpy.
@@ -37,12 +39,12 @@ after a sweep that raised: a sweep resets every ``grad`` of the graph and
 writes no forward array.  A vjp never keeps an array it returns, so the
 sweep owns each one with no base that is not the pulled node's own ``grad``
 and adopts it, in place, as a parent's first contribution; it copies any
-other (a view, or ``bias_add``'s upstream ``g``).  Either way the ``grad``
-holds the bytes of ``0.0 + pg`` and shares memory with no other ``grad``
-and no forward array.  Each sweep so gives the bytes a fresh graph would,
-and never writes into the ``grad`` arrays an earlier sweep left, so a
-caller may keep those arrays (attribution records one sweep per rule and
-reads them again).  A ``max_pool2d`` node computes its routing masks in its
+other (a view, or the ``g`` the fc head's ``bias_add`` passes through).
+Either way the ``grad`` holds the bytes of ``0.0 + pg`` and shares memory
+with no other ``grad`` and no forward array.  Each sweep so gives the bytes
+a fresh graph would, and never writes into the ``grad`` arrays an earlier
+sweep left, so a caller may keep those arrays (attribution records one
+sweep per rule and reads them again).  A ``max_pool2d`` node computes its routing masks in its
 first vjp and reuses them in every later sweep; they depend on the forward
 arrays alone.
 """
@@ -213,17 +215,13 @@ def flatten(a: Tensor) -> Tensor:
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias to a (N, C) or (N, C, H, W) tensor."""
-    if b.data.ndim != 1:
-        raise ShapeError(f"bias_add: bias must be 1D, got {b.shape}")
-    if x.data.ndim not in (2, 4):
-        raise ShapeError(f"bias_add: expected 2D or 4D input, got {x.shape}")
-    if x.shape[1] != b.shape[0]:
-        raise ShapeError(f"bias_add: {x.shape} with bias {b.shape}")
-    rest = tuple(range(2, x.data.ndim))
-    return Tensor(x.data + b.data.reshape((1, -1) + (1,) * len(rest)), (x, b),
-                  "bias-add", lambda g, r: (
-                      g, g.sum(axis=(0, *rest)) if b._needs_grad else None))
+    """Add a per-column bias to an (N, C) tensor: the fc head's bias (a
+    conv layer adds its own, see :func:`conv2d`)."""
+    if b.data.ndim != 1 or x.data.ndim != 2 or x.shape[1] != b.shape[0]:
+        raise ShapeError(f"bias_add: expected an (N, C) input and a (C,) "
+                         f"bias, got {x.shape} and {b.shape}")
+    return Tensor(x.data + b.data, (x, b), "bias-add", lambda g, r: (
+        g, g.sum(axis=0) if b._needs_grad else None))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +233,10 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 _SMALL_GEMM = 1_000_000
 
 
-def conv2d(x: Tensor, k: Tensor) -> Tensor:
+def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     """Stride-1 cross-correlation of (N, C_in, H, W), zero-padded by K // 2,
-    with an odd square kernel (C_out, C_in, K, K): the output is H x W."""
+    with an odd square kernel (C_out, C_in, K, K), plus a per-output-channel
+    bias (C_out,): the output is H x W."""
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise ShapeError(f"conv2d: input {x.shape}, kernel {k.shape}")
     if x.shape[1] != k.shape[1]:
@@ -247,6 +246,8 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
     cout, cin, kh, kw = k.shape
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d: kernel {k.shape} is not odd and square")
+    if b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {b.shape} for kernel {k.shape}")
     pad = kh // 2
     xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad: pad + h, pad: pad + w] = x.data
@@ -259,11 +260,16 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
             cols[:, i, j] = xp.transpose(1, 0, 2, 3)[:, :, i: i + h, j: j + w]
     cols = cols.reshape(cin * kh * kw, n * h * w)
     kmat = k.data.reshape(cout, -1)
-    out = (kmat @ cols).reshape(cout, n, h, w).transpose(1, 0, 2, 3)
+    # the bias goes onto the contiguous GEMM product in place, so the layer
+    # makes no 4-D copy; the output is a transposed view of the product
+    prod = kmat @ cols
+    prod += b.data[:, None]
+    out = prod.reshape(cout, n, h, w).transpose(1, 0, 2, 3)
 
     def vjp(g, rule):
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         gx = gk = None
+        gb = g.sum(axis=(0, 2, 3)) if b._needs_grad else None
         small = cout * cols.size <= _SMALL_GEMM     # M*N*K of both GEMMs
         if k._needs_grad:
             # A view of cols.T matches the einsum except for a small product
@@ -289,9 +295,9 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
                 for j in range(kw):
                     gxt[:, :, i: i + h, j: j + w] += dcols[:, i, j]
             gx = gxp[:, :, pad: pad + h, pad: pad + w]
-        return (gx, gk)
+        return (gx, gk, gb)
 
-    return Tensor(out, (x, k), "conv2d", vjp)
+    return Tensor(out, (x, k, b), "conv2d", vjp)
 
 
 def max_pool2d(x: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attribution import Heatmap, attribute, normalize
 from .autodiff import ShapeError
-from .formats import parse_number, read_lines, write_rows
+from .formats import format_value, parse_number, read_lines, write_rows
 # ``predict`` stays bound here unused: bench/test_bench.py checks that the
 # tracer wraps this binding
 from .models import predict, predict_graph  # noqa: F401
@@ -245,11 +245,18 @@ def read_scores_csv(path) -> list[ScoreRecord]:
         if len(fields) != width:
             raise ValueError(f"{where}: expected {width} fields, "
                              f"got {len(fields)}")
-        sid, method, variant, score, pred, truth, _ = fields
-        records.append(ScoreRecord(
+        sid, method, variant, score, pred, truth, correct = fields
+        record = ScoreRecord(
             sid, method, variant, parse_number(score, float, where, "co_score"),
             parse_number(pred, int, where, "pred"),
-            parse_number(truth, int, where, "truth")))
+            parse_number(truth, int, where, "truth"))
+        if correct not in ("true", "false"):
+            raise ValueError(f"{where}: correct {correct!r} is not true or "
+                             "false")
+        if correct != format_value(record.correct):
+            raise ValueError(f"{where}: correct {correct!r} contradicts pred "
+                             f"{pred} and truth {truth}")
+        records.append(record)
     return records
 
 

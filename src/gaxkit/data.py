@@ -179,19 +179,21 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
                 if len(dims) != 3:
                     raise ValueError(f"{where}: image_shape {value!r} is not "
                                      "<C>x<H>x<W>")
-                header[key] = tuple(parse_number(d, int, where, key)
-                                    for d in dims)
-                if min(header[key]) < 1:
+                parsed = tuple(parse_number(d, int, where, key) for d in dims)
+                if min(parsed) < 1:
                     raise ValueError(f"{where}: image_shape {value!r} has a "
                                      "dimension below 1")
             elif key in ("class_count", "seed"):
-                header[key] = parse_number(value, int, where, key)
-                if key == "class_count" and header[key] < 2:
+                parsed = parse_number(value, int, where, key)
+                if key == "class_count" and parsed < 2:
                     raise ValueError(f"{where}: class_count {value!r} is "
                                      "below 2")
             else:
                 raise ValueError(f"{where}: unknown key {key!r}; expected "
                                  "class_count, image_shape or seed")
+            if key in header:
+                raise ValueError(f"{where}: repeated key {key!r}")
+            header[key] = parsed
     for key in ("image_shape", "class_count"):
         if key not in header:
             raise ValueError(f"{manifest}: no {key}= line")

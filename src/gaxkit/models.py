@@ -112,23 +112,19 @@ class MiniConvNet:
         run one sample of the batch ``a`` at a time to give each sample the
         bytes it gets alone; ``forward_graph`` ignores it."""
         def conv(name):
-            return partial(ad.conv2d, k=leaves[name])
-
-        def bias(name):
-            return partial(ad.bias_add, b=leaves[name])
+            return partial(ad.conv2d, k=leaves[name + ".w"],
+                           b=leaves[name + ".b"])
 
         fc = partial(ad.matmul, b=ad.transpose2d(leaves["fc.w"]))
-        return ((None, conv("conv1.w"), _area_not_8),
-                ("conv1", bias("conv1.b"), None),
+        return (("conv1", conv("conv1"), _area_not_8),
                 (None, ad.relu, None),
                 ("pool1", ad.max_pool2d, None),
-                (None, conv("conv2.w"), _area_not_8),
-                ("conv2", bias("conv2.b"), None),
+                ("conv2", conv("conv2"), _area_not_8),
                 (None, ad.relu, None),
                 ("pool2", ad.max_pool2d, None),
                 (None, ad.flatten, None),
                 (None, fc, lambda a: True),
-                ("fc", bias("fc.b"), None))
+                ("fc", partial(ad.bias_add, b=leaves["fc.b"]), None))
 
     def forward_graph(self, x) -> ForwardPass:
         t = leaf = Tensor(x)

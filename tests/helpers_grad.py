@@ -65,14 +65,18 @@ def op_cases():
 
     @case("bias_add_4d")
     def _(rng):
+        # a conv layer adds its per-channel bias to the 4-D activation in
+        # conv2d: through a 1x1 identity kernel the op is that bias add alone
         a, b = _smooth(rng, (2, 3, 2, 2)), _smooth(rng, (3,))
-        return [a, b], ad.bias_add
+        eye = ad.Tensor(np.eye(3).reshape(3, 3, 1, 1))
+        return [a, b], lambda x, bias: ad.conv2d(x, eye, bias)
 
     @case("conv2d")
     def _(rng):
         x = _smooth(rng, (2, 2, 5, 5))
         k = _smooth(rng, (3, 2, 3, 3))
-        return [x, k], ad.conv2d
+        b = _smooth(rng, (3,))
+        return [x, k, b], ad.conv2d
 
     @case("max_pool2d")
     def _(rng):

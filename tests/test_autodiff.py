@@ -29,12 +29,13 @@ class TestForward:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_conv2d_all_ones(self):
-        # same padding: each output sums the window's in-bounds ones
+        # same padding: each output sums the window's in-bounds ones, plus
+        # its channel's bias
         x = Tensor(np.ones((1, 1, 3, 3)))
-        k = Tensor(np.ones((1, 1, 3, 3)))
-        out = ad.conv2d(x, k)
-        np.testing.assert_array_equal(
-            out.data, [[[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]]])
+        k = Tensor(np.ones((2, 1, 3, 3)))
+        out = ad.conv2d(x, k, Tensor([0.0, 0.5]))
+        sums = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
+        np.testing.assert_array_equal(out.data, [[sums, sums + 0.5]])
 
     def test_conv2d_matches_scipy(self):
         from scipy.signal import correlate2d
@@ -42,11 +43,12 @@ class TestForward:
         for _ in range(10):
             x = rng.normal(size=(2, 3, 6, 6))
             k = rng.normal(size=(4, 3, 3, 3))
-            out = ad.conv2d(Tensor(x), Tensor(k)).data
+            b = rng.normal(size=4)
+            out = ad.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
             for n in range(2):
                 for o in range(4):
                     ref = sum(correlate2d(x[n, c], k[o, c], mode="same")
-                              for c in range(3))
+                              for c in range(3)) + b[o]
                     np.testing.assert_allclose(out[n, o], ref, atol=1e-12)
 
     def test_max_pool_matches_loop(self):
@@ -64,15 +66,32 @@ class TestForward:
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="conv2d"):
-            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+            ad.conv2d(Tensor(np.ones((1, 2, 4, 4))),
+                      Tensor(np.ones((1, 3, 3, 3))), Tensor(np.ones(1)))
 
     @pytest.mark.parametrize("kernel", [(1, 1, 2, 2), (1, 1, 4, 4),
                                         (1, 1, 3, 1), (1, 1, 1, 3)])
     def test_conv2d_rejects_an_even_or_non_square_kernel(self, kernel):
         with pytest.raises(ShapeError) as info:
-            ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones(kernel)))
+            ad.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones(kernel)),
+                      Tensor(np.ones(1)))
         assert str(info.value) == \
             f"conv2d: kernel {kernel} is not odd and square"
+
+    @pytest.mark.parametrize("bias", [(2,), (), (1, 1)])
+    def test_conv2d_rejects_a_bias_not_one_per_output_channel(self, bias):
+        with pytest.raises(ShapeError) as info:
+            ad.conv2d(Tensor(np.ones((1, 1, 5, 5))),
+                      Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones(bias)))
+        assert str(info.value) == \
+            f"conv2d: bias {bias} for kernel (1, 1, 3, 3)"
+
+    def test_bias_add_takes_no_4d_input(self):
+        # a conv layer adds its bias in conv2d; bias_add is the fc head's
+        with pytest.raises(ShapeError) as info:
+            ad.bias_add(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(3)))
+        assert str(info.value) == ("bias_add: expected an (N, C) input and a "
+                                   "(C,) bias, got (2, 3, 4, 4) and (3,)")
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 4), (1, 1, 4, 1),
                                        (1, 1, 1, 1), (1, 1, 0, 0)])
@@ -86,7 +105,8 @@ class TestForward:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, 2, 4, 4)))
         k = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        out = ad.flatten(ad.max_pool2d(ad.relu(ad.conv2d(x, k))))
+        b = Tensor(rng.normal(size=2))
+        out = ad.flatten(ad.max_pool2d(ad.relu(ad.conv2d(x, k, b))))
         assert np.isfinite(out.data).all()
 
 
@@ -150,7 +170,8 @@ class TestBackwardRules:
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
         k = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        out = ad.max_pool2d(ad.relu(ad.conv2d(x, k)))
+        b = Tensor(rng.normal(size=4))
+        out = ad.max_pool2d(ad.relu(ad.conv2d(x, k, b)))
         nodes = ad._topo(out)
         out.backward(np.ones(out.shape), wrt=nodes)
         for node in nodes:
@@ -380,7 +401,7 @@ def test_only_wrt_tensors_keep_a_gradient(net, rule):
 def test_unwanted_nodes_hold_no_gradient():
     x, k, b = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), \
         Tensor(np.zeros(2))
-    out = ad.bias_add(ad.conv2d(x, k), b)
+    out = ad.conv2d(x, k, b)
     out.backward(np.ones(out.shape), wrt=[k])
     assert k.grad is not None and k.grad.shape == k.shape
     assert x.grad is None and b.grad is None
@@ -404,10 +425,12 @@ def test_vjp_outside_a_sweep_returns_every_gradient():
     rng = np.random.default_rng(23)
     x = Tensor(rng.normal(size=(2, 3, 5, 5)))
     k = Tensor(rng.normal(size=(4, 3, 3, 3)))
-    out = ad.conv2d(x, k)
+    b = Tensor(rng.normal(size=4))
+    out = ad.conv2d(x, k, b)
     out.backward(np.ones(out.shape), wrt=[x])
-    gx, gk = out._vjp(np.ones(out.shape), RULE_STANDARD)
+    gx, gk, gb = out._vjp(np.ones(out.shape), RULE_STANDARD)
     assert gx.shape == x.shape and gk.shape == k.shape
+    assert gb.shape == b.shape and (gb == 2 * 5 * 5).all()
     assert gx.tobytes() == x.grad.tobytes()
 
 
@@ -473,8 +496,8 @@ def test_later_sweeps_write_no_earlier_array(net):
 def test_no_gradient_shares_memory(net, kind, every_node):
     # a sweep adopts the fresh arrays its vjps return as gradients: none may
     # alias another gradient, a forward array or the caller's seed.  The
-    # activations include Grad-CAM's conv1, a bias_add node whose vjp
-    # returns its own gradient; training keeps only the parameter leaves.
+    # root is the fc head's bias_add, whose vjp passes its own gradient
+    # through; training keeps only the parameter leaves.
     n = 3
     x = _batch(n)
     fp = net.forward_graph(x)

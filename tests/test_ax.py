@@ -415,7 +415,11 @@ class TestCsv:
         ("a,saliency,sum,1.5,0,0,true,x", "expected 7 fields, got 8"),
         ("a,saliency,sum,high,0,0,true", "co_score 'high' is not a number"),
         ("a,saliency,sum,1.5,0.5,0,false", "pred '0.5' is not an integer"),
-    ], ids=["short", "long", "score", "pred"])
+        ("s1,saliency,sum,0.5,1,1,banana", "correct 'banana' is not true or "
+         "false"),
+        ("s2,saliency,sum,0.3,0,1,true", "correct 'true' contradicts pred 0 "
+         "and truth 1"),
+    ], ids=["short", "long", "score", "pred", "correct", "contradiction"])
     def test_bad_row_names_file_line_and_field(self, tmp_path, row, message):
         p = tmp_path / "scores.csv"
         write_scores_csv([ScoreRecord("z", "saliency", "sum", 1.0, 0, 0)], p)

@@ -22,14 +22,19 @@ from references import reference_conv2d
 
 
 def _case(rng, n, cin, h, w, cout, k):
-    """conv2d and the reference at same padding, pad k // 2."""
+    """conv2d and the reference at same padding, pad k // 2, with the bias
+    added to the reference's output and summed from its upstream gradient."""
     # relu-like zeros in x and g exercise the sign of zero in the sums
     x = np.maximum(rng.normal(size=(n, cin, h, w)), 0.0)
     kernel = rng.normal(size=(cout, cin, k, k))
     g = np.maximum(rng.normal(size=(n, cout, h, w)), 0.0)
-    t = ad.conv2d(Tensor(x), Tensor(kernel))
-    gx, gk = t._vjp(g, RULE_STANDARD)
-    return (t.data, gx, gk), reference_conv2d(x, kernel, g, k // 2)
+    bias = rng.normal(size=cout)
+    t = ad.conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
+    gx, gk, gb = t._vjp(g, RULE_STANDARD)
+    out, ref_gx, ref_gk = reference_conv2d(x, kernel, g, k // 2)
+    return ((t.data, gx, gk, gb),
+            (out + bias[None, :, None, None], ref_gx, ref_gk,
+             g.sum(axis=(0, 2, 3))))
 
 
 # MiniConvNet's conv1 and conv2 as (cin, h, w, cout, k), pad k // 2: the
@@ -48,7 +53,7 @@ MODEL_CONVS = [(3, 32, 32, 8, 3), (8, 16, 16, 16, 3),
 def test_model_convs_are_byte_equal(n, cin, h, w, cout, k):
     rng = np.random.default_rng(n * 100 + cin)
     got, want = _case(rng, n, cin, h, w, cout, k)
-    for name, a, b in zip(("output", "gx", "gk"), got, want):
+    for name, a, b in zip(("output", "gx", "gk", "gb"), got, want):
         assert a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
 
@@ -69,15 +74,16 @@ def test_kernel_gradient_copies_no_window_matrix():
     # above the small-matrix size, so gk reads it in place
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(32, 3, 32, 32)))
-    t = ad.conv2d(x, Tensor(rng.normal(size=(8, 3, 3, 3))))
+    t = ad.conv2d(x, Tensor(rng.normal(size=(8, 3, 3, 3))),
+                  Tensor(rng.normal(size=8)))
     x._needs_grad = False
     g = rng.normal(size=t.shape)
     cols_bytes = 27 * 32 * 32 * 32 * 8
     tracemalloc.start()
     try:
-        gx, gk = t._vjp(g, RULE_STANDARD)
+        gx, gk, gb = t._vjp(g, RULE_STANDARD)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gx is None and gk.shape == (8, 3, 3, 3)
+    assert gx is None and gk.shape == (8, 3, 3, 3) and gb.shape == (8,)
     assert peak < cols_bytes

@@ -131,9 +131,14 @@ class TestManifestErrors:
         ("image_shape=3x-8x8", "image_shape '3x-8x8' has a dimension below 1"),
         ("sed=7", "unknown key 'sed'; expected class_count, image_shape or "
                   "seed"),
+        # a valid value for a key the header already gave
+        ("class_count=5", "repeated key 'class_count'"),
+        ("image_shape=1x4x4", "repeated key 'image_shape'"),
+        ("seed=4", "repeated key 'seed'"),
     ], ids=["split", "short-line", "label", "no-equals", "shape-dims",
             "shape-int", "class-count", "label-range", "class-count-range",
-            "shape-range", "unknown-key"])
+            "shape-range", "unknown-key", "repeated-class-count",
+            "repeated-image-shape", "repeated-seed"])
     def test_bad_line_named(self, tmp_path, line, message):
         gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
                              seed=0), tmp_path)

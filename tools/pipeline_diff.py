@@ -53,11 +53,14 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # batch-invariant shows there), GAX traces and
 # heatmaps (also with the bias, with no similarity penalty and on a
 # 3-class model, where a CO formula other than ``ScoreConstants.apply``'s
-# would differ from it in the last bits), and the
-# parameter gradients of one training step at batch 32 and one at batch 3:
-# conv2d's kernel gradient reads its window matrix in place at the first
-# and copies it at the second.  The GAX runs' snapshots land under
-# probe/gax.
+# would differ from it in the last bits), the graph-free ``scores`` of one
+# 32-row train chunk of each model (the gray one runs its conv2 one sample
+# at a time), and the
+# parameter gradients and conv1/conv2 activations of one training step at
+# batch 32 and one at batch 3: conv2d's kernel gradient reads its window
+# matrix in place at the first and copies it at the second, and a change in
+# how a conv layer adds its bias shows in the activations.  The GAX runs'
+# snapshots land under probe/gax.
 PROBE = """
 from pathlib import Path
 
@@ -77,6 +80,9 @@ def dump(name, values):
 
 model = MiniConvNet.load("rgb.gaxm")
 ds = load_dataset("rgb")
+dump("scores_train_chunk", model.scores(ds.train.x[:32]))
+dump("scores_train_chunk_gray", MiniConvNet.load("gray.gaxm").scores(
+    load_dataset("gray", ["train"]).train.x[:32]))
 for method in (*METHODS, "layer-gradcam:conv2"):
     dump("attribute_" + method.replace(":", "_"),
          [attribute(model, model.forward_graph(ds.test.x[i][None]), i % 2,
@@ -127,6 +133,8 @@ for batch, tag in ((32, ""), (3, "_batch3")):
     fp.scores.backward(seed, wrt=list(fp.params.values()))
     for name, leaf in fp.params.items():
         dump(f"grad{tag}_{name}", leaf.grad)
+    for name in ("conv1", "conv2"):
+        dump(f"act{tag}_{name}", fp.activations[name].data)
 """
 
 # inputs the CLI must reject with one line: a weight file whose head has
