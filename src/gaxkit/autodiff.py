@@ -6,9 +6,11 @@ graph is rebuilt on every forward pass, which keeps repeated re-evaluation
 (as in iterative heatmap optimization) trivially correct.
 
 The ops are the ones the model builds its graph from: ``relu``, ``matmul``,
-``transpose2d``, ``flatten``, ``bias_add`` (the fc head's bias), ``conv2d``
-and ``max_pool2d``.  ``conv2d`` adds its layer's bias itself, in place on its
-product, so a conv layer is one node.
+``flatten``, ``bias_add`` (the fc head's bias), ``conv2d`` and
+``max_pool2d``.  ``conv2d`` adds its layer's bias itself, in place on its
+product, so a conv layer is one node; ``matmul`` takes the fc weight as
+stored, (C, F), and computes ``x @ w.T``, so the fc head is ``flatten``,
+``matmul`` and ``bias_add``.
 Every sweep starts at the model's raw scores with a seed the caller gives:
 attribution's one-hot row, or a loss gradient that training or GAX computes
 in numpy.
@@ -189,20 +191,15 @@ def relu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2D operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-    return Tensor(ad @ bd, (a, b), "matmul", lambda g, r: (
-        g @ bd.T if a._needs_grad else None,
-        ad.T @ g if b._needs_grad else None))
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose2d: expected 2D, got {a.shape}")
-    return Tensor(a.data.T, (a,), "transpose2d", lambda g, r: (g.T,))
+def matmul(x: Tensor, w: Tensor) -> Tensor:
+    """The dense product ``x @ w.T`` of an (N, F) input and a (C, F)
+    weight, the layout a weight file stores: the output is (N, C)."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"matmul: input {xd.shape}, weight {wd.shape}")
+    return Tensor(xd @ wd.T, (x, w), "matmul", lambda g, r: (
+        g @ wd if x._needs_grad else None,
+        (xd.T @ g).T if w._needs_grad else None))
 
 
 def flatten(a: Tensor) -> Tensor:

@@ -262,6 +262,10 @@ def _cmd_gap_stats(args) -> int:
 
 
 def _cmd_gax(args) -> int:
+    out = Path(args.out)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"--out {args.out}: exists and is not an empty "
+                         "directory")
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, model)
     use_bias = args.bias
@@ -278,7 +282,7 @@ def _cmd_gax(args) -> int:
                                   limit=args.first_n)
     converged = sum(t.converged for t in traces)
     print(f"{converged}/{len(traces)} runs reached co >= {cfg.target_co}; "
-          f"outputs under {Path(args.out)}")
+          f"outputs under {out}")
     return 0
 
 

@@ -248,10 +248,15 @@ def gen_data(spec: DatasetSpec, out_dir) -> Path:
 
 
 def _sample_id(sid: str, source) -> str:
-    """``sid`` if the CSV outputs can hold it: no comma, no line break."""
+    """``sid`` if the CSV outputs can hold it (no comma, no line break) and
+    GAX can write under it: no ``/``-separated part is empty, ``.`` or
+    ``..``."""
     if "," in sid or sid.splitlines() != [sid]:
         raise ValueError(f"{source}: sample id {sid!r} contains a comma or a "
                          "line break, which the CSV outputs cannot hold")
+    if any(part in ("", ".", "..") for part in sid.split("/")):
+        raise ValueError(f"{source}: sample id {sid!r} has an empty, '.' or "
+                         "'..' path part, which cannot name its GAX outputs")
     return sid
 
 

@@ -115,7 +115,7 @@ class MiniConvNet:
             return partial(ad.conv2d, k=leaves[name + ".w"],
                            b=leaves[name + ".b"])
 
-        fc = partial(ad.matmul, b=ad.transpose2d(leaves["fc.w"]))
+        fc = partial(ad.matmul, w=leaves["fc.w"])
         return (("conv1", conv("conv1"), _area_not_8),
                 (None, ad.relu, None),
                 ("pool1", ad.max_pool2d, None),

@@ -2,8 +2,9 @@
 
 ``LinearModel`` is built from the engine's ops and keeps its weights in
 ``params``, so ``attribute``, ``gax_run`` and ``train`` take it like the
-conv net.  ``LeakyReluToy`` has only the numpy ``scores`` that ``co_score``
-reads.
+conv net.  ``SingleRelu`` is one rectifier over the engine's ops, with no
+parameter leaves, for the DeepLIFT identities.  ``LeakyReluToy`` has only
+the numpy ``scores`` that ``co_score`` reads.
 """
 
 import numpy as np
@@ -26,10 +27,29 @@ class LinearModel:
     def forward_graph(self, x) -> ForwardPass:
         leaf = Tensor(x)
         leaves = {name: Tensor(arr) for name, arr in self.params.items()}
-        scores = ad.bias_add(
-            ad.matmul(ad.flatten(leaf), ad.transpose2d(leaves["M"])),
-            leaves["b"])
+        scores = ad.bias_add(ad.matmul(ad.flatten(leaf), leaves["M"]),
+                             leaves["b"])
         return ForwardPass(leaf, scores, {"fc": scores}, leaves)
+
+    def scores(self, x) -> np.ndarray:
+        return self.forward_graph(x).scores.data
+
+
+class SingleRelu:
+    """Raw scores ``f(x) = [relu(m . x), 0]`` of a 1-D input, for a
+    ``(1, F)`` weight ``m``: two classes and one rectifier."""
+
+    num_classes = 2
+
+    def __init__(self, m):
+        self.m = np.asarray(m, dtype=np.float64)
+        self.input_shape = (self.m.shape[1],)
+
+    def forward_graph(self, x) -> ForwardPass:
+        leaf = Tensor(x)
+        z = ad.relu(ad.matmul(leaf, Tensor(self.m)))
+        pad = ad.matmul(z, Tensor(np.array([[1.0], [0.0]])))
+        return ForwardPass(leaf, pad, {"fc": pad}, {})
 
     def scores(self, x) -> np.ndarray:
         return self.forward_graph(x).scores.data

@@ -14,7 +14,6 @@ from gaxkit import (DatasetSpec, GaxConfig, Heatmap, MiniConvNet, TrainConfig,
                     attribute, ax_sweep, co_score, gap_stats, gax_sweep,
                     make_blobs, predict, train)
 from gaxkit.ax import ScoreConstants
-from gaxkit.autodiff import Tensor
 from gaxkit.cli import main as cli_main
 from gaxkit.data import Split
 from gaxkit.formats import (read_gaxh, read_gaxm, read_pnm, write_gaxh,
@@ -22,13 +21,12 @@ from gaxkit.formats import (read_gaxh, read_gaxm, read_pnm, write_gaxh,
 from gaxkit.gax import _objective
 from gradcheck import (check_gradients, max_relative_error,
                               numeric_gradient)
-from gaxkit.models import ForwardPass
 from gaxkit.toy import ToyInstance, closed_form_heatmap, delta_gradient, \
     sample_vector
 from gaxkit.training import evaluate
 
 from helpers_grad import op_cases
-from oracle_models import LeakyReluToy, LinearModel
+from oracle_models import LeakyReluToy, LinearModel, SingleRelu
 
 
 def test_c01_toy_closed_form_equals_numeric_ascent():
@@ -159,24 +157,6 @@ def test_c05_attribution_oracles():
             assert np.abs(gui - sal).max() < 1e-9
 
     # single rectifier kept in its positive linear region, zero baseline
-    from gaxkit import autodiff as ad
-
-    class SingleRelu:
-        input_shape = (5,)
-        num_classes = 2
-
-        def __init__(self, weights):
-            self.weights = weights
-
-        def forward_graph(self, x):
-            leaf = Tensor(x)
-            z = ad.relu(ad.matmul(leaf, Tensor(self.weights.T)))
-            out = ad.matmul(z, Tensor(np.array([[1.0, 0.0]])))
-            return ForwardPass(leaf, out, {"fc": out}, {})
-
-        def scores(self, x):
-            return self.forward_graph(x).scores.data
-
     for _ in range(10):
         weights = rng.uniform(0.2, 1.0, size=(1, 5))
         model = SingleRelu(weights)

@@ -7,7 +7,7 @@ from gaxkit import METHODS, Heatmap, MiniConvNet, attribute, normalize
 from gaxkit.attribution import parse_method
 from gaxkit.autodiff import ShapeError
 from gaxkit.models import predict_graph
-from oracle_models import LinearModel
+from oracle_models import LinearModel, SingleRelu
 
 
 def _fp(model, x):
@@ -66,34 +66,12 @@ class TestLinearOracles:
         # region, where rescale contributions reduce to gradient * input
         rng = np.random.default_rng(3)
         m = rng.uniform(0.2, 1.0, size=(1, 4))
-        model = _single_relu_model(m)
+        model = SingleRelu(m)
         x = rng.uniform(0.5, 1.5, size=4)
         assert float((m @ x)[0]) > 0
         dl = attribute(model, _fp(model, x), 0, "deeplift").values
         ixg = attribute(model, _fp(model, x), 0, "input-x-gradient").values
         np.testing.assert_allclose(dl, ixg, atol=1e-12)
-
-
-def _single_relu_model(m):
-    """f(x) = [relu(m . x), 0]: a tiny 2-class net with one rectifier."""
-    from gaxkit import autodiff as ad
-    from gaxkit.autodiff import Tensor
-    from gaxkit.models import ForwardPass
-
-    class SingleRelu:
-        input_shape = (m.shape[1],)
-        num_classes = 2
-
-        def forward_graph(self, x):
-            leaf = Tensor(x)
-            z = ad.relu(ad.matmul(leaf, Tensor(np.asarray(m).T)))
-            pad = ad.matmul(z, Tensor(np.array([[1.0, 0.0]])))
-            return ForwardPass(leaf, pad, {"fc": pad}, {})
-
-        def scores(self, x):
-            return self.forward_graph(x).scores.data
-
-    return SingleRelu()
 
 
 class TestNormalize:
@@ -220,7 +198,7 @@ class TestInvariantsOnRandomNets:
             if abs(zb) < 0.1:
                 continue
             trials += 1
-            model = _single_relu_model(m)
+            model = SingleRelu(m)
             # the input and the baseline on opposite sides of the kink
             z = -np.sign(zb) * rng.uniform(0.5, 2.0)
             x = base + (z - zb) / (w @ w) * w

@@ -21,7 +21,8 @@ from helpers_grad import op_cases
 
 class TestForward:
     def test_matmul_identity(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor([[3.0], [4.0]]))
+        # x @ w.T with an identity input gives w.T
+        out = ad.matmul(Tensor(np.eye(2)), Tensor([[3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_relu_definition(self):
@@ -64,7 +65,7 @@ class TestForward:
 
     def test_shape_error_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
         with pytest.raises(ShapeError, match="conv2d"):
             ad.conv2d(Tensor(np.ones((1, 2, 4, 4))),
                       Tensor(np.ones((1, 3, 3, 3))), Tensor(np.ones(1)))
@@ -140,7 +141,7 @@ class TestBackwardRules:
         # positive pre-activations + positive upstream: all rules agree
         rng = np.random.default_rng(7)
         x_val = rng.uniform(0.5, 2.0, size=(1, 6))
-        w_val = rng.uniform(0.1, 1.0, size=(6, 4))
+        w_val = rng.uniform(0.1, 1.0, size=(4, 6))
         grads = {}
         for rule in (RULE_STANDARD, RULE_DECONV, RULE_GUIDED):
             x = Tensor(x_val)
@@ -162,7 +163,7 @@ class TestBackwardRules:
 
     def test_gradient_accumulates_over_reuse(self):
         x = Tensor([[3.0, 1.0]])
-        y = ad.matmul(x, ad.transpose2d(x))  # x . x -> grad 2x
+        y = ad.matmul(x, x)  # x . x -> grad 2x
         y.backward(np.ones((1, 1)), wrt=[x])
         np.testing.assert_array_equal(x.grad, [[6.0, 2.0]])
 
@@ -190,9 +191,9 @@ class TestMLPChainRule:
 
         # one-row batch: x (1, 4) @ w1.T (4, 3), then a1 (1, 3) @ w2.T (3, 2)
         x = Tensor(xv[None])
-        z1 = ad.bias_add(ad.matmul(x, Tensor(w1.T)), Tensor(b1))
+        z1 = ad.bias_add(ad.matmul(x, Tensor(w1)), Tensor(b1))
         a1 = ad.relu(z1)
-        out = ad.bias_add(ad.matmul(a1, Tensor(w2.T)), Tensor(b2))
+        out = ad.bias_add(ad.matmul(a1, Tensor(w2)), Tensor(b2))
         out.backward(seed[None], wrt=[x])
 
         # hand-derived chain rule product
@@ -454,6 +455,20 @@ def test_a_graph_swept_twice_gives_fresh_graph_bytes(net, second):
         grads[rule] = leaf.grad
     for rule, got in grads.items():
         assert got.tobytes() == _fresh_input_grad(net, x, rule).tobytes()
+
+
+def test_rescale_needs_a_baseline_graph_of_the_same_structure(net):
+    x = _batch(1)
+    fp = net.forward_graph(x)
+    # same ops, but another input shape; and one node fewer
+    other = MiniConvNet(input_shape=(3, 16, 16), num_classes=3, seed=21)
+    for base in (other.forward_graph(np.zeros((1, 3, 16, 16))).scores,
+                 fp.scores.parents[0]):
+        with pytest.raises(ValueError) as info:
+            ad.rescale_multipliers(fp.scores, base, _one_hot(1),
+                                   wrt=[fp.input])
+        assert str(info.value) == \
+            "baseline graph structure differs from the main graph"
 
 
 def test_a_failed_sweep_leaves_the_graph_reusable(net):

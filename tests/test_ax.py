@@ -68,6 +68,11 @@ class TestScoreConstants:
         with pytest.raises(ValueError):
             ScoreConstants(1, 0)
 
+    def test_groundtruth_beyond_the_classes(self):
+        with pytest.raises(ValueError) as info:
+            ScoreConstants(2, 2)
+        assert str(info.value) == "groundtruth 2 out of range for 2 classes"
+
 
 class TestCoScore:
     def test_zero_heatmap_scores_zero(self):
@@ -131,6 +136,10 @@ class TestCoScore:
             _co(model, np.zeros(2), [Heatmap(np.zeros(2), "m", 0)], 0, ["xor"])
         with pytest.raises(ShapeError):
             _co(model, np.zeros(2), [Heatmap(np.zeros(3), "m", 0)], 0, ["sum"])
+        with pytest.raises(ShapeError) as info:
+            co_score(model, np.zeros(3), [Heatmap(np.zeros(3), "m", 0)], 0,
+                     ["sum"], fx=np.zeros(2))
+        assert str(info.value) == "input shape (3,) != model input (2,)"
 
     def test_precomputed_fx_is_bitwise_equal(self):
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=2)

@@ -293,6 +293,75 @@ def test_ax_sweep_shape_mismatch_is_one_line(tiny_run, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m16.gaxm"]
 
 
+def test_blank_manifest_lines_are_skipped(tiny_run, tmp_path):
+    data, _ = tiny_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("\n", "\n\n", 3)
+                        + "  \n")
+    for root, out in ((data, "plain.gaxm"), (copy, "blank.gaxm")):
+        assert main(["train", "--data", str(root), "--max-iterations", "2",
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "blank.gaxm").read_bytes() == \
+        (tmp_path / "plain.gaxm").read_bytes()
+
+
+def test_gap_stats_skips_blank_scores_lines(tmp_path, capsys):
+    from gaxkit.ax import SCORES_HEADER
+
+    rows = ["s1,saliency,sum,0.5,1,1,true", "s2,saliency,sum,0.25,0,1,false",
+            "s3,saliency,sum,0.75,0,0,true"]
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("\n".join([SCORES_HEADER, *rows]) + "\n")
+    blank.write_text("\n".join([SCORES_HEADER, "", rows[0], " ", *rows[1:],
+                                 ""]) + "\n")
+    printed = []
+    for path in (plain, blank):
+        assert main(["gap-stats", "--scores", str(path)]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[1] == printed[0]
+    lines = printed[0].out.splitlines()
+    assert "correct_count=2" in lines and "wrong_count=1" in lines
+
+
+def test_gap_stats_on_a_file_that_is_not_a_scores_csv(tiny_run, capsys):
+    manifest = tiny_run[0] / "manifest.txt"
+    assert main(["gap-stats", "--scores", str(manifest)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {manifest} is not a scores CSV\n")
+
+
+@pytest.mark.parametrize("command", ["train", "ax-sweep"])
+def test_data_with_no_manifest_and_no_class_folder_is_one_line(
+        tiny_run, tmp_path, capsys, command):
+    # train needs manifest.txt; ax-sweep reads a directory without one as
+    # raw class folders
+    _, model = tiny_run
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("")
+    argv = {"train": ["train"],
+            "ax-sweep": ["ax-sweep", "--model", str(model)]}[command]
+    assert main([*argv, "--data", str(empty), "--out",
+                 str(tmp_path / "o")]) == 1
+    message = {"train": f"no manifest.txt under {empty}",
+               "ax-sweep": f"no class subdirectories under {empty}"}[command]
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
+
+
+def test_train_without_a_validation_split_is_one_line(tmp_path, capsys):
+    data, out = tmp_path / "d", tmp_path / "m.gaxm"
+    assert main(["gen-data", "--out", str(data), "--train", "4", "--val",
+                 "0", "--test", "2", "--shape", "3,4,4"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: train: empty validation split\n")
+    assert not out.exists()
+
+
 def test_ax_sweep_ingests_raw_class_directories(tiny_run, tmp_path):
     from gaxkit.formats import write_pgm
     rng = np.random.default_rng(3)
@@ -302,6 +371,10 @@ def test_ax_sweep_ingests_raw_class_directories(tiny_run, tmp_path):
         for i in range(2):
             write_pgm(raw / c / f"{i}.pgm",
                       rng.integers(0, 256, size=(10, 12), dtype=np.uint8))
+    # a folder inside a class folder is skipped, with what it holds
+    (raw / "sick" / "nested").mkdir()
+    write_pgm(raw / "sick" / "nested" / "2.pgm",
+              np.zeros((10, 12), dtype=np.uint8))
     _, model = tiny_run
     out = tmp_path / "scores.csv"
     code = main(["ax-sweep", "--model", str(model), "--data", str(raw),
@@ -437,6 +510,57 @@ def test_gax_input_errors_leave_no_output_directory(tiny_run, tmp_path,
                  "--out", str(out)]) == 1
     assert "predict: sample shape" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gax_into_a_directory_that_holds_files_is_one_line(tiny_run, tmp_path,
+                                                         capsys):
+    # an empty --out is taken; a second run into the first one's is not,
+    # and fails before the model loads, leaving the first run's files
+    data, model = tiny_run
+    out = tmp_path / "g"
+    out.mkdir()
+    argv = ["gax", "--model", str(model), "--data", str(data), "--first-n",
+            "2", "--max-iterations", "5", "--out", str(out)]
+    assert main(argv) == 0
+    first = _tree(out)
+    assert "manifest.csv" in {p.name for p in first}
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --out {out}: exists and is not an empty directory\n")
+    assert _tree(out) == first
+    # a file is not an empty directory either
+    (tmp_path / "f").write_text("")
+    assert main([*argv[:-1], str(tmp_path / "f"), "--model",
+                 str(tmp_path / "missing.gaxm")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {tmp_path / 'f'}: exists and is not an empty "
+        "directory\n")
+
+
+@pytest.mark.parametrize("command", ["ax-sweep", "gax"])
+def test_sample_id_that_is_not_a_path_part_is_one_line(tiny_run, tmp_path,
+                                                       capsys, command):
+    # a test image named ...ppm has the id '..': gax would write its
+    # snapshots beside --out
+    data, model = tiny_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "manifest.txt"
+    rel = next(line for line in manifest.read_text().splitlines()
+               if line.startswith("sample,test,")).split(",")[3]
+    bad = (copy / rel).with_name("...ppm")
+    (copy / rel).rename(bad)
+    manifest.write_text(manifest.read_text().replace(
+        rel, bad.relative_to(copy).as_posix()))
+    out = tmp_path / ("s.csv" if command == "ax-sweep" else "run/inner")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--model", str(model), "--data", str(copy),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: sample id '..' has an empty, '.' or '..' path "
+        "part, which cannot name its GAX outputs\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_gax_snapshot_every_zero_names_the_field(tiny_run, tmp_path, capsys):
@@ -655,9 +779,12 @@ def test_nonfinite_learning_rate_is_one_line(tiny_run, tmp_path, capsys,
      "similarity_factor must be finite and >= 0, got inf"),
     ("gax", "--similarity-factor", "-1",
      "similarity_factor must be finite and >= 0, got -1.0"),
+    ("gax", "--target-co", "nan", "target_co must be finite"),
+    ("gax", "--max-iterations", "-1", "max_iterations must be >= 0, got -1"),
     ("train", "--target-val-acc", "nan",
      "target_val_accuracy must not be NaN"),
-], ids=["gax-sf-nan", "gax-sf-inf", "gax-sf-negative", "train-target-nan"])
+], ids=["gax-sf-nan", "gax-sf-inf", "gax-sf-negative", "gax-target-co-nan",
+        "gax-max-iterations-negative", "train-target-nan"])
 def test_nan_or_negative_setting_is_one_line(tiny_run, tmp_path, capsys,
                                              command, flag, value, message):
     data, model = tiny_run

@@ -201,6 +201,24 @@ class TestManifestErrors:
         with pytest.raises(ValueError, match="'a,b' contains a comma"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name,sid", [("...ppm", ".."), ("..ppm", ".")],
+                             ids=["dot-dot", "dot"])
+    def test_sample_id_that_is_not_a_path_part_rejected(self, tmp_path, name,
+                                                        sid):
+        # gax writes a sample's snapshots under <out>/<sample id>
+        gen_data(DatasetSpec(train=0, val=0, test=1, image_shape=(3, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        (src,) = tmp_path.glob("test/class_*/*.ppm")
+        bad = src.with_name(name)
+        src.rename(bad)
+        manifest.write_text(manifest.read_text().replace(src.name, name))
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{bad}: sample id {sid!r} has an empty, '.' or '..' path part, "
+            "which cannot name its GAX outputs")
+
 
     def test_duplicate_sample_id_in_a_split_named(self, tmp_path):
         # gax and ax-sweep key their outputs by sample id, per split
@@ -298,6 +316,20 @@ class TestIngest:
             ingest_images(tmp_path, (1, 4, 4))
         assert str(info.value).startswith(f"{bad}: sample id ")
         assert "comma or a line break" in str(info.value)
+
+    @pytest.mark.parametrize("name,sid", [("...ppm", "class_0/.."),
+                                          ("..ppm", "class_0/.")],
+                             ids=["dot-dot", "dot"])
+    def test_sample_id_that_is_not_a_path_part_rejected(self, tmp_path, name,
+                                                        sid):
+        self._write_class_dirs(tmp_path, [(4, 4)], color=True)
+        bad = tmp_path / "class_0" / name
+        (tmp_path / "class_0" / "s0.ppm").rename(bad)
+        with pytest.raises(ValueError) as info:
+            ingest_images(tmp_path, (3, 4, 4))
+        assert str(info.value) == (
+            f"{bad}: sample id {sid!r} has an empty, '.' or '..' path part, "
+            "which cannot name its GAX outputs")
 
     def test_two_files_with_one_id_named(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaxkit.autodiff import ShapeError
+from gaxkit.autodiff import ShapeError, _topo
 from gaxkit.formats import read_gaxm, write_gaxm
 from gaxkit.data import Split
 from gaxkit.models import MiniConvNet, predict
@@ -121,6 +121,14 @@ class TestMiniConvNet:
         model = MiniConvNet(input_shape=(3, 16, 16))
         names = list(model.forward_graph(np.zeros((1, 3, 16, 16))).activations)
         assert names == ["conv1", "pool1", "conv2", "pool2", "fc"]
+
+    def test_forward_graph_is_nine_op_nodes(self):
+        # each conv adds its own bias, and matmul takes fc.w as stored
+        model = MiniConvNet(input_shape=(3, 16, 16))
+        fp = model.forward_graph(np.zeros((2, 3, 16, 16)))
+        ops = [node.op for node in _topo(fp.scores) if node.op != "leaf"]
+        assert ops == ["conv2d", "relu", "max-pool", "conv2d", "relu",
+                       "max-pool", "flatten", "matmul", "bias-add"]
 
     def test_raw_output_head(self):
         # scores are unbounded raw values, not probabilities

@@ -144,7 +144,9 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 # manifest lists one test sample twice, so two test samples share one
 # sample id, and a directory where train is told to write its weight file;
 # also a copy of rgb with one truncated train image, which stops train but
-# not a command that reads the test split
+# not a command that reads the test split, and a copy of rgb whose first
+# test image is renamed to ...ppm, whose sample id '..' would put its GAX
+# snapshots beside the output directory
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -175,6 +177,14 @@ Path("model_dir").mkdir()
 shutil.copytree("rgb", "bad_train")
 train_image = sorted(Path("bad_train/train").rglob("*.ppm"))[0]
 train_image.write_bytes(train_image.read_bytes()[:20])
+shutil.copytree("rgb", "bad_id")
+manifest = Path("bad_id/manifest.txt")
+text = manifest.read_text()
+rel = next(line for line in text.splitlines()
+           if line.startswith("sample,test,")).split(",")[3]
+renamed = Path(rel).with_name("...ppm").as_posix()
+Path("bad_id", rel).rename(Path("bad_id", renamed))
+manifest.write_text(text.replace(rel, renamed))
 """
 
 
@@ -321,6 +331,18 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--out", "bad_train.gaxm", "--max-iterations", "5"),
         _cli("attribute beside a bad train image", "attribute", "--model",
              "rgb.gaxm", "--data", "bad_train", "--out", "attr/bad_train"),
+        _cli("error sample id .. gax", "gax", "--model", "rgb.gaxm",
+             "--data", "bad_id", "--first-n", "2", "--max-iterations", "5",
+             "--out", "bad_id/run"),
+        _cli("error sample id .. ax-sweep", "ax-sweep", "--model",
+             "rgb.gaxm", "--data", "bad_id", "--methods", "saliency",
+             "--out", "bad_id.csv"),
+        # the same command as "gax no bias": its --out now holds a run
+        _cli("error gax into a run directory", "gax", "--model", "rgb.gaxm",
+             "--data", "rgb", "--no-bias", "--target-co", "5", "--first-n",
+             "3", "--max-iterations", "200", "--out", "gax_nobias"),
+        _cli("error scores header", "gap-stats", "--scores",
+             "rgb/manifest.txt"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
     return steps
