@@ -26,15 +26,14 @@ result = train(model, ds, TrainConfig(target_val_accuracy=0.98,
 print(f"trained to validation accuracy {result.val_accuracy:.3f} "
       f"in {result.iterations_run} iterations")
 
-x = ds.test.x[0]
+x = ds.test.images(0)
 pred, fp = predict_graph(model, x)
 raw = fp.scores.data[0]
 print(f"sample {ds.test.ids[0]}: groundtruth {ds.test.y[0]}, "
       f"predicted {pred}, raw scores {np.round(raw, 3)}\n")
 
 OUT.mkdir(exist_ok=True)
-write_ppm(OUT / "input.ppm",
-          np.moveaxis(np.rint(x * 255).astype(np.uint8), 0, 2))
+write_ppm(OUT / "input.ppm", np.moveaxis(ds.test.pixels[0], 0, 2))
 
 for method in METHODS:
     heat = normalize(attribute(model, fp, pred, method))

@@ -31,7 +31,7 @@ rng = np.random.default_rng(99)
 labels = ds.test.y.copy()
 flipped = rng.choice(len(labels), size=15, replace=False)
 labels[flipped] = 1 - labels[flipped]
-noisy_split = Split(ds.test.x, labels, ds.test.ids)
+noisy_split = Split(ds.test.pixels, labels, ds.test.ids)
 
 records, errors = ax_sweep(model, noisy_split,
                            ["saliency", "input-x-gradient", "deeplift"],

@@ -152,7 +152,7 @@ def ax_sweep(model, split, methods, variants=("sum", "mul")
     baseline = predict_graph(model, np.zeros(model.input_shape))[1] \
         if "deeplift" in methods else None
     for i, sid in enumerate(split.ids):
-        x = split.x[i]
+        x = split.images(i)
         truth = int(split.y[i])
         pred, graph = predict_graph(model, x)
         heats = [normalize(attribute(model, graph, pred, method,

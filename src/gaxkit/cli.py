@@ -218,7 +218,7 @@ def _cmd_attribute(args) -> int:
     if not 0 <= args.index < len(split):
         raise ValueError(f"--index {args.index} out of range for a split "
                          f"of {len(split)} samples")
-    pred, fp = predict_graph(model, split.x[args.index])
+    pred, fp = predict_graph(model, split.images(args.index))
     target = pred if args.target is None else args.target
     heat = normalize(attribute(model, fp, target, args.method,
                                abs_values=args.abs))
@@ -271,7 +271,8 @@ def _cmd_gax(args) -> int:
     use_bias = args.bias
     if use_bias is None:
         # dark datasets stall without the bias: w * 0 stays 0 under tanh
-        zero_fraction = float((split.x == 0.0).mean()) if len(split) else 0.0
+        zero_fraction = (float((split.pixels == 0).mean()) if len(split)
+                         else 0.0)
         use_bias = zero_fraction > 0.3
     cfg = GaxConfig(target_co=args.target_co,
                     max_iterations=args.max_iterations,

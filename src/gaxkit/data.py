@@ -2,8 +2,10 @@
 
 The synthetic generator places a class-dependent intensity blob on a noisy
 background; the signal location separates the classes, so a linear probe
-already learns them.  Pixel values live on the uint8 grid in [0, 1], which
-makes in-memory data and files written to disk carry identical values.
+already learns them.  A split holds its pixels as uint8, as the image files
+on disk do, so in-memory data and files written to disk carry identical
+values; ``Split.images`` scales the rows a caller reads to float64 in
+[0, 1], and is the one place the 255 scale appears.
 """
 
 from __future__ import annotations
@@ -40,12 +42,27 @@ class DatasetSpec:
 
 @dataclass
 class Split:
-    x: np.ndarray                  # (N, C, H, W) float64 in [0, 1]
+    pixels: np.ndarray             # (N, C, H, W) uint8
     y: np.ndarray                  # (N,) int64
     ids: list[str]
 
+    def __post_init__(self):
+        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 4:
+            raise ValueError("Split.pixels must be an (N, C, H, W) uint8 "
+                             f"array, got {self.pixels.ndim}-D "
+                             f"{self.pixels.dtype}")
+        for name in ("y", "ids"):
+            if len(getattr(self, name)) != len(self.pixels):
+                raise ValueError(
+                    f"Split.{name} has {len(getattr(self, name))} entries "
+                    f"for {len(self.pixels)} images")
+
     def __len__(self) -> int:
         return len(self.y)
+
+    def images(self, index) -> np.ndarray:
+        """The images ``pixels[index]`` selects, as float64 in [0, 1]."""
+        return self.pixels[index] / 255.0
 
 
 @dataclass
@@ -59,11 +76,12 @@ class Dataset:
 
 
 def _empty_split(shape) -> Split:
-    return Split(np.zeros((0, *shape)), np.zeros(0, dtype=np.int64), [])
+    return Split(np.zeros((0, *shape), dtype=np.uint8),
+                 np.zeros(0, dtype=np.int64), [])
 
 
 def _quantize(x: np.ndarray) -> np.ndarray:
-    return np.rint(np.clip(x, 0.0, 1.0) * 255.0) / 255.0
+    return np.rint(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
@@ -86,7 +104,7 @@ def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
             splits[split_name] = _empty_split(spec.image_shape)
             continue
         labels = rng.permutation(np.arange(count) % spec.class_count)
-        images = np.empty((count, c, h, w))
+        pixels = np.empty((count, c, h, w), dtype=np.uint8)
         for i, label in enumerate(labels):
             cy, cx = centers[label]
             cy += rng.uniform(-2, 2)
@@ -95,9 +113,9 @@ def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
             blob = amp * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2)
                                 / (2.0 * sigma * sigma))
             noise = rng.uniform(0.0, noise_scale, size=(c, h, w))
-            images[i] = blob[None] * channel_gain + noise
+            pixels[i] = _quantize(blob[None] * channel_gain + noise)
         splits[split_name] = Split(
-            _quantize(images), labels.astype(np.int64),
+            pixels, labels.astype(np.int64),
             [f"{split_name}_{i:05d}" for i in range(count)])
     return Dataset(splits["train"], splits["val"], splits["test"],
                    spec.class_count, spec.image_shape, spec.seed)
@@ -126,7 +144,7 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
                                                         exist_ok=True)
         for i, sid in enumerate(split.ids):
             label = int(split.y[i])
-            img = np.rint(split.x[i] * 255.0).astype(np.uint8)
+            img = split.pixels[i]
             rel = f"{split_name}/class_{label}/{sid}.{ext}"
             write(out / rel, np.moveaxis(img, 0, 2) if c == 3 else img[0])
             lines.append(f"sample,{split_name},{label},{rel}")
@@ -224,7 +242,7 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
         entries = samples[name]
         if not entries:
             return _empty_split(shape)
-        x = np.empty((len(entries), c, h, w))
+        pixels = np.empty((len(entries), c, h, w), dtype=np.uint8)
         y = np.empty(len(entries), dtype=np.int64)
         for i, (label, rel, _) in enumerate(entries):
             path = root / rel
@@ -234,9 +252,9 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
                 raise ValueError(
                     f"{path}: image is {'x'.join(map(str, arr.shape))}, but "
                     f"{manifest} gives image_shape {c}x{h}x{w}")
-            x[i] = arr / 255.0
+            pixels[i] = arr
             y[i] = label
-        return Split(x, y, ids[name])
+        return Split(pixels, y, ids[name])
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
                    header["class_count"], shape, header.get("seed", 0))
@@ -273,7 +291,7 @@ def ingest_images(directory, image_shape: tuple[int, int, int]) -> Split:
     of ``image_shape`` (C, H, W) images.
 
     Images are nearest-neighbor resized to H x W, a 1-channel image is
-    repeated to 3 channels when C is 3, and values are scaled to [0, 1].
+    repeated to 3 channels when C is 3; pixels stay uint8.
     Any other channel count than C is an error naming the file.  Unreadable
     files are skipped with a warning; an empty class folder is an error.
     """
@@ -306,7 +324,7 @@ def ingest_images(directory, image_shape: tuple[int, int, int]) -> Split:
             chans = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
             if depth != c:
                 chans = np.repeat(chans, c, axis=0)
-            images.append(chans / 255.0)
+            images.append(chans)
             labels.append(label)
             loaded += 1
         if loaded == 0:

@@ -175,6 +175,22 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
     return trace, heat
 
 
+def _check_run_paths(ids) -> None:
+    """Raise, naming the sample, if a sample's snapshot directory or one of
+    its parents would be a file the run writes: ``manifest.csv``,
+    ``errors.log`` or a sample's ``<id>.trace.csv``."""
+    files = {"manifest.csv", "errors.log",
+             *(f"{sid}.trace.csv" for sid in ids)}
+    for sid in ids:
+        parts = sid.split("/")
+        for k in range(1, len(parts) + 1):
+            path = "/".join(parts[:k])
+            if path in files:
+                raise ValueError(f"sample id {sid!r}: its GAX snapshots need "
+                                 f"a directory {path!r}, where the run "
+                                 "writes a file")
+
+
 def gax_sweep(model, split, cfg: GaxConfig, *, out_dir,
               limit: int | None = None
               ) -> tuple[list[GaxTrace], list[tuple[str, str]]]:
@@ -185,19 +201,21 @@ def gax_sweep(model, split, cfg: GaxConfig, *, out_dir,
     stopped by a non-finite loss keeps its trace and is the one error,
     ``(sample id, "non-finite loss at step k")``.  Nothing is caught.
 
-    The run directory ``out_dir`` holds each run's snapshots,
-    ``<id>.trace.csv``, ``manifest.csv`` and, if any run stopped on a
-    non-finite loss, ``errors.log``.  Invalid inputs, a split outside
-    [0, 1] among them, raise before anything is written.
+    The run directory ``out_dir`` holds each run's snapshots under
+    ``<id>/``, ``<id>.trace.csv``, ``manifest.csv`` and, if any run stopped
+    on a non-finite loss, ``errors.log``.  Invalid inputs raise before
+    anything is written; among them a sample ID whose snapshot directory,
+    or one of its parents, would be one of those files.  A split's pixels
+    are uint8, so its images lie in [0, 1].
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    _check_unit_interval(split.x)
+    _check_run_paths(split.ids)
     traces: list[GaxTrace] = []
     for i, sid in enumerate(split.ids):
         if limit is not None and len(traces) >= limit:
             break
-        x = split.x[i]
+        x = split.images(i)
         truth = int(split.y[i])
         pred, fx = predict(model, x)
         if pred != truth:

@@ -59,16 +59,17 @@ class TrainResult:
     stop_reason: str
 
 
-# samples per ``scores`` call in evaluate: the default training batch, so an
-# evaluation inside ``train`` fits in the heap the dropped graph held; as
-# ``scores`` is batch-invariant, each sample scores as ``predict`` scores it
+# samples per ``scores`` call in evaluate, each chunk converted to float64
+# on its own: the default training batch, so an evaluation inside ``train``
+# fits in the heap the dropped graph held; as ``scores`` is batch-invariant,
+# each sample scores as ``predict`` scores it
 _EVAL_CHUNK = TrainConfig.batch_size
 BETA1 = 0.5             # Adam's first-moment decay for training
 
 
-def _batched_scores(model, x: np.ndarray) -> np.ndarray:
-    outs = [model.scores(x[i: i + _EVAL_CHUNK])
-            for i in range(0, len(x), _EVAL_CHUNK)]
+def _batched_scores(model, split) -> np.ndarray:
+    outs = [model.scores(split.images(slice(i, i + _EVAL_CHUNK)))
+            for i in range(0, len(split), _EVAL_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 
@@ -93,7 +94,7 @@ def evaluate(model, split) -> Metrics:
     """
     if len(split.y) == 0:
         raise ValueError("evaluate: empty split")
-    pred = _batched_scores(model, split.x).argmax(axis=1)
+    pred = _batched_scores(model, split).argmax(axis=1)
     y = split.y
     acc = float((pred == y).mean())
     c = model.num_classes
@@ -131,7 +132,7 @@ def train(model, dataset, cfg: TrainConfig) -> TrainResult:
 
     for it in range(1, cfg.max_iterations + 1):
         idx = rng.integers(0, n, size=cfg.batch_size)
-        batch = train_split.x[idx]
+        batch = train_split.images(idx)
         # Only one graph is alive at a time: the previous one goes after the
         # batch is drawn and before the next one is built, so the next graph
         # reuses the heap the previous one held.  Dropping it any earlier

@@ -176,7 +176,7 @@ def test_c06_gap_distribution_property(trained_model, main_dataset):
     y = main_dataset.test.y.copy()
     flip = rng.choice(len(y), size=15, replace=False)
     y[flip] = 1 - y[flip]
-    noisy = Split(main_dataset.test.x, y, main_dataset.test.ids)
+    noisy = Split(main_dataset.test.pixels, y, main_dataset.test.ids)
     assert len(noisy) >= 200
 
     records, errors = ax_sweep(trained_model, noisy, ["saliency"], ["sum"])

@@ -191,7 +191,7 @@ class TestSweep:
     def test_record_cardinality(self, tiny):
         model, ds = tiny
         one = ds.test
-        one_sample = type(one)(one.x[:1], one.y[:1], one.ids[:1])
+        one_sample = type(one)(one.pixels[:1], one.y[:1], one.ids[:1])
         records, errors = ax_sweep(model, one_sample, ["saliency"],
                                    ["sum", "mul"])
         assert len(records) == 2 and not errors
@@ -199,8 +199,8 @@ class TestSweep:
     def test_all_correct_flags(self, tiny):
         model, ds = tiny
         split = ds.test
-        forced = type(split)(split.x, np.array(
-            [int(np.argmax(model.scores(split.x[i: i + 1])[0]))
+        forced = type(split)(split.pixels, np.array(
+            [int(np.argmax(model.scores(split.images(slice(i, i + 1)))[0]))
              for i in range(len(split))]), split.ids)
         records, _ = ax_sweep(model, forced, ["saliency"], ["sum"])
         assert all(r.correct for r in records)

@@ -237,8 +237,8 @@ def test_gax_walks_the_split_in_manifest_order(tiny_run, tmp_path):
         [line for line in lines if line not in test] + test[::-1]) + "\n")
     split = load_dataset(reversed_data, splits=("test",)).test
     model = MiniConvNet.load(model_path)
-    correct = [sid for sid, x, y in zip(split.ids, split.x, split.y)
-               if predict(model, x)[0] == y]
+    correct = [sid for i, sid in enumerate(split.ids)
+               if predict(model, split.images(i))[0] == split.y[i]]
     assert len(correct) > 1 and correct[0] == max(correct)
     out = tmp_path / "g"
     assert main(["gax", "--model", str(model_path), "--data",
@@ -256,8 +256,8 @@ def test_gax_bias_defaults_on_for_dark_split(tiny_run, tmp_path, capsys,
 
     data, model = tiny_run
     dark = load_dataset(data).test
-    dark.x[:] = 0.0
-    dark.x[:, :, :2, :2] = 0.5
+    dark.pixels[:] = 0
+    dark.pixels[:, :, :2, :2] = 128
     seen = {}
     real_sweep = cli_mod.gax_mod.gax_sweep
 
@@ -560,6 +560,29 @@ def test_sample_id_that_is_not_a_path_part_is_one_line(tiny_run, tmp_path,
     assert capsys.readouterr() == (
         "", f"error: {bad}: sample id '..' has an empty, '.' or '..' path "
         "part, which cannot name its GAX outputs\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_gax_sample_id_of_the_manifest_is_one_line(tiny_run, tmp_path,
+                                                   capsys):
+    # a test image named manifest.csv.ppm: its snapshot directory would be
+    # where the run writes manifest.csv
+    data, model = tiny_run
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    manifest = copy / "manifest.txt"
+    rel = next(line for line in manifest.read_text().splitlines()
+               if line.startswith("sample,test,")).split(",")[3]
+    shadow = (copy / rel).with_name("manifest.csv.ppm")
+    (copy / rel).rename(shadow)
+    manifest.write_text(manifest.read_text().replace(
+        rel, shadow.relative_to(copy).as_posix()))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["gax", "--model", str(model), "--data", str(copy),
+                 "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: sample id 'manifest.csv': its GAX snapshots need a "
+        "directory 'manifest.csv', where the run writes a file\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -887,12 +910,13 @@ def test_attribute_target_and_abs_are_attribute_arguments(tiny_run, tmp_path):
     data, model = tiny_run
     net, split = MiniConvNet.load(model), load_dataset(data).test
     # a sample predicted as class 0, so --target 1 is not the default
-    index = next(i for i, x in enumerate(split.x) if predict(net, x)[0] == 0)
+    index = next(i for i in range(len(split))
+                 if predict(net, split.images(i))[0] == 0)
     assert main(["attribute", "--model", str(model), "--data", str(data),
                  "--index", str(index), "--target", "1", "--abs",
                  "--method", "guided-backprop",
                  "--out", str(tmp_path / "cli" / "heat")]) == 0
-    fp = net.forward_graph(split.x[index][None])
+    fp = net.forward_graph(split.images(index)[None])
     heat = attribute(net, fp, 1, "guided-backprop", abs_values=True)
     # the signed map has negative entries, so --abs changes the bytes
     assert (attribute(net, fp, 1, "guided-backprop").values < 0).any()

@@ -1,12 +1,14 @@
 """Synthetic data generation, disk layout, and image ingestion."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaxkit import data as data_mod
 from gaxkit import formats
-from gaxkit.data import (Dataset, DatasetSpec, gen_data, ingest_images,
+from gaxkit.data import (Dataset, DatasetSpec, Split, gen_data, ingest_images,
                          load_dataset, make_blobs, write_dataset)
 
 
@@ -24,16 +26,74 @@ class TestSpec:
             DatasetSpec(kind="bogus")
 
 
+class TestSplit:
+    """A split holds uint8 pixels, checked when it is made, and converts
+    only the rows a caller reads."""
+
+    def _parts(self, n=3):
+        pixels = np.random.default_rng(0).integers(0, 256, size=(n, 3, 4, 4),
+                                                   dtype=np.uint8)
+        return pixels, np.zeros(n, dtype=np.int64), [f"s{i}" for i in range(n)]
+
+    def test_images_convert_the_rows_asked_for(self):
+        pixels, y, ids = self._parts()
+        split = Split(pixels, y, ids)
+        assert split.images(1).shape == (3, 4, 4)
+        assert split.images([2, 0]).dtype == np.float64
+        assert split.images([2, 0]).tobytes() == np.stack(
+            [split.images(2), split.images(0)]).tobytes()
+        assert split.images(slice(None)).max() <= 1.0
+
+    def test_float_pixels_rejected(self):
+        # float images, one of them outside [0, 1], never make a split
+        pixels, y, ids = self._parts()
+        images = pixels / 255.0
+        images[-1, 0, 0, 0] = 1.5
+        with pytest.raises(ValueError, match=r"^Split\.pixels must be an "
+                           r"\(N, C, H, W\) uint8 array, got 4-D float64$"):
+            Split(images, y, ids)
+
+    def test_three_dimensional_pixels_rejected(self):
+        pixels, y, ids = self._parts()
+        with pytest.raises(ValueError, match=r"^Split\.pixels .* got 3-D "
+                           "uint8$"):
+            Split(pixels[0], y, ids)
+
+    @pytest.mark.parametrize("field", ["y", "ids"])
+    def test_length_mismatch_names_the_field(self, field):
+        parts = dict(zip(("pixels", "y", "ids"), self._parts()))
+        parts[field] = parts[field][:2]
+        with pytest.raises(ValueError, match=rf"^Split\.{field} has 2 "
+                           "entries for 3 images$"):
+            Split(**parts)
+
+
 class TestBlobs:
     def test_values_in_unit_interval(self):
         ds = make_blobs(DatasetSpec(train=20, val=10, test=10, seed=1))
         for split in (ds.train, ds.val, ds.test):
-            assert split.x.min() >= 0.0 and split.x.max() <= 1.0
+            assert split.pixels.dtype == np.uint8
+            images = split.images(slice(None))
+            assert images.min() >= 0.0 and images.max() <= 1.0
+
+    def test_images_are_the_quantized_floats(self, monkeypatch):
+        # each image is the float image drawn for it, on the uint8 grid
+        drawn = []
+        quantize = data_mod._quantize
+        monkeypatch.setattr(data_mod, "_quantize",
+                            lambda x: drawn.append(x) or quantize(x))
+        ds = make_blobs(DatasetSpec(train=3, val=2, test=4, seed=3))
+        images = [split.images(i) for split in (ds.train, ds.val, ds.test)
+                  for i in range(len(split))]
+        assert len(images) == len(drawn) == 9
+        for image, x in zip(images, drawn):
+            expected = np.rint(np.clip(x, 0.0, 1.0) * 255.0) / 255.0
+            assert image.tobytes() == expected.tobytes()
 
     def test_deterministic_per_seed(self):
         spec = DatasetSpec(train=10, val=5, test=5, seed=7)
         a, b = make_blobs(spec), make_blobs(spec)
-        np.testing.assert_array_equal(a.train.x, b.train.x)
+        np.testing.assert_array_equal(a.train.pixels, b.train.pixels)
         np.testing.assert_array_equal(a.train.y, b.train.y)
 
     def test_linear_probe_learns_blobs(self):
@@ -73,10 +133,45 @@ class TestDiskRoundTrip:
         ds = make_blobs(spec)
         write_dataset(ds, tmp_path)
         loaded = load_dataset(tmp_path)
-        np.testing.assert_array_equal(loaded.train.x, ds.train.x)
+        np.testing.assert_array_equal(loaded.train.pixels, ds.train.pixels)
         np.testing.assert_array_equal(loaded.train.y, ds.train.y)
         assert loaded.train.ids == ds.train.ids
         assert loaded.class_count == 3
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (1, 4, 6)])
+    def test_images_are_the_files_scaled(self, tmp_path, shape):
+        ds = make_blobs(DatasetSpec(train=3, val=1, test=2, image_shape=shape,
+                                    seed=4))
+        manifest = write_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path)
+        rels = {}
+        for line in manifest.read_text().splitlines():
+            if line.startswith("sample,"):
+                _, name, _, rel = line.split(",")
+                rels.setdefault(name, []).append(rel)
+        for name, paths in rels.items():
+            split = getattr(loaded, name)
+            for i, rel in enumerate(paths):
+                img = formats.read_pnm(tmp_path / rel)
+                chans = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
+                assert split.images(i).tobytes() == (chans / 255.0).tobytes()
+
+    def test_load_holds_one_byte_per_pixel(self, tmp_path):
+        spec = DatasetSpec(train=64, val=16, test=16, image_shape=(3, 32, 32),
+                           seed=8)
+        gen_data(spec, tmp_path)
+        pixel_bytes = (64 + 16 + 16) * 3 * 32 * 32
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.train) == 64
+        # ids, labels, paths and the manifest's lines come on top of the
+        # pixels; float64 images would take eight times the pixels' bytes
+        assert held <= 1.25 * pixel_bytes
+        assert peak <= 1.5 * pixel_bytes
 
     def test_single_channel_uses_pgm(self, tmp_path):
         spec = DatasetSpec(train=2, val=0, test=0, image_shape=(1, 6, 6),
@@ -95,7 +190,7 @@ class TestDiskRoundTrip:
         bad.write_bytes(b"P5\n")
         loaded = load_dataset(tmp_path, splits=("test",))
         assert loaded.train is None and loaded.val is None
-        np.testing.assert_array_equal(loaded.test.x, ds.test.x)
+        np.testing.assert_array_equal(loaded.test.pixels, ds.test.pixels)
         assert loaded.test.ids == ds.test.ids
         with pytest.raises(ValueError, match=str(bad)):
             load_dataset(tmp_path)
@@ -266,9 +361,18 @@ class TestIngest:
     def test_grayscale_stack_replicates_channels(self, tmp_path):
         self._write_class_dirs(tmp_path, [(8, 8), (8, 8)])
         split = ingest_images(tmp_path, (3, 8, 8))
-        assert split.x.shape == (4, 3, 8, 8)
-        np.testing.assert_array_equal(split.x[:, 0], split.x[:, 1])
-        np.testing.assert_array_equal(split.x[:, 0], split.x[:, 2])
+        assert split.pixels.shape == (4, 3, 8, 8)
+        np.testing.assert_array_equal(split.pixels[:, 0], split.pixels[:, 1])
+        np.testing.assert_array_equal(split.pixels[:, 0], split.pixels[:, 2])
+
+    def test_images_are_the_files_scaled(self, tmp_path):
+        self._write_class_dirs(tmp_path, [(5, 6), (5, 6)], color=True)
+        split = ingest_images(tmp_path, (3, 5, 6))
+        assert split.pixels.dtype == np.uint8
+        for i, sid in enumerate(split.ids):
+            img = formats.read_pnm(tmp_path / f"{sid}.ppm")
+            assert split.images(i).tobytes() == \
+                (np.moveaxis(img, 2, 0) / 255.0).tobytes()
 
     def test_same_size_resize_only_rescales(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -277,14 +381,15 @@ class TestIngest:
         d.mkdir()
         formats.write_ppm(d / "x.ppm", img)
         split = ingest_images(tmp_path, (3, 6, 6))
-        np.testing.assert_array_equal(split.x[0],
+        np.testing.assert_array_equal(split.images(0),
                                       np.moveaxis(img, 2, 0) / 255.0)
 
     def test_mixed_sizes_resized_to_target(self, tmp_path):
         self._write_class_dirs(tmp_path, [(5, 7), (12, 4)], color=True)
         split = ingest_images(tmp_path, (3, 8, 8))
-        assert split.x.shape == (4, 3, 8, 8)
-        assert split.x.min() >= 0.0 and split.x.max() <= 1.0
+        assert split.pixels.shape == (4, 3, 8, 8)
+        images = split.images(slice(None))
+        assert images.min() >= 0.0 and images.max() <= 1.0
 
     def test_corrupt_file_skipped_with_warning(self, tmp_path):
         self._write_class_dirs(tmp_path, [(4, 4), (4, 4)])
@@ -362,9 +467,9 @@ class TestIngest:
         formats.write_ppm(tmp_path / "class_1" / "c.ppm", rgb)
         split = ingest_images(tmp_path, (3, 4, 4))
         assert split.ids == ["class_0/s0", "class_0/s1", "class_1/c"]
-        np.testing.assert_array_equal(split.x[2],
+        np.testing.assert_array_equal(split.images(2),
                                       np.moveaxis(rgb, 2, 0) / 255.0)
-        np.testing.assert_array_equal(split.x[0, 0], split.x[0, 2])
+        np.testing.assert_array_equal(split.pixels[0, 0], split.pixels[0, 2])
 
     @pytest.mark.parametrize("color, shape", [(True, (1, 4, 4)),
                                               (False, (2, 4, 4))],

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, gax_run, gax_sweep,
-                    make_blobs, predict)
+from gaxkit import (DatasetSpec, GaxConfig, MiniConvNet, Split, gax_run,
+                    gax_sweep, make_blobs, predict)
 from gaxkit.attribution import Heatmap
 from gaxkit.autodiff import ShapeError
 from gaxkit.ax import ScoreConstants, co_score
@@ -154,7 +154,7 @@ class TestScoresAsAx:
         cfg = GaxConfig(target_co=5.0, max_iterations=10)
         runs = 0
         for i, sid in enumerate(ds.test.ids):
-            x, truth = ds.test.x[i], int(ds.test.y[i])
+            x, truth = ds.test.images(i), int(ds.test.y[i])
             pred, fx = predict(model, x)
             if pred != truth:
                 continue
@@ -169,7 +169,7 @@ class TestScoresAsAx:
 class TestRun:
     def _correct_sample(self, model, ds):
         for i in range(len(ds.test)):
-            x = ds.test.x[i]
+            x = ds.test.images(i)
             truth = int(ds.test.y[i])
             if predict(model, x)[0] == truth:
                 return x, truth
@@ -248,7 +248,7 @@ class TestRun:
                                                             tiny_ds,
                                                             tmp_path):
         for i in range(len(tiny_ds.test)):
-            x = tiny_ds.test.x[i]
+            x = tiny_ds.test.images(i)
             truth = int(tiny_ds.test.y[i])
             if predict(tiny_model, x)[0] != truth:
                 cfg = GaxConfig(target_co=1.0, max_iterations=5)
@@ -294,7 +294,7 @@ class TestSweepAndExport:
         # an anti-trained stub misclassifies everything except by luck;
         # count traces = count of correct predictions
         model = MiniConvNet(input_shape=(3, 8, 8), num_classes=2, seed=43)
-        correct = sum(predict(model, tiny_ds.test.x[i])[0]
+        correct = sum(predict(model, tiny_ds.test.images(i))[0]
                       == int(tiny_ds.test.y[i])
                       for i in range(len(tiny_ds.test)))
         cfg = GaxConfig(target_co=-1e9, max_iterations=0)
@@ -351,15 +351,27 @@ class TestSweepAndExport:
                       out_dir=out)
         assert not out.exists()
 
-    def test_split_outside_unit_interval_raises_before_writing(
-            self, tiny_model, tiny_ds, tmp_path):
-        split = type(tiny_ds.test)(tiny_ds.test.x.copy(), tiny_ds.test.y,
-                                   tiny_ds.test.ids)
-        split.x[-1, 0, 0, 0] = 1.5
+    # sample id 0, the directory its snapshots need, and the ids of the rest
+    @pytest.mark.parametrize("sid, path, rest", [
+        ("manifest.csv", "manifest.csv", None),
+        ("errors.log", "errors.log", None),
+        # another sample's trace file
+        ("s1.trace.csv", "s1.trace.csv", "s{}"),
+        # raw sample ids are <class dir>/<stem>
+        ("manifest.csv/s0", "manifest.csv", "c/s{}"),
+        ("c/s1.trace.csv", "c/s1.trace.csv", "c/s{}"),
+    ])
+    def test_sample_id_on_a_run_file_rejected_before_writing(
+            self, tiny_model, tiny_ds, tmp_path, sid, path, rest):
+        test = tiny_ds.test
+        ids = [sid, *(test.ids[1:] if rest is None else
+                      (rest.format(i) for i in range(1, len(test))))]
         out = tmp_path / "g"
-        with pytest.raises(ValueError, match=r"\[0, 1\]-normalized"):
-            gax_sweep(tiny_model, split, GaxConfig(max_iterations=1),
-                      out_dir=out)
+        with pytest.raises(ValueError, match=(
+                rf"^sample id '{sid}': its GAX snapshots need a directory "
+                rf"'{path}', where the run writes a file$")):
+            gax_sweep(tiny_model, Split(test.pixels, test.y, ids),
+                      GaxConfig(max_iterations=1), out_dir=out)
         assert not out.exists()
 
     def test_programming_error_propagates(self, tiny_model, tiny_ds,
@@ -376,10 +388,9 @@ class TestSweepAndExport:
 
     def test_trace_csv_and_manifest(self, tiny_model, tiny_ds, tmp_path):
         from gaxkit import write_manifest, write_trace_csv
-        x, truth = None, None
         for i in range(len(tiny_ds.test)):
-            if predict(tiny_model, tiny_ds.test.x[i])[0] == int(tiny_ds.test.y[i]):
-                x, truth = tiny_ds.test.x[i], int(tiny_ds.test.y[i])
+            x, truth = tiny_ds.test.images(i), int(tiny_ds.test.y[i])
+            if predict(tiny_model, x)[0] == truth:
                 break
         cfg = GaxConfig(target_co=1e9, max_iterations=3)
         trace, _ = _run(tiny_model, x, truth, cfg, tmp_path / "runs", "s9")

@@ -202,13 +202,13 @@ class TestGraphFreeScores:
         model = MiniConvNet(input_shape=shape, seed=5)
         rng = np.random.default_rng(6)
         n = _EVAL_CHUNK + 6
-        x = rng.uniform(0, 1, size=(n, *shape))
+        pixels = rng.integers(0, 256, size=(n, *shape), dtype=np.uint8)
         y = rng.integers(0, 2, size=n)
-        preds = [predict(model, sample) for sample in x]
-        batched = _batched_scores(model, x)
+        split = Split(pixels, y, [f"s{i}" for i in range(n)])
+        preds = [predict(model, split.images(i)) for i in range(n)]
+        batched = _batched_scores(model, split)
         for (pred, raw), row in zip(preds, batched):
             assert row.tobytes() == raw.tobytes()
             assert int(np.argmax(row)) == pred
-        split = Split(x, y, [f"s{i}" for i in range(n)])
         assert evaluate(model, split).accuracy == \
             np.mean([pred == t for (pred, _), t in zip(preds, y)])

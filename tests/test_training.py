@@ -95,7 +95,8 @@ def test_loss_trend_decreases(small_ds):
     split = small_ds.train
 
     def train_loss():
-        return _cross_entropy(model.scores(split.x), split.y)[0]
+        scores = model.scores(split.images(slice(None)))
+        return _cross_entropy(scores, split.y)[0]
 
     before = train_loss()
     train(model, small_ds, TrainConfig(max_iterations=500, seed=7))

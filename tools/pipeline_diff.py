@@ -59,15 +59,19 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # parameter gradients and conv1/conv2 activations of one training step at
 # batch 32 and one at batch 3: conv2d's kernel gradient reads its window
 # matrix in place at the first and copies it at the second, and a change in
-# how a conv layer adds its bias shows in the activations.  The GAX runs'
-# snapshots land under probe/gax.
+# how a conv layer adds its bias shows in the activations.  It also writes
+# the float images of ``make_blobs``' test split and of both training
+# batches, so a change in how pixels become floats shows.  ``images`` reads
+# them where a split holds uint8 pixels (``Split.images``) and where it
+# holds float64 images (``Split.x``), so trees on either side of that change
+# compare.  The GAX runs' snapshots land under probe/gax.
 PROBE = """
 from pathlib import Path
 
 import numpy as np
 
-from gaxkit import (METHODS, GaxConfig, MiniConvNet, attribute, ax_sweep,
-                    gax_run, load_dataset, predict)
+from gaxkit import (METHODS, DatasetSpec, GaxConfig, MiniConvNet, attribute,
+                    ax_sweep, gax_run, load_dataset, make_blobs, predict)
 from gaxkit.training import _cross_entropy
 
 out = Path("probe")
@@ -78,15 +82,24 @@ def dump(name, values):
     (out / name).write_bytes(np.asarray(values, dtype=np.float64).tobytes())
 
 
+def images(split, index):
+    if hasattr(split, "images"):
+        return split.images(index)
+    return split.x[index]
+
+
 model = MiniConvNet.load("rgb.gaxm")
 ds = load_dataset("rgb")
-dump("scores_train_chunk", model.scores(ds.train.x[:32]))
+dump("images_blobs_test", images(make_blobs(DatasetSpec(
+    class_count=3, train=0, val=0, test=12, image_shape=(3, 16, 16),
+    seed=9)).test, slice(None)))
+dump("scores_train_chunk", model.scores(images(ds.train, slice(32))))
 dump("scores_train_chunk_gray", MiniConvNet.load("gray.gaxm").scores(
-    load_dataset("gray", ["train"]).train.x[:32]))
+    images(load_dataset("gray", ["train"]).train, slice(32))))
 for method in (*METHODS, "layer-gradcam:conv2"):
     dump("attribute_" + method.replace(":", "_"),
-         [attribute(model, model.forward_graph(ds.test.x[i][None]), i % 2,
-                    method).values for i in range(4)])
+         [attribute(model, model.forward_graph(images(ds.test, i)[None]),
+                    i % 2, method).values for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
 records, _ = ax_sweep(model, ds.test, [*reversed(METHODS)])
@@ -95,7 +108,7 @@ records, _ = ax_sweep(MiniConvNet.load("gray.gaxm"), load_dataset("gray").test,
                       METHODS)
 dump("co_scores_gray", [r.co_score for r in records])
 correct = [i for i in range(len(ds.test))
-           if predict(model, ds.test.x[i])[0] == ds.test.y[i]]
+           if predict(model, images(ds.test, i))[0] == ds.test.y[i]]
 gax_runs = [(i, "", GaxConfig(target_co=5.0, max_iterations=30))
             for i in correct[:2]]
 # with the bias the gradient also flows to b; a zero factor is where a
@@ -105,7 +118,7 @@ gax_runs += [(correct[0], "_bias", GaxConfig(target_co=5.0, max_iterations=30,
              (correct[1], "_nosim", GaxConfig(target_co=5.0, max_iterations=30,
                                               similarity_factor=0.0))]
 for i, tag, cfg in gax_runs:
-    x = ds.test.x[i]
+    x = images(ds.test, i)
     trace, heat = gax_run(model, x, ds.test.y[i], cfg,
                           fx=predict(model, x)[1],
                           sample_id=f"{ds.test.ids[i]}{tag}",
@@ -115,7 +128,7 @@ for i, tag, cfg in gax_runs:
 model3 = MiniConvNet.load("rgb3.gaxm")
 test3 = load_dataset("rgb3", ["test"]).test
 for i in range(len(test3)):
-    x = test3.x[i]
+    x = images(test3, i)
     pred, fx = predict(model3, x)
     if pred == test3.y[i]:
         trace, heat = gax_run(model3, x, pred, GaxConfig(target_co=5.0,
@@ -127,7 +140,9 @@ for i in range(len(test3)):
         break
 for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
-    fp = model.forward_graph(ds.train.x[idx])
+    inputs = images(ds.train, idx)
+    dump(f"images{tag}_train_batch", inputs)
+    fp = model.forward_graph(inputs)
     # seeded with d mean cross-entropy / d scores, as training seeds it
     seed = _cross_entropy(fp.scores.data, ds.train.y[idx])[1]
     fp.scores.backward(seed, wrt=list(fp.params.values()))
@@ -144,9 +159,12 @@ for batch, tag in ((32, ""), (3, "_batch3")):
 # manifest lists one test sample twice, so two test samples share one
 # sample id, and a directory where train is told to write its weight file;
 # also a copy of rgb with one truncated train image, which stops train but
-# not a command that reads the test split, and a copy of rgb whose first
-# test image is renamed to ...ppm, whose sample id '..' would put its GAX
-# snapshots beside the output directory
+# not a command that reads the test split; and copies of rgb with test
+# images renamed: the first to ...ppm, whose sample id '..' would put its GAX
+# snapshots beside the output directory, the first to manifest.csv.ppm,
+# whose snapshot directory would be the run's manifest, and the first to the
+# second's id plus .trace.csv, whose snapshot directory would be the
+# second's trace file
 BAD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -177,14 +195,22 @@ Path("model_dir").mkdir()
 shutil.copytree("rgb", "bad_train")
 train_image = sorted(Path("bad_train/train").rglob("*.ppm"))[0]
 train_image.write_bytes(train_image.read_bytes()[:20])
-shutil.copytree("rgb", "bad_id")
-manifest = Path("bad_id/manifest.txt")
-text = manifest.read_text()
-rel = next(line for line in text.splitlines()
-           if line.startswith("sample,test,")).split(",")[3]
-renamed = Path(rel).with_name("...ppm").as_posix()
-Path("bad_id", rel).rename(Path("bad_id", renamed))
-manifest.write_text(text.replace(rel, renamed))
+
+
+def rename_test_image(copy, name):
+    shutil.copytree("rgb", copy)
+    manifest = Path(copy, "manifest.txt")
+    text = manifest.read_text()
+    rel = next(line for line in text.splitlines()
+               if line.startswith("sample,test,")).split(",")[3]
+    renamed = Path(rel).with_name(name).as_posix()
+    Path(copy, rel).rename(Path(copy, renamed))
+    manifest.write_text(text.replace(rel, renamed))
+
+
+rename_test_image("bad_id", "...ppm")
+rename_test_image("id_manifest", "manifest.csv.ppm")
+rename_test_image("id_trace", "test_00001.trace.csv.ppm")
 """
 
 
@@ -334,6 +360,12 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("error sample id .. gax", "gax", "--model", "rgb.gaxm",
              "--data", "bad_id", "--first-n", "2", "--max-iterations", "5",
              "--out", "bad_id/run"),
+        _cli("error sample id manifest.csv gax", "gax", "--model",
+             "rgb.gaxm", "--data", "id_manifest", "--max-iterations", "5",
+             "--out", "id_manifest/run"),
+        _cli("error sample id of a trace gax", "gax", "--model", "rgb.gaxm",
+             "--data", "id_trace", "--max-iterations", "5", "--out",
+             "id_trace/run"),
         _cli("error sample id .. ax-sweep", "ax-sweep", "--model",
              "rgb.gaxm", "--data", "bad_id", "--methods", "saliency",
              "--out", "bad_id.csv"),
