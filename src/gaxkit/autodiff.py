@@ -249,12 +249,14 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad: pad + h, pad: pad + w] = x.data
     # The windows are gathered once, laid out (C, kh, kw, N, H, W): the
-    # operand every GEMM reads.  Results match the einsum reference in
+    # operand every GEMM reads.  A strided view of xp has that layout, so
+    # one C-order copy gathers every shift.  The ndarray constructor checks
+    # the view stays inside xp's buffer and costs 1 us where as_strided
+    # costs 6.  Results match the einsum reference in
     # tests/test_conv_parity.py bit for bit.
-    cols = np.empty((cin, kh, kw, n, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp.transpose(1, 0, 2, 3)[:, :, i: i + h, j: j + w]
+    sn, sc, sh, sw = xp.strides
+    cols = np.ndarray((cin, kh, kw, n, h, w), xp.dtype, xp, 0,
+                      (sc, sh, sw, sn, sh, sw)).copy()
     cols = cols.reshape(cin * kh * kw, n * h * w)
     kmat = k.data.reshape(cout, -1)
     # the bias goes onto the contiguous GEMM product in place, so the layer
@@ -323,17 +325,22 @@ def max_pool2d(x: Tensor) -> Tensor:
         nonlocal hits
         if hits is None:
             # each window's out is one of its cells, or NaN when one is a
-            # NaN, so the fourth cell takes every window the others leave
+            # NaN, so the fourth cell takes every window the others leave.
+            # The first cell's hits are the first claimed; a later cell hits
+            # where it matches and is not yet claimed (hit > claimed)
             nan = np.isnan(out).any()
             masks = []
-            claimed = np.zeros(out.shape, dtype=bool)
+            claimed = None
             for cell in cells[:-1]:
                 v = x.data[cell]
                 hit = v == out
                 if nan:
                     hit |= v != v
-                hit &= ~claimed
-                claimed |= hit
+                if claimed is None:
+                    claimed = hit
+                else:
+                    hit = np.greater(hit, claimed)
+                    claimed = claimed | hit
                 masks.append(hit)
             hits = masks + [~claimed]   # only once every mask is computed
         g0 = g + 0.0

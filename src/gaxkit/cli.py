@@ -76,6 +76,16 @@ def _check_out_dirs(args, *dests: str) -> None:
                              "a directory")
 
 
+def _check_out_tree(out: str, tree) -> None:
+    """Fail before any work when ``--out out`` needs the directory ``tree``
+    made under a file: the nearest existing one of ``tree`` and its parents
+    must be a directory."""
+    tree = Path(tree)
+    existing = next(p for p in (tree, *tree.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def _load_split(data_dir: str, split: str | None, model):
     """The split ``model`` explains; each label must be one of its classes."""
     root = Path(data_dir)
@@ -184,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
+    _check_out_tree(args.out, args.out)
     spec = DatasetSpec(class_count=args.classes, train=args.train,
                        val=args.val, test=args.test,
                        image_shape=tuple(args.shape), seed=args.seed)
@@ -213,6 +224,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
+    _check_out_tree(args.out, Path(args.out).parent)
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, model)
     if not 0 <= args.index < len(split):
@@ -266,6 +278,7 @@ def _cmd_gax(args) -> int:
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise ValueError(f"--out {args.out}: exists and is not an empty "
                          "directory")
+    _check_out_tree(args.out, out)
     model = MiniConvNet.load(args.model)
     split = _load_split(args.data, args.split, model)
     use_bias = args.bias

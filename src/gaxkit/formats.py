@@ -262,12 +262,16 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
 def heatmap_to_rgb(values: np.ndarray, abs_max: float) -> np.ndarray:
     """Diverging color map: positive red, negative blue, zero white.
 
-    The ramp is scaled by ``abs_max``, so values of that magnitude render as
-    pure red/blue; a zero ``abs_max`` renders all white.
+    ``values`` is one ``(H, W)`` plane or a ``(C, H, W)`` stack; the result
+    is its shape plus a last axis of 3, uint8, and each plane of a stack
+    renders as it would alone.  The ramp is scaled by ``abs_max``, so
+    values of that magnitude or beyond render as pure red/blue; a zero
+    ``abs_max`` renders all white.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"heatmap_to_rgb: expected 2D values, got {v.shape}")
+    if v.ndim not in (2, 3):
+        raise ValueError("heatmap_to_rgb: expected (H, W) or (C, H, W) "
+                         f"values, got shape {v.shape}")
     rgb = np.full(v.shape + (3,), 255, dtype=np.uint8)
     if abs_max == 0.0:
         return rgb
@@ -275,10 +279,10 @@ def heatmap_to_rgb(values: np.ndarray, abs_max: float) -> np.ndarray:
     ramp = ramp.astype(np.uint8)
     pos = v > 0
     neg = v < 0
-    rgb[pos, 1] = ramp[pos]
-    rgb[pos, 2] = ramp[pos]
-    rgb[neg, 0] = ramp[neg]
-    rgb[neg, 1] = ramp[neg]
+    # masked copies: a boolean-index assignment per channel is 5x slower
+    np.copyto(rgb[..., 0], ramp, where=neg)
+    np.copyto(rgb[..., 1], ramp, where=pos | neg)
+    np.copyto(rgb[..., 2], ramp, where=pos)
     return rgb
 
 
@@ -297,13 +301,14 @@ def export_heatmap(heatmap, stem) -> dict[str, object]:
     raw_path = stem.with_name(stem.name + ".gaxh")
     write_gaxh(raw_path, values)
 
-    channels = values[None] if values.ndim == 2 else values
     abs_max = float(np.abs(values).max())
+    planes = heatmap_to_rgb(values[None] if values.ndim == 2 else values,
+                            abs_max)
     image_paths = []
-    for i, chan in enumerate(channels):
-        suffix = ".ppm" if channels.shape[0] == 1 else f".ch{i}.ppm"
+    for i, rgb in enumerate(planes):
+        suffix = ".ppm" if len(planes) == 1 else f".ch{i}.ppm"
         p = stem.with_name(stem.name + suffix)
-        write_ppm(p, heatmap_to_rgb(chan, abs_max))
+        write_ppm(p, rgb)
         image_paths.append(p)
 
     sidecar = stem.with_name(stem.name + ".txt")

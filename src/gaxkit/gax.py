@@ -76,46 +76,55 @@ def _check_unit_interval(x: np.ndarray) -> None:
             f"positivity requires it); got range [{x.min():.4g}, {x.max():.4g}]")
 
 
-def _objective(model, x: np.ndarray, params: dict[str, np.ndarray],
-               fx: np.ndarray, constants: ScoreConstants, cfg: GaxConfig):
-    """The loss at ``params`` (``w`` and, with the bias, ``b``; each shaped
-    like ``x``) for one sample with raw scores ``fx``, shaped ``(C,)``.
+def _objective(model, x: np.ndarray, fx: np.ndarray,
+               constants: ScoreConstants, cfg: GaxConfig):
+    """The loss of one sample's run: ``x`` with raw scores ``fx``, shaped
+    ``(C,)``.  Computes the run's constants once, the penalty's
+    ``1 / (x + eps)`` and the sweep's seed d loss / d scores, and returns
+    ``loss_at(params)`` for ``params`` ``w`` and, with the bias, ``b``,
+    each shaped like ``x``.
 
-    Returns ``(loss, co, h, gradient)``: two floats, the heatmap, and a
-    function that returns the loss gradient by parameter name.  Only the
-    model runs as an autodiff graph, from the input ``x + h``; the head is
-    numpy.  ``gradient`` seeds the scores with d loss / d scores and adds
-    d penalty / dh to the input leaf's gradient, as d(x + h) / dh is the
-    identity.
+    ``loss_at`` returns ``(loss, co, h, gradient)``: two floats, the
+    heatmap, and a function that returns the loss gradient by parameter
+    name.  Only the model runs as an autodiff graph, from the input
+    ``x + h``; the head is numpy.  ``gradient`` seeds the scores with
+    d loss / d scores and adds d penalty / dh to the input leaf's gradient,
+    as d(x + h) / dh is the identity.
     """
-    pre = params["w"] * x
-    if "b" in params:
-        pre = pre + params["b"]
-    h = np.tanh(pre)
-    fp = model.forward_graph((x + h)[None])
-    co = constants.apply(fp.scores.data[0] - fx)
-    # the penalty's denominator mean((h - x + eps)^2 / (x + eps))
-    dev = h - x + EPSILON
     inv = 1.0 / (x + EPSILON)
-    # a zero mean (every h == x - eps) makes the loss infinite
-    recip = 1.0 / (dev * dev * inv).mean()
-    loss = recip * cfg.similarity_factor - co
+    # d co / d scores is kappa / (C - 1): it sums to zero, so centering
+    # drops out
+    c = 1.0 / (constants.num_classes - 1.0)
+    seed = -c * constants.int_weights()[None]
 
-    def gradient() -> dict[str, np.ndarray]:
-        # d co / d scores is kappa: it sums to zero, so centering drops out
-        kappa = constants.int_weights()[None]
-        c = 1.0 / (constants.num_classes - 1.0)
-        fp.scores.backward(-c * kappa, wrt=[fp.input])
-        ratio_grad = -cfg.similarity_factor * recip * recip / dev.size
-        gh = 2.0 * dev * (ratio_grad * inv)
-        gh += fp.input.grad[0]
-        gpre = gh * (1.0 - h * h)
-        grads = {"w": gpre * x}
+    def loss_at(params: dict[str, np.ndarray]):
+        pre = params["w"] * x
         if "b" in params:
-            grads["b"] = gpre
-        return grads
+            pre = pre + params["b"]
+        h = np.tanh(pre)
+        fp = model.forward_graph((x + h)[None])
+        co = constants.apply(fp.scores.data[0] - fx)
+        # the penalty's denominator mean((h - x + eps)^2 / (x + eps)), as a
+        # sum over the size: np.mean's own arithmetic, without its overhead
+        dev = h - x + EPSILON
+        # a zero mean (every h == x - eps) makes the loss infinite
+        recip = 1.0 / ((dev * dev * inv).sum() / dev.size)
+        loss = recip * cfg.similarity_factor - co
 
-    return float(loss), co, h, gradient
+        def gradient() -> dict[str, np.ndarray]:
+            fp.scores.backward(seed, wrt=[fp.input])
+            ratio_grad = -cfg.similarity_factor * recip * recip / dev.size
+            gh = 2.0 * dev * (ratio_grad * inv)
+            gh += fp.input.grad[0]
+            gpre = gh * (1.0 - h * h)
+            grads = {"w": gpre * x}
+            if "b" in params:
+                grads["b"] = gpre
+            return grads
+
+        return float(loss), co, h, gradient
+
+    return loss_at
 
 
 def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
@@ -142,6 +151,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
     if cfg.use_bias:
         params["b"] = np.full(x.shape, BIAS_INIT)
     opt = Adam(cfg.learning_rate)
+    loss_at = _objective(model, x, fx, constants, cfg)
     trace = GaxTrace(sample_id, [])
     heat = Heatmap(np.tanh(params["w"] * x + params.get("b", 0.0)),
                    "gax", int(groundtruth))
@@ -150,8 +160,7 @@ def gax_run(model, x, groundtruth: int, cfg: GaxConfig, *, fx, sample_id: str,
     # loss checked below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step in range(cfg.max_iterations + 1):
-            loss_val, co_val, h, gradient = _objective(model, x, params, fx,
-                                                       constants, cfg)
+            loss_val, co_val, h, gradient = loss_at(params)
             if not np.isfinite(loss_val):
                 trace.error = f"non-finite loss at step {step}"
                 break

@@ -119,12 +119,11 @@ def test_c04_gradient_fidelity():
         fx = model.scores(x[None])[0]
         w0 = rng.uniform(0.5, 1.5, size=(1, 4, 4))
         b0 = rng.uniform(-0.1, 0.1, size=(1, 4, 4))
-        grads = _objective(model, x, {"w": w0, "b": b0}, fx, constants,
-                           cfg)[3]()
+        loss_at = _objective(model, x, fx, constants, cfg)
+        grads = loss_at({"w": w0, "b": b0})[3]()
 
         def f(w_arr, b_arr):
-            return _objective(model, x, {"w": w_arr, "b": b_arr}, fx,
-                              constants, cfg)[0]
+            return loss_at({"w": w_arr, "b": b_arr})[0]
 
         worst = max(worst,
                     max_relative_error(grads["w"],

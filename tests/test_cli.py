@@ -678,6 +678,31 @@ def test_write_to_a_directory_names_the_path(tmp_path, capsys, argv):
     _bad_output_run(tmp_path, capsys, argv, tmp_path, make_dir=True)
 
 
+# each command that makes directories at its --out (attribute: at its
+# stem's parent), with inputs that do not exist: a file where a directory
+# must go fails before any work, naming the file
+TREE_OUTPUT_ARGV = [
+    ["gax", "--model", "{none}", "--data", "{none}", "--out", "{file}/run"],
+    ["gen-data", "--out", "{file}/d"],
+    ["gen-data", "--out", "{file}"],
+    ["attribute", "--model", "{none}", "--data", "{none}", "--out",
+     "{file}/x"],
+]
+TREE_OUTPUT_IDS = ["gax", "gen-data", "gen-data-file", "attribute"]
+
+
+@pytest.mark.parametrize("argv", TREE_OUTPUT_ARGV, ids=TREE_OUTPUT_IDS)
+def test_output_under_a_file_names_the_file(tmp_path, capsys, argv):
+    file = tmp_path / "model.gaxm"
+    file.write_text("")
+    argv = [arg.format(file=file, none=tmp_path / "none") for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --out {argv[-1]}: {file} is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("size", [8, 200])
 def test_truncated_model_is_one_line(tiny_run, tmp_path, capsys, size):
     data, model = tiny_run

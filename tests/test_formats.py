@@ -243,6 +243,46 @@ class TestHeatmapRendering:
         assert (img == 255).all()
         assert "abs_max=0" in out["sidecar"].read_text()
 
+    @staticmethod
+    def _plane_reference(plane, abs_max):
+        """One (H, W) plane rendered by boolean-index assignment."""
+        rgb = np.full(plane.shape + (3,), 255, dtype=np.uint8)
+        if abs_max == 0.0:
+            return rgb
+        ramp = np.rint(255.0 * (1.0 - np.clip(np.abs(plane) / abs_max,
+                                              0.0, 1.0))).astype(np.uint8)
+        pos, neg = plane > 0, plane < 0
+        rgb[pos, 1] = rgb[pos, 2] = ramp[pos]
+        rgb[neg, 0] = rgb[neg, 1] = ramp[neg]
+        return rgb
+
+    @pytest.mark.parametrize("planes", [1, 3])
+    @pytest.mark.parametrize("abs_max", [0.75, 0.0])
+    def test_stack_renders_as_its_planes(self, planes, abs_max):
+        # +-abs_max, values beyond it, signed zeros and values in between
+        rng = np.random.default_rng(planes)
+        values = rng.uniform(-1.0, 1.0, size=(planes, 5, 6))
+        values[0, 0, :6] = [0.75, -0.75, 2.0, -2.0, 0.0, -0.0]
+        stack = formats.heatmap_to_rgb(values, abs_max)
+        assert stack.shape == values.shape + (3,)
+        assert stack.dtype == np.uint8
+        want = np.stack([self._plane_reference(p, abs_max) for p in values])
+        assert stack.tobytes() == want.tobytes()
+        for plane, rgb in zip(values, stack):
+            assert formats.heatmap_to_rgb(plane, abs_max).tobytes() == \
+                rgb.tobytes()
+        if abs_max:
+            np.testing.assert_array_equal(stack[0, 0, :6], [
+                [255, 0, 0], [0, 0, 255], [255, 0, 0], [0, 0, 255],
+                [255, 255, 255], [255, 255, 255]])
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 3)])
+    def test_other_ranks_name_the_accepted_shapes(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                "heatmap_to_rgb: expected (H, W) or (C, H, W) values, got "
+                f"shape {shape}")):
+            formats.heatmap_to_rgb(np.zeros(shape), 1.0)
+
 
 @pytest.mark.parametrize("name,write", [
     ("a.csv", lambda p: formats.write_lines(p, ["new", "lines"])),

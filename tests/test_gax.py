@@ -34,8 +34,9 @@ def _run(model, x, truth, cfg, out_dir, sample_id="s"):
 def _loss(model, x, w, b, truth, cfg):
     """(loss, co, h) of the GAX objective at fixed w and b (None: no bias)."""
     params = {"w": w} if b is None else {"w": w, "b": b}
-    loss, co, h, _ = _objective(model, x, params, model.scores(x[None])[0],
-                                ScoreConstants(model.num_classes, truth), cfg)
+    loss, co, h, _ = _objective(model, x, model.scores(x[None])[0],
+                                ScoreConstants(model.num_classes, truth),
+                                cfg)(params)
     return loss, co, h
 
 
@@ -98,12 +99,11 @@ class TestLoss:
         w0 = rng.uniform(0.5, 1.5, size=(3, 8, 8))
         b0 = rng.uniform(-0.1, 0.1, size=(3, 8, 8))
 
-        grads = _objective(tiny_model, x, {"w": w0, "b": b0}, fx, constants,
-                           cfg)[3]()
+        loss_at = _objective(tiny_model, x, fx, constants, cfg)
+        grads = loss_at({"w": w0, "b": b0})[3]()
 
         def f(w_arr, b_arr):
-            return _objective(tiny_model, x, {"w": w_arr, "b": b_arr}, fx,
-                              constants, cfg)[0]
+            return loss_at({"w": w_arr, "b": b_arr})[0]
 
         num_w = numeric_gradient(f, [w0, b0], 0)
         num_b = numeric_gradient(f, [w0, b0], 1)
@@ -120,8 +120,8 @@ class TestLoss:
         params = {"w": np.ones_like(x), "b": np.full_like(x, b)}
         with np.errstate(divide="ignore"):
             loss, co, _, _ = _objective(
-                tiny_model, x, params, tiny_model.scores(x[None])[0],
-                ScoreConstants(2, 0), GaxConfig(use_bias=True))
+                tiny_model, x, tiny_model.scores(x[None])[0],
+                ScoreConstants(2, 0), GaxConfig(use_bias=True))(params)
         assert loss == np.inf and np.isfinite(co)
 
 
@@ -140,9 +140,9 @@ class TestScoresAsAx:
             x = rng.uniform(0.0, 1.0, size=(3, 8, 8))
             fx = model.scores(x[None])[0]
             params = {"w": rng.uniform(0.5, 1.5, size=x.shape)}
-            _, co, h, _ = _objective(model, x, params, fx,
+            _, co, h, _ = _objective(model, x, fx,
                                      ScoreConstants(classes, truth),
-                                     GaxConfig())
+                                     GaxConfig())(params)
             heat = Heatmap(h, "gax", truth)
             assert co == co_score(model, x, [heat], truth, ["sum"],
                                   fx=fx)[0, 0], k

@@ -241,9 +241,9 @@ def test_gax_gradient_equals_the_reference(shape, use_bias):
     if use_bias:
         gax["b"] = rng.uniform(-0.1, 0.1, size=shape)
     for truth in range(classes):
-        loss, co, _, gradient = _objective(model, x, gax, fx,
+        loss, co, _, gradient = _objective(model, x, fx,
                                            ScoreConstants(classes, truth),
-                                           cfg)
+                                           cfg)(gax)
         want_loss, want_co, want = reference_gax_objective(
             model.params, x, gax, fx, truth, cfg.similarity_factor)
         assert (loss, co) == (want_loss, want_co), truth

@@ -281,6 +281,13 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("gax three classes", "gax", "--model", "rgb3.gaxm", "--data",
              "rgb3", "--target-co", "5", "--first-n", "3",
              "--max-iterations", "100", "--out", "gax_three_classes"),
+        # the one-plane model: each snapshot renders a single <stem>.ppm
+        _cli("gax gray", "gax", "--model", "gray.gaxm", "--data", "gray",
+             "--target-co", "5", "--first-n", "2", "--max-iterations", "20",
+             "--out", "gax_gray"),
+        _cli("attribute gray", "attribute", "--model", "gray.gaxm", "--data",
+             "gray", "--index", "1", "--method", "input-x-gradient", "--out",
+             "attr/gray"),
     ]
     for i, method in enumerate(ATTRIBUTE_METHODS):
         stem = method.replace(":", "_")
@@ -375,6 +382,15 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "3", "--max-iterations", "200", "--out", "gax_nobias"),
         _cli("error scores header", "gap-stats", "--scores",
              "rgb/manifest.txt"),
+        # an output whose directory would have to be made under a file
+        _cli("error gax out under a file", "gax", "--model", "rgb.gaxm",
+             "--data", "rgb", "--max-iterations", "5", "--out",
+             "rgb.gaxm/run"),
+        _cli("error gen-data out under a file", "gen-data", "--out",
+             "rgb.gaxm/d"),
+        _cli("error gen-data out is a file", "gen-data", "--out", "rgb.gaxm"),
+        _cli("error attribute out under a file", "attribute", "--model",
+             "rgb.gaxm", "--data", "rgb", "--out", "rgb.gaxm/x"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
     return steps
