@@ -15,6 +15,7 @@ import numpy as np
 
 from gaxkit import (DatasetSpec, MiniConvNet, TrainConfig, ax_sweep, gap_stats,
                     make_blobs, train, write_histogram_csv, write_scores_csv)
+from gaxkit.ax import select_records
 from gaxkit.data import Split
 
 spec = DatasetSpec(class_count=2, train=400, val=120, test=250,
@@ -33,11 +34,9 @@ flipped = rng.choice(len(labels), size=15, replace=False)
 labels[flipped] = 1 - labels[flipped]
 noisy_split = Split(ds.test.pixels, labels, ds.test.ids)
 
-records, errors = ax_sweep(model, noisy_split,
-                           ["saliency", "input-x-gradient", "deeplift"],
-                           ["sum"])
-print(f"swept {len(records)} (sample, method, variant) combinations, "
-      f"{len(errors)} failures")
+records, _ = ax_sweep(model, noisy_split,
+                      ["saliency", "input-x-gradient", "deeplift"], ["sum"])
+print(f"swept {len(records)} (sample, method, variant) combinations")
 write_scores_csv(records, "gap_scores.csv")
 
 for method in ("saliency", "input-x-gradient", "deeplift"):
@@ -49,7 +48,6 @@ for method in ("saliency", "input-x-gradient", "deeplift"):
           f"median={stats.wrong.median:8.3f}")
     print(f"  separation={stats.separation:.3f}  auroc={stats.auroc:.3f}")
 
-saliency_records = [r for r in records
-                    if r.method == "saliency" and r.variant == "sum"]
-write_histogram_csv(saliency_records, "gap_histogram.csv", bins=40)
+write_histogram_csv(select_records(records, "saliency", "sum"),
+                    "gap_histogram.csv", bins=40)
 print("\nwrote gap_scores.csv and gap_histogram.csv")

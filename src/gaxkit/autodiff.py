@@ -15,17 +15,16 @@ Every sweep starts at the model's raw scores with a seed the caller gives:
 attribution's one-hot row, or a loss gradient that training or GAX computes
 in numpy.
 
-Rectifier nodes honor a backward *rule* so attribution methods can reroute
-gradients without touching the forward pass:
+Rectifier (``relu``) nodes honor a backward *rule* so attribution methods
+can reroute gradients without touching the forward pass; every other op
+uses its standard gradient.  A ``relu`` node keeps no mask: its vjp reads
+the gate from its input's forward array when it runs.  The rules:
 
 * ``standard``     - true gradients everywhere.
 * ``deconv-relu``  - rectifiers propagate ``relu(upstream)``, ignoring the
   sign of their forward input.
 * ``guided-relu``  - rectifiers propagate upstream masked by both
   forward-positive and upstream-positive.
-
-Only ``relu`` nodes are affected by the overrides; every other op always
-uses its standard gradient.
 
 :meth:`Tensor.backward` and :func:`rescale_multipliers` (DeepLIFT's rescale
 rule) share one reverse sweep.  Both take ``wrt``, the tensors whose ``grad``
@@ -176,14 +175,12 @@ def _topo(root: Tensor) -> list[Tensor]:
 # activations
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
     def vjp(g, rule):
         if rule == RULE_DECONV:
             return (np.maximum(g, 0.0),)
         if rule == RULE_GUIDED:
-            return (g * (mask & (g > 0)),)
-        return (g * mask,)
+            return (g * ((a.data > 0) & (g > 0)),)
+        return (g * (a.data > 0),)
 
     return Tensor(np.maximum(a.data, 0.0), (a,), "relu", vjp)
 

@@ -262,16 +262,15 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
 def heatmap_to_rgb(values: np.ndarray, abs_max: float) -> np.ndarray:
     """Diverging color map: positive red, negative blue, zero white.
 
-    ``values`` is one ``(H, W)`` plane or a ``(C, H, W)`` stack; the result
-    is its shape plus a last axis of 3, uint8, and each plane of a stack
-    renders as it would alone.  The ramp is scaled by ``abs_max``, so
-    values of that magnitude or beyond render as pure red/blue; a zero
-    ``abs_max`` renders all white.
+    ``values`` is a ``(C, H, W)`` stack; the result is its shape plus a
+    last axis of 3, uint8, and each plane renders as it would in a stack of
+    its own.  The ramp is scaled by ``abs_max``, so values of that magnitude
+    or beyond render as pure red/blue; a zero ``abs_max`` renders all white.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim not in (2, 3):
-        raise ValueError("heatmap_to_rgb: expected (H, W) or (C, H, W) "
-                         f"values, got shape {v.shape}")
+    if v.ndim != 3:
+        raise ValueError("heatmap_to_rgb: expected (C, H, W) values, got "
+                         f"shape {v.shape}")
     rgb = np.full(v.shape + (3,), 255, dtype=np.uint8)
     if abs_max == 0.0:
         return rgb
@@ -287,23 +286,20 @@ def heatmap_to_rgb(values: np.ndarray, abs_max: float) -> np.ndarray:
 
 
 def export_heatmap(heatmap, stem) -> dict[str, object]:
-    """Write a heatmap as raw tensor + per-channel PPMs + text sidecar.
+    """Write a (C, H, W) heatmap as raw tensor + per-channel PPMs + sidecar.
 
     ``stem`` is a path without extension; produces ``<stem>.gaxh``,
     ``<stem>.ch<i>.ppm`` (one per channel; a single ``<stem>.ppm`` for a
-    2D or one-channel map) and ``<stem>.txt``.  Returns the written paths.
+    one-channel map) and ``<stem>.txt``, and returns their paths.  Another
+    shape raises before a directory or file is made.
     """
+    values = np.asarray(heatmap.values, dtype=np.float64)
+    abs_max = float(np.abs(values).max())
+    planes = heatmap_to_rgb(values, abs_max)
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    values = np.asarray(heatmap.values, dtype=np.float64)
-    if values.ndim not in (2, 3):
-        raise ValueError(f"cannot render heatmap of shape {values.shape}")
     raw_path = stem.with_name(stem.name + ".gaxh")
     write_gaxh(raw_path, values)
-
-    abs_max = float(np.abs(values).max())
-    planes = heatmap_to_rgb(values[None] if values.ndim == 2 else values,
-                            abs_max)
     image_paths = []
     for i, rgb in enumerate(planes):
         suffix = ".ppm" if len(planes) == 1 else f".ch{i}.ppm"

@@ -44,8 +44,9 @@ class GaxConfig:
     snapshot_every: int = 10
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
         if not 0 <= self.similarity_factor < np.inf:
             raise ValueError("similarity_factor must be finite and >= 0, got "
                              f"{self.similarity_factor}")

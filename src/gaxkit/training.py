@@ -38,8 +38,9 @@ class TrainConfig:
                 f"{self.max_iterations} and {self.min_iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not np.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
         if self.target_val_accuracy != self.target_val_accuracy:   # NaN
             raise ValueError("target_val_accuracy must not be NaN")
 

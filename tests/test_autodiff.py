@@ -151,6 +151,13 @@ class TestBackwardRules:
         np.testing.assert_array_equal(grads[RULE_STANDARD], grads[RULE_DECONV])
         np.testing.assert_array_equal(grads[RULE_STANDARD], grads[RULE_GUIDED])
 
+    def test_relu_keeps_only_its_parent(self):
+        # the vjp reads the gate from its input's forward array, so the
+        # node stores no mask
+        x = Tensor([-1.0, 0.0, 2.0])
+        held = [cell.cell_contents for cell in ad.relu(x)._vjp.__closure__]
+        assert len(held) == 1 and held[0] is x
+
     def test_seed_shape_mismatch(self):
         x = Tensor([1.0, 2.0])
         with pytest.raises(ShapeError):

@@ -806,17 +806,18 @@ def test_train_nonfinite_loss_is_one_line(tiny_run, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lr", ["inf", "nan"])
+@pytest.mark.parametrize("lr", ["inf", "nan", "0", "-0.1"])
 @pytest.mark.parametrize("command", ["train", "gax"])
 def test_nonfinite_learning_rate_is_one_line(tiny_run, tmp_path, capsys,
                                              command, lr):
     data, model = tiny_run
-    argv = [command, "--data", str(data), "--lr", lr,
+    argv = [command, "--data", str(data), f"--lr={lr}",
             "--out", str(tmp_path / "o")]
     if command == "gax":
         argv += ["--model", str(model)]
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", "error: learning_rate must be finite\n")
+    assert capsys.readouterr() == (
+        "", f"error: learning_rate must be finite and > 0, got {float(lr)}\n")
     assert not list(tmp_path.iterdir())
 
 

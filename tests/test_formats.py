@@ -212,11 +212,12 @@ class TestCorruption:
 
 class TestHeatmapRendering:
     def test_zero_map_renders_white(self, tmp_path):
-        rgb = formats.heatmap_to_rgb(np.zeros((3, 3)), 0.0)
+        rgb = formats.heatmap_to_rgb(np.zeros((3, 3))[None], 0.0)
         assert (rgb == 255).all()
 
     def test_colormap_endpoints(self):
-        rgb = formats.heatmap_to_rgb(np.array([[1.0, -1.0, 0.0]]), 1.0)
+        rgb = formats.heatmap_to_rgb(np.array([[1.0, -1.0, 0.0]])[None],
+                                     1.0)[0]
         np.testing.assert_array_equal(rgb[0, 0], [255, 0, 0])    # pure red
         np.testing.assert_array_equal(rgb[0, 1], [0, 0, 255])    # pure blue
         np.testing.assert_array_equal(rgb[0, 2], [255, 255, 255])
@@ -237,7 +238,7 @@ class TestHeatmapRendering:
         np.testing.assert_array_equal(img[0, 0], [255, 0, 0])
 
     def test_export_zero_map(self, tmp_path):
-        h = Heatmap(np.zeros((2, 2)), "saliency", 0)
+        h = Heatmap(np.zeros((2, 2))[None], "saliency", 0)
         out = formats.export_heatmap(h, tmp_path / "zero")
         img = formats.read_pnm(out["images"][0])
         assert (img == 255).all()
@@ -269,19 +270,28 @@ class TestHeatmapRendering:
         want = np.stack([self._plane_reference(p, abs_max) for p in values])
         assert stack.tobytes() == want.tobytes()
         for plane, rgb in zip(values, stack):
-            assert formats.heatmap_to_rgb(plane, abs_max).tobytes() == \
-                rgb.tobytes()
+            assert formats.heatmap_to_rgb(plane[None], abs_max)[0].tobytes() \
+                == rgb.tobytes()
         if abs_max:
             np.testing.assert_array_equal(stack[0, 0, :6], [
                 [255, 0, 0], [0, 0, 255], [255, 0, 0], [0, 0, 255],
                 [255, 255, 255], [255, 255, 255]])
 
-    @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 3), (3, 3)])
     def test_other_ranks_name_the_accepted_shapes(self, shape):
         with pytest.raises(ValueError, match=re.escape(
-                "heatmap_to_rgb: expected (H, W) or (C, H, W) values, got "
+                "heatmap_to_rgb: expected (C, H, W) values, got "
                 f"shape {shape}")):
             formats.heatmap_to_rgb(np.zeros(shape), 1.0)
+
+    def test_export_of_a_plane_raises_and_makes_nothing(self, tmp_path):
+        # the shape is checked before the stem's missing parent is made
+        h = Heatmap(np.ones((2, 2)), "saliency", 0)
+        with pytest.raises(ValueError, match=re.escape(
+                "heatmap_to_rgb: expected (C, H, W) values, got "
+                "shape (2, 2)")):
+            formats.export_heatmap(h, tmp_path / "missing" / "plane")
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name,write", [

@@ -99,13 +99,13 @@ def test_toy_sweep_csv(tmp_path):
 
 
 @pytest.mark.parametrize("values,normalized,expected", [
-    ([[-0.0, 1e-10], [1e20, 3.0]], True,
+    ([[[-0.0, 1e-10], [1e20, 3.0]]], True,
      b"method=deeplift\ntarget_class=1\nnormalized=true\nabs_max=1e+20\n"
-     b"shape=2x2\n"),
+     b"shape=1x2x2\n"),
     (np.zeros((3, 2, 2)), False,
      b"method=deeplift\ntarget_class=1\nnormalized=false\nabs_max=0\n"
      b"shape=3x2x2\n"),
-], ids=["2d", "3d-zero"])
+], ids=["1-plane", "3d-zero"])
 def test_heatmap_sidecar(tmp_path, values, normalized, expected):
     heat = Heatmap(np.asarray(values), "deeplift", 1, normalized=normalized)
     paths = export_heatmap(heat, tmp_path / "h")

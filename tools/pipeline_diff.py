@@ -61,10 +61,8 @@ GRADCAM_FIRST_METHODS = ("layer-gradcam:conv2,layer-gradcam,saliency,"
 # matrix in place at the first and copies it at the second, and a change in
 # how a conv layer adds its bias shows in the activations.  It also writes
 # the float images of ``make_blobs``' test split and of both training
-# batches, so a change in how pixels become floats shows.  ``images`` reads
-# them where a split holds uint8 pixels (``Split.images``) and where it
-# holds float64 images (``Split.x``), so trees on either side of that change
-# compare.  The GAX runs' snapshots land under probe/gax.
+# batches, so a change in how pixels become floats shows.  The GAX runs'
+# snapshots land under probe/gax.
 PROBE = """
 from pathlib import Path
 
@@ -82,23 +80,17 @@ def dump(name, values):
     (out / name).write_bytes(np.asarray(values, dtype=np.float64).tobytes())
 
 
-def images(split, index):
-    if hasattr(split, "images"):
-        return split.images(index)
-    return split.x[index]
-
-
 model = MiniConvNet.load("rgb.gaxm")
 ds = load_dataset("rgb")
-dump("images_blobs_test", images(make_blobs(DatasetSpec(
+dump("images_blobs_test", make_blobs(DatasetSpec(
     class_count=3, train=0, val=0, test=12, image_shape=(3, 16, 16),
-    seed=9)).test, slice(None)))
-dump("scores_train_chunk", model.scores(images(ds.train, slice(32))))
+    seed=9)).test.images(slice(None)))
+dump("scores_train_chunk", model.scores(ds.train.images(slice(32))))
 dump("scores_train_chunk_gray", MiniConvNet.load("gray.gaxm").scores(
-    images(load_dataset("gray", ["train"]).train, slice(32))))
+    load_dataset("gray", ["train"]).train.images(slice(32))))
 for method in (*METHODS, "layer-gradcam:conv2"):
     dump("attribute_" + method.replace(":", "_"),
-         [attribute(model, model.forward_graph(images(ds.test, i)[None]),
+         [attribute(model, model.forward_graph(ds.test.images(i)[None]),
                     i % 2, method).values for i in range(4)])
 records, _ = ax_sweep(model, ds.test, METHODS)
 dump("co_scores", [r.co_score for r in records])
@@ -108,7 +100,7 @@ records, _ = ax_sweep(MiniConvNet.load("gray.gaxm"), load_dataset("gray").test,
                       METHODS)
 dump("co_scores_gray", [r.co_score for r in records])
 correct = [i for i in range(len(ds.test))
-           if predict(model, images(ds.test, i))[0] == ds.test.y[i]]
+           if predict(model, ds.test.images(i))[0] == ds.test.y[i]]
 gax_runs = [(i, "", GaxConfig(target_co=5.0, max_iterations=30))
             for i in correct[:2]]
 # with the bias the gradient also flows to b; a zero factor is where a
@@ -118,7 +110,7 @@ gax_runs += [(correct[0], "_bias", GaxConfig(target_co=5.0, max_iterations=30,
              (correct[1], "_nosim", GaxConfig(target_co=5.0, max_iterations=30,
                                               similarity_factor=0.0))]
 for i, tag, cfg in gax_runs:
-    x = images(ds.test, i)
+    x = ds.test.images(i)
     trace, heat = gax_run(model, x, ds.test.y[i], cfg,
                           fx=predict(model, x)[1],
                           sample_id=f"{ds.test.ids[i]}{tag}",
@@ -128,7 +120,7 @@ for i, tag, cfg in gax_runs:
 model3 = MiniConvNet.load("rgb3.gaxm")
 test3 = load_dataset("rgb3", ["test"]).test
 for i in range(len(test3)):
-    x = images(test3, i)
+    x = test3.images(i)
     pred, fx = predict(model3, x)
     if pred == test3.y[i]:
         trace, heat = gax_run(model3, x, pred, GaxConfig(target_co=5.0,
@@ -140,7 +132,7 @@ for i in range(len(test3)):
         break
 for batch, tag in ((32, ""), (3, "_batch3")):
     idx = np.random.default_rng(0).integers(0, len(ds.train), batch)
-    inputs = images(ds.train, idx)
+    inputs = ds.train.images(idx)
     dump(f"images{tag}_train_batch", inputs)
     fp = model.forward_graph(inputs)
     # seeded with d mean cross-entropy / d scores, as training seeds it
@@ -211,6 +203,34 @@ def rename_test_image(copy, name):
 rename_test_image("bad_id", "...ppm")
 rename_test_image("id_manifest", "manifest.csv.ppm")
 rename_test_image("id_trace", "test_00001.trace.csv.ppm")
+"""
+
+
+# inputs that reach the CLI's rarely taken branches: raw_odd, a copy of the
+# gray test split with an all-zero image (sorted first, so its map is all
+# +-0 and normalizes as a zero map), a subdirectory in a class folder, a
+# truncated image (skipped with a warning) and an image whose PNM header
+# holds a comment; blank.csv, the scores CSV with an empty line; and
+# one.csv, its header and one record (a histogram of equal scores)
+ODD_INPUTS = """
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+from gaxkit.formats import write_pgm
+
+shutil.copytree("gray/test", "raw_odd")
+write_pgm("raw_odd/class_0/000_black.pgm", np.zeros((12, 12), np.uint8))
+Path("raw_odd/class_0/notes").mkdir()
+image = sorted(Path("raw_odd/class_1").glob("*.pgm"))[0]
+Path("raw_odd/class_1/broken.pgm").write_bytes(image.read_bytes()[:20])
+raw = image.read_bytes()
+image.write_bytes(raw.replace(b"P5\\n", b"P5\\n# comment\\n", 1))
+lines = Path("scores.csv").read_text().splitlines()
+Path("one.csv").write_text("\\n".join(lines[:2]) + "\\n")
+lines.insert(3, "")
+Path("blank.csv").write_text("\\n".join(lines) + "\\n")
 """
 
 
@@ -349,6 +369,11 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--data", "rgb/test", "--out", "bad.csv"),
         _cli("error raw split", "ax-sweep", "--model", "rgb.gaxm", "--data",
              "gray/test", "--split", "train", "--out", "bad.csv"),
+        _cli("error zero lr", "train", "--data", "rgb", "--out", "lr0.gaxm",
+             "--lr", "0", "--max-iterations", "20"),
+        _cli("error negative lr gax", "gax", "--model", "rgb.gaxm", "--data",
+             "rgb", "--lr=-0.1", "--first-n", "1", "--max-iterations", "20",
+             "--out", "gax_negative_lr"),
         _cli("error snapshot every", "gax", "--model", "rgb.gaxm", "--data",
              "rgb", "--snapshot-every", "0", "--out", "gax_bad"),
         _cli("error shape count", "gen-data", "--out", "bad", "--shape",
@@ -393,6 +418,27 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "rgb.gaxm", "--data", "rgb", "--out", "rgb.gaxm/x"),
     ]
     steps += [(f"demo {name}", ("{demos}/" + name,)) for name in DEMOS]
+    # the skip warning names data.py's line, which an edit above it moves
+    quiet = ("-W", "ignore::UserWarning", *CLI)
+    steps += [
+        # demo 03 flips labels, so both groups are present
+        _cli("gap-stats demo 03 scores", "gap-stats", "--scores",
+             "gap_scores.csv", "--method", "saliency", "--variant", "sum",
+             "--hist", "gap_hist.csv", "--out", "gap_stats.txt"),
+        ("write odd inputs", ("-c", ODD_INPUTS)),
+        ("ax-sweep odd raw inputs", (*quiet, "ax-sweep", "--model",
+                                     "gray.gaxm", "--data", "raw_odd",
+                                     "--methods", "saliency,input-x-gradient",
+                                     "--out", "odd.csv")),
+        ("attribute an all-zero image", (*quiet, "attribute", "--model",
+                                         "gray.gaxm", "--data", "raw_odd",
+                                         "--index", "0", "--method",
+                                         "input-x-gradient", "--out",
+                                         "attr/zero")),
+        _cli("gap-stats blank line", "gap-stats", "--scores", "blank.csv"),
+        _cli("gap-stats one record", "gap-stats", "--scores", "one.csv",
+             "--hist", "one_hist.csv"),
+    ]
     return steps
 
 
