@@ -75,11 +75,6 @@ class Dataset:
     seed: int
 
 
-def _empty_split(shape) -> Split:
-    return Split(np.zeros((0, *shape), dtype=np.uint8),
-                 np.zeros(0, dtype=np.int64), [])
-
-
 def _quantize(x: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(x, 0.0, 1.0) * 255.0).astype(np.uint8)
 
@@ -100,9 +95,6 @@ def make_blobs(spec: DatasetSpec, *, blob_amplitude: float = 0.75,
     splits = {}
     for split_name, count in (("train", spec.train), ("val", spec.val),
                               ("test", spec.test)):
-        if count == 0:
-            splits[split_name] = _empty_split(spec.image_shape)
-            continue
         labels = rng.permutation(np.arange(count) % spec.class_count)
         pixels = np.empty((count, c, h, w), dtype=np.uint8)
         for i, label in enumerate(labels):
@@ -156,20 +148,19 @@ def write_dataset(ds: Dataset, out_dir) -> Path:
 def load_dataset(root, splits=SPLITS) -> Dataset:
     """Load a dataset previously written by :func:`write_dataset`.
 
-    The whole manifest is parsed and checked (header, fields, labels and
-    sample ids), but images are read only for the splits named in
-    ``splits``; every other split of the result is ``None``.
+    The whole manifest is parsed and checked in one pass (header, fields
+    and sample ids, each at its line; labels after the pass), but images
+    are read only for the splits named in ``splits``; every other split of
+    the result is ``None``.
     """
     root = Path(root)
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.txt under {root}")
     header: dict[str, str] = {}
-    # split -> (label, image path, manifest line number) per sample
-    samples: dict[str, list[tuple[int, str, int]]] = {s: [] for s in SPLITS}
-    label_lines: list[tuple[int, str]] = []
-    lines = read_lines(manifest)
-    for lineno, line in enumerate(lines, 1):
+    # split -> sample id -> (label, image path, manifest line number)
+    samples = {s: {} for s in SPLITS}
+    for lineno, line in enumerate(read_lines(manifest), 1):
         if not line.strip():
             continue
         where = f"{manifest} line {lineno}"
@@ -185,8 +176,15 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
             if not label.isdecimal():
                 raise ValueError(f"{where}: label {label!r} is not a "
                                  "class index")
-            samples[split_name].append((int(label), rel, lineno))
-            label_lines.append((int(label), where))
+            # the id is the file name's stem: no image is read to check it
+            path = root / rel
+            sid = _sample_id(path.stem, path)
+            entries = samples[split_name]
+            if sid in entries:
+                raise ValueError(
+                    f"{where}: sample id {sid!r} is already the id of line "
+                    f"{entries[sid][2]} in split {split_name!r}")
+            entries[sid] = (int(label), rel, lineno)
         else:
             key, sep, value = line.partition("=")
             if not sep:
@@ -215,24 +213,15 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
     for key in ("image_shape", "class_count"):
         if key not in header:
             raise ValueError(f"{manifest}: no {key}= line")
-    # a class_count= line may follow the sample lines
-    for label, where in label_lines:
-        if label >= header["class_count"]:
-            raise ValueError(f"{where}: label {label} is out of range for "
-                             f"class_count {header['class_count']}")
-    # sample ids come from file names, so no image is read to check them
-    ids: dict[str, list[str]] = {}
-    for name, entries in samples.items():
-        lines_of = {}           # sample id -> manifest line that gave it
-        for _, rel, lineno in entries:
-            path = root / rel
-            sid = _sample_id(path.stem, path)
-            if sid in lines_of:
-                raise ValueError(
-                    f"{manifest} line {lineno}: sample id {sid!r} is already "
-                    f"the id of line {lines_of[sid]} in split {name!r}")
-            lines_of[sid] = lineno
-        ids[name] = list(lines_of)
+    # a class_count= line may follow the sample lines; the first line whose
+    # label is out of range is reported
+    out_of_range = [(lineno, label) for entries in samples.values()
+                    for label, _, lineno in entries.values()
+                    if label >= header["class_count"]]
+    if out_of_range:
+        lineno, label = min(out_of_range)
+        raise ValueError(f"{manifest} line {lineno}: label {label} is out of "
+                         f"range for class_count {header['class_count']}")
     shape = header["image_shape"]
     c, h, w = shape
 
@@ -240,11 +229,9 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
         if name not in splits:
             return None
         entries = samples[name]
-        if not entries:
-            return _empty_split(shape)
         pixels = np.empty((len(entries), c, h, w), dtype=np.uint8)
         y = np.empty(len(entries), dtype=np.int64)
-        for i, (label, rel, _) in enumerate(entries):
+        for i, (label, rel, _) in enumerate(entries.values()):
             path = root / rel
             img = read_pnm(path)
             arr = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
@@ -254,7 +241,7 @@ def load_dataset(root, splits=SPLITS) -> Dataset:
                     f"{manifest} gives image_shape {c}x{h}x{w}")
             pixels[i] = arr
             y[i] = label
-        return Split(pixels, y, ids[name])
+        return Split(pixels, y, list(entries))
 
     return Dataset(load_split("train"), load_split("val"), load_split("test"),
                    header["class_count"], shape, header.get("seed", 0))
@@ -322,9 +309,7 @@ def ingest_images(directory, image_shape: tuple[int, int, int]) -> Split:
                 raise ValueError(f"{f}: {depth} channels, expected {c}")
             img = nearest_resize(img, out_h, out_w)
             chans = img[None] if img.ndim == 2 else np.moveaxis(img, 2, 0)
-            if depth != c:
-                chans = np.repeat(chans, c, axis=0)
-            images.append(chans)
+            images.append(np.repeat(chans, c // depth, axis=0))
             labels.append(label)
             loaded += 1
         if loaded == 0:

@@ -37,13 +37,9 @@ class Adam:
                 raise ShapeError(
                     f"adam: gradient shape {g.shape} != parameter shape "
                     f"{p.shape} for {name!r}")
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p, dtype=np.float64)
-                v = np.zeros_like(p, dtype=np.float64)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
+            # the moments start at 0
+            m = self.beta1 * self._m.get(name, 0.0) + (1.0 - self.beta1) * g
+            v = BETA2 * self._v.get(name, 0.0) + (1.0 - BETA2) * g * g
             self._m[name] = m
             self._v[name] = v
             m_hat = m / (1.0 - self.beta1 ** t)

@@ -114,6 +114,18 @@ class TestBlobs:
         counts = np.bincount(ds.train.y, minlength=4)
         np.testing.assert_array_equal(counts, [10, 10, 10, 10])
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_an_empty_split_draws_nothing(self, seed):
+        # so a split after an empty one is the split it would be first
+        late = make_blobs(DatasetSpec(train=0, val=0, test=5, seed=seed))
+        first = make_blobs(DatasetSpec(train=5, val=0, test=0, seed=seed))
+        assert late.test.pixels.tobytes() == first.train.pixels.tobytes()
+        assert late.test.y.tobytes() == first.train.y.tobytes()
+        for split in (late.train, late.val, first.val, first.test):
+            assert split.pixels.shape == (0, 3, 32, 32)
+            assert split.pixels.dtype == np.uint8
+            assert split.y.dtype == np.int64 and split.ids == []
+
 
 class TestDiskRoundTrip:
     def test_gen_data_byte_identical_across_runs(self, tmp_path):
@@ -207,6 +219,15 @@ class TestDiskRoundTrip:
         assert len(loaded.train) == 0
         assert (tmp_path / "train" / "class_0").is_dir()
         assert (tmp_path / "test" / "class_1").is_dir()
+
+    def test_an_empty_split_loads_as_a_zero_size_split(self, tmp_path):
+        gen_data(DatasetSpec(train=2, val=0, test=1, image_shape=(1, 4, 5),
+                             seed=0), tmp_path)
+        val = load_dataset(tmp_path).val
+        assert val.pixels.shape == (0, 1, 4, 5)
+        assert val.pixels.dtype == np.uint8
+        assert val.y.shape == (0,) and val.y.dtype == np.int64
+        assert val.ids == []
 
 
 class TestManifestErrors:
@@ -342,6 +363,22 @@ class TestManifestErrors:
         # checked from the manifest alone, also when test is not read
         with pytest.raises(ValueError, match="is already the id of line"):
             load_dataset(tmp_path, splits=("train",))
+
+    def test_an_id_fault_is_reported_at_its_line(self, tmp_path):
+        # the manifest is read in one pass: a repeated id stops it before a
+        # later line is read
+        gen_data(DatasetSpec(train=2, val=0, test=0, image_shape=(1, 4, 4),
+                             seed=0), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines, 1)
+                     if line.startswith("sample,train,"))
+        lines += [lines[first - 1], "sed=7"]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(
+            f"{manifest} line {len(lines) - 1}: sample id ")
 
 
 class TestIngest:

@@ -210,8 +210,10 @@ rename_test_image("id_trace", "test_00001.trace.csv.ppm")
 # gray test split with an all-zero image (sorted first, so its map is all
 # +-0 and normalizes as a zero map), a subdirectory in a class folder, a
 # truncated image (skipped with a warning) and an image whose PNM header
-# holds a comment; blank.csv, the scores CSV with an empty line; and
-# one.csv, its header and one record (a histogram of equal scores)
+# holds a comment; blank.csv, the scores CSV with an empty line;
+# one.csv, its header and one record (a histogram of equal scores); and
+# gray_blank, a copy of gray whose manifest holds an empty line and a line
+# of only whitespace
 ODD_INPUTS = """
 import shutil
 from pathlib import Path
@@ -231,6 +233,11 @@ lines = Path("scores.csv").read_text().splitlines()
 Path("one.csv").write_text("\\n".join(lines[:2]) + "\\n")
 lines.insert(3, "")
 Path("blank.csv").write_text("\\n".join(lines) + "\\n")
+shutil.copytree("gray", "gray_blank")
+manifest = Path("gray_blank/manifest.txt")
+lines = manifest.read_text().splitlines()
+lines[3:3] = ["", " \\t "]
+manifest.write_text("\\n".join(lines) + "\\n")
 """
 
 
@@ -438,6 +445,36 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("gap-stats blank line", "gap-stats", "--scores", "blank.csv"),
         _cli("gap-stats one record", "gap-stats", "--scores", "one.csv",
              "--hist", "one_hist.csv"),
+        _cli("ax-sweep blank manifest lines", "ax-sweep", "--model",
+             "gray.gaxm", "--data", "gray_blank", "--methods", "saliency",
+             "--out", "gray_blank.csv"),
+        # splits with no samples: a set without a test split, and one with
+        # only a test split, whose empty train split stops train
+        _cli("gen-data no test split", "gen-data", "--out", "no_test",
+             "--train", "40", "--val", "10", "--test", "0", "--shape",
+             "3,16,16", "--seed", "3"),
+        _cli("gen-data test split only", "gen-data", "--out", "test_only",
+             "--train", "0", "--val", "0", "--test", "6", "--shape",
+             "3,16,16", "--seed", "4"),
+        _cli("train no test split", "train", "--data", "no_test", "--out",
+             "no_test.gaxm", "--max-iterations", "20"),
+        _cli("ax-sweep empty split", "ax-sweep", "--model", "no_test.gaxm",
+             "--data", "no_test", "--split", "test", "--out", "empty.csv"),
+        _cli("gax empty split", "gax", "--model", "no_test.gaxm", "--data",
+             "no_test", "--split", "test", "--max-iterations", "5", "--out",
+             "gax_empty"),
+        _cli("ax-sweep test split only", "ax-sweep", "--model",
+             "no_test.gaxm", "--data", "test_only", "--methods", "saliency",
+             "--out", "test_only.csv"),
+        _cli("error train on a test split only", "train", "--data",
+             "test_only", "--out", "test_only.gaxm", "--max-iterations", "5"),
+        # one step from its init, the model misclassifies half of rgb's
+        # test split, so the sweep skips samples between its runs
+        _cli("train one iteration", "train", "--data", "rgb", "--out",
+             "one_iteration.gaxm", "--max-iterations", "1"),
+        _cli("gax skips misclassified samples", "gax", "--model",
+             "one_iteration.gaxm", "--data", "rgb", "--first-n", "4",
+             "--max-iterations", "20", "--out", "gax_skip"),
     ]
     return steps
 
