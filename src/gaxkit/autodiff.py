@@ -45,9 +45,10 @@ Either way the ``grad`` holds the bytes of ``0.0 + pg`` and shares memory
 with no other ``grad`` and no forward array.  Each sweep so gives the bytes
 a fresh graph would, and never writes into the ``grad`` arrays an earlier
 sweep left, so a caller may keep those arrays (attribution records one
-sweep per rule and reads them again).  A ``max_pool2d`` node computes its routing masks in its
-first vjp and reuses them in every later sweep; they depend on the forward
-arrays alone.
+sweep per rule and reads them again).  A ``max_pool2d`` node computes, in
+its first vjp, one flat index per window into its input gradient's buffer,
+and every sweep scatters the gradient through it; the index depends on the
+forward arrays alone.
 """
 
 from __future__ import annotations
@@ -316,11 +317,17 @@ def max_pool2d(x: Tensor) -> Tensor:
         else:
             np.maximum(out, v, out=out)
 
-    hits = None     # each cell's routing mask, kept after the first vjp
+    routes = None   # one flat index into gx per window, built by the first vjp
 
     def vjp(g, rule):
-        nonlocal hits
-        if hits is None:
+        nonlocal routes
+        # zeros_like lays gx out densely in x's memory order, (C, N, H, W)
+        # for a batched relu output, so ravel("K") is a view of its buffer
+        gx = np.zeros_like(x.data)
+        flat = gx.ravel("K")
+        if routes is None:
+            if flat.base is not gx:
+                raise RuntimeError("max_pool2d: gx has no flat view")
             # each window's out is one of its cells, or NaN when one is a
             # NaN, so the fourth cell takes every window the others leave.
             # The first cell's hits are the first claimed; a later cell hits
@@ -339,11 +346,19 @@ def max_pool2d(x: Tensor) -> Tensor:
                     hit = np.greater(hit, claimed)
                     claimed = claimed | hit
                 masks.append(hit)
-            hits = masks + [~claimed]   # only once every mask is computed
-        g0 = g + 0.0
-        gx = np.zeros_like(x.data)
-        for cell, hit in zip(cells, hits):
-            gx[cell] = np.where(hit, g0, 0.0)
+            last = ~claimed
+            # a window's top-left cell in gx's element strides, one row down
+            # where cell 2 or 3 won and one column right where 1 or 3 did
+            sn, sc, sy, sx = (s // gx.itemsize for s in gx.strides)
+            n, c = x.shape[:2]
+            index = (np.arange(n)[:, None, None, None] * sn
+                     + np.arange(c)[:, None, None] * sc
+                     + np.arange(oh)[:, None] * (2 * sy)
+                     + np.arange(ow) * (2 * sx))
+            index += (masks[2] | last) * sy
+            index += (masks[1] | last) * sx
+            routes = index
+        flat[routes] = g + 0.0      # a routed -0.0 adds into a zero: 0.0
         return (gx,)
 
     return Tensor(out, (x,), "max-pool", vjp)

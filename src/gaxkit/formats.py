@@ -190,7 +190,10 @@ def _unpack_array(data: bytes, pos: int, path, label: str):
     shape = struct.unpack(f"<{rank}I", raw)
     raw, pos = _take(data, pos, 4 * math.prod(shape), path, f"{label} values")
     a = np.frombuffer(raw, dtype="<f4")
-    return a.reshape(shape).astype(np.float64), pos
+    # a signalling NaN becomes a quiet one; the caller judges non-finite
+    # values, so the cast raises no warning
+    with np.errstate(invalid="ignore"):
+        return a.reshape(shape).astype(np.float64), pos
 
 
 def _read_header(path, magic: bytes, kind: str) -> tuple[bytes, int]:
@@ -251,6 +254,8 @@ def read_gaxm(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise ValueError(f"{path}: entry {i} name {raw!r} is not "
                              "UTF-8") from None
+        if name in out:
+            raise ValueError(f"{path}: entry {name!r} is repeated")
         out[name], pos = _unpack_array(data, pos, path, repr(name))
     _check_end(data, pos, path)
     return out

@@ -95,6 +95,18 @@ class TestRawTensor:
         for k in named:
             np.testing.assert_array_equal(got[k], named[k].astype(np.float64))
 
+    def test_repeated_weight_entry_is_rejected(self, tmp_path):
+        # the file's entries plus a second 'b', whose bytes would win
+        p, extra = tmp_path / "w.gaxm", tmp_path / "extra.gaxm"
+        formats.write_gaxm(p, {"a": np.zeros(2), "b": np.zeros(3)})
+        formats.write_gaxm(extra, {"b": np.full(3, 0.5)})
+        raw = p.read_bytes()
+        p.write_bytes(raw[:6] + (3).to_bytes(4, "little") + raw[10:]
+                      + extra.read_bytes()[10:])
+        with pytest.raises(ValueError) as info:
+            formats.read_gaxm(p)
+        assert str(info.value) == f"{p}: entry 'b' is repeated"
+
     def test_weights_magic_and_version(self, tmp_path):
         p = tmp_path / "w.gaxm"
         formats.write_gaxm(p, {"a": np.zeros(1)})

@@ -93,6 +93,19 @@ class TestLoadChecks:
         assert str(info.value) == \
             f"{path}: entry 'fc.w' holds a non-finite value"
 
+    def test_signalling_nan_fails_without_a_warning(self, named):
+        # float32 bits 0x7f800001: the cast to float64 would warn, and the
+        # tests turn a RuntimeWarning into an error
+        path, _ = named
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"conv1.w") + len(b"conv1.w") + 4 + 4 * 4
+        raw[at: at + 4] = (0x7F800001).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            MiniConvNet.load(path)
+        assert str(info.value) == \
+            f"{path}: entry 'conv1.w' holds a non-finite value"
+
     def test_one_class_head(self, named):
         path, entries = named
         entries["fc.w"], entries["fc.b"] = entries["fc.w"][:1], \

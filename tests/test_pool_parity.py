@@ -113,7 +113,7 @@ def _signed_zero_g(rng, shape):
 
 @pytest.mark.parametrize("signed", [True, False])
 def test_repeat_sweeps_reuse_the_routing(signed):
-    # the first vjp computes the routing masks, later ones reuse them
+    # the first vjp turns the routing masks into routes, later ones reuse them
     x, draw = _mixed_case(np.random.default_rng(22))
     if not signed:
         x = np.abs(x)
@@ -161,3 +161,31 @@ def test_window_cases_on_first_and_repeat_sweeps(case, nan_elsewhere):
         (gx,) = t._vjp(g, RULE_STANDARD)
         assert t.data.tobytes() == want_out.tobytes()
         assert gx.tobytes() == want_gx.tobytes()
+
+
+def _channel_major(x):
+    """``x`` stored in (C, N, H, W) memory order, as a batched relu output
+    of a conv layer is."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("n", [2, 31])
+@pytest.mark.parametrize("c,h,w", [(8, 32, 32), (16, 15, 15), (3, 5, 7)])
+def test_channel_major_inputs_are_byte_equal(n, c, h, w):
+    x, g = _relu_case(np.random.default_rng(n * 10 + h), n, c, h, w)
+    x = _channel_major(x)
+    assert not x.flags.c_contiguous
+    assert_byte_equal(x, g)
+    (gx,) = ad.max_pool2d(Tensor(x))._vjp(g, RULE_STANDARD)
+    assert gx.strides == x.strides
+
+
+@pytest.mark.parametrize("order", [np.ascontiguousarray, _channel_major])
+def test_one_node_swept_three_times_gives_fresh_equal_gradients(order):
+    x, g = _relu_case(np.random.default_rng(50), 2, 3, 15, 15)
+    t = ad.max_pool2d(Tensor(order(x)))
+    grads = [t._vjp(g, RULE_STANDARD)[0] for _ in range(3)]
+    assert grads[0].tobytes() == reference_max_pool2d(x, g)[1].tobytes()
+    for i, gx in enumerate(grads[1:], 1):
+        assert gx.tobytes() == grads[0].tobytes()
+        assert not any(np.shares_memory(gx, grads[j]) for j in range(i))

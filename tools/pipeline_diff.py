@@ -475,6 +475,20 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
         _cli("gax skips misclassified samples", "gax", "--model",
              "one_iteration.gaxm", "--data", "rgb", "--first-n", "4",
              "--max-iterations", "20", "--out", "gax_skip"),
+        # an odd batch of 3x30x30 images: conv2's N*H*W, 31 * 15 * 15, is
+        # no multiple of 8, so its input gradient takes the transposed
+        # product, and pool2 routes an odd 15x15 extent of an input stored
+        # in (C, N, H, W) order
+        _cli("gen-data 30x30", "gen-data", "--out", "rgb30", "--train",
+             "62", "--val", "10", "--test", "8", "--shape", "3,30,30",
+             "--seed", "9"),
+        _cli("train 30x30 batch 31", "train", "--data", "rgb30", "--out",
+             "rgb30.gaxm", "--batch-size", "31", "--max-iterations", "20"),
+        _cli("ax-sweep 30x30", "ax-sweep", "--model", "rgb30.gaxm",
+             "--data", "rgb30", "--out", "rgb30.csv"),
+        _cli("gax 30x30", "gax", "--model", "rgb30.gaxm", "--data", "rgb30",
+             "--first-n", "2", "--max-iterations", "20", "--out",
+             "gax_rgb30"),
     ]
     return steps
 
