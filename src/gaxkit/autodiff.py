@@ -48,7 +48,10 @@ sweep left, so a caller may keep those arrays (attribution records one
 sweep per rule and reads them again).  A ``max_pool2d`` node computes, in
 its first vjp, one flat index per window into its input gradient's buffer,
 and every sweep scatters the gradient through it; the index depends on the
-forward arrays alone.
+forward arrays alone.  A ``conv2d`` node sums its input gradient over whole
+planes of one flat buffer, one add per kernel shift, after zeroing the
+window cells that fall in the padding (see ``_col2im``); the result is a
+view of that buffer in (C, N, H, W) memory order.
 """
 
 from __future__ import annotations
@@ -279,22 +282,54 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
             # Above the cutoff kmat.T @ gmat differs from the einsum when
             # N*H*W is not a multiple of 8, and the transposed product
             # matches it (355 and 0 of 1920 cases: h = 4..19, N = 1..40,
-            # convs 1->8, 3->8, 8->16).  Only there: the scatter then reads
-            # dcols strided, 1.8 ms slower for conv2 at N=32.
+            # convs 1->8, 3->8, 8->16).  Only there: _col2im then reads
+            # dcols strided, 1.3 ms slower for conv2 at N=32 (1.7 ms
+            # against 0.4).
             if small or gmat.shape[1] % 8 == 0:
                 dmat = kmat.T @ gmat
             else:
                 dmat = (gmat.T @ kmat).T
-            dcols = dmat.reshape(cin, kh, kw, n, h, w)
-            gxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
-            gxt = gxp.transpose(1, 0, 2, 3)
-            for i in range(kh):
-                for j in range(kw):
-                    gxt[:, :, i: i + h, j: j + w] += dcols[:, i, j]
-            gx = gxp[:, :, pad: pad + h, pad: pad + w]
+            gx = _col2im(dmat.reshape(cin, kh, kw, n, h, w))
         return (gx, gk, gb)
 
     return Tensor(out, (x, k, b), "conv2d", vjp)
+
+
+def _col2im(dcols: np.ndarray) -> np.ndarray:
+    """Sum window gradients (C, K, K, N, H, W), which conv2d gathered at
+    padding K // 2, back onto their (N, C, H, W) input; dcols is the
+    caller's own and is overwritten.
+
+    The gradient's (C, N, H, W) planes lie back to back in one flat buffer
+    with a margin of pad * W + pad at each end, so the shift (i, j) is one
+    (C, N*H*W) add at flat offset (i - pad) * W + (j - pad).  A cell whose
+    target lies in the padding is zeroed first; it then lands on a
+    neighbouring row or plane or in a margin and adds +0.0 there.  Every
+    real cell reaches its element in the same order as a loop of strided
+    adds onto a padded buffer, and a sum that starts at +0.0 never holds
+    -0.0, so the +0.0 terms change no bit: tests/test_conv_parity.py pins
+    this against that loop on signed zeros, NaN and infinities.
+    """
+    cin, k, _, n, h, w = dcols.shape
+    pad = k // 2
+    for t in range(k):
+        if t != pad:
+            # the first pad - t rows or columns for t < pad, the last
+            # t - pad for t > pad
+            cut = np.s_[:pad - t] if t < pad else np.s_[pad - t:]
+            dcols[:, t, :, :, cut] = 0.0
+            dcols[:, :, t, :, :, cut] = 0.0
+    size = n * h * w * cin
+    margin = pad * w + pad
+    buf = np.zeros(size + 2 * margin)
+    shifts = dcols.reshape(cin, k * k, -1)
+    for s in range(k * k):
+        i, j = divmod(s, k)     # i outer, j inner
+        start = margin + (i - pad) * w + j - pad
+        planes = buf[start: start + size].reshape(cin, -1)
+        planes += shifts[:, s]
+    gx = buf[margin: margin + size].reshape(cin, n, h, w)
+    return gx.transpose(1, 0, 2, 3)
 
 
 def max_pool2d(x: Tensor) -> Tensor:

@@ -3,15 +3,19 @@ their parity tests and the whole-model reference.
 
 ``reference_conv2d`` is the formulation conv2d used before it called the
 matrix products directly: np.pad, an (N, C, kh, kw, oh, ow) window array of
-its own, then three ``np.einsum(optimize=True)`` contractions over it.
+its own, then three ``np.einsum(optimize=True)`` contractions over it.  Its
+input gradient sums the window gradients back with ``reference_col2im``,
+the loop of nine strided adds onto a padded buffer that conv2d ran before
+it summed whole planes.
 
 ``reference_max_pool2d`` is the formulation max_pool2d used before it took
 strided maxima: stack every 2x2 window into an (N, C, oh, ow, 4) array,
 take the argmax (the first maximum in scan order, or the first NaN), and
 scatter the upstream gradient to it with ``np.add.at``.
 
-Neither imports the engine.  Without an upstream gradient ``g`` each
-returns its output and ``None`` for every gradient.
+None of them imports the engine.  Without an upstream gradient ``g``
+``reference_conv2d`` and ``reference_max_pool2d`` return their output and
+``None`` for every gradient.
 """
 
 import numpy as np
@@ -32,12 +36,18 @@ def reference_conv2d(x, k, g=None, pad=0):
         return out, None, None
     gk = np.einsum("ncijhw,nohw->ocij", cols, g, optimize=True)
     dcols = np.einsum("ocij,nohw->ncijhw", k, g, optimize=True)
-    gxp = np.zeros_like(xp)
+    return out, reference_col2im(dcols, pad), gk
+
+
+def reference_col2im(dcols, pad):
+    """The input gradient of (N, C, kh, kw, oh, ow) window gradients: one
+    strided add per shift onto a zero-padded buffer, i outer and j inner."""
+    n, c, kh, kw, oh, ow = dcols.shape
+    gxp = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
     for i in range(kh):
         for j in range(kw):
             gxp[:, :, i: i + oh, j: j + ow] += dcols[:, :, i, j]
-    gx = gxp[:, :, pad: pad + h, pad: pad + w] if pad else gxp
-    return out, gx, gk
+    return gxp[:, :, pad: gxp.shape[2] - pad, pad: gxp.shape[3] - pad]
 
 
 def reference_max_pool2d(x, g=None):

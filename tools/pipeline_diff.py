@@ -490,6 +490,24 @@ def pipeline() -> list[tuple[str, tuple[str, ...]]]:
              "--first-n", "2", "--max-iterations", "20", "--out",
              "gax_rgb30"),
     ]
+    # planes at the edge of conv2d's input-gradient sum: at 1x4x4 conv2
+    # runs on 2x2 planes, smaller than its kernel, so a shift that lands in
+    # the padding wraps across rows and samples; 3x5x7 is odd and not
+    # square, so pool1 drops a row and a column
+    for shape, tag in (("1,4,4", "1x4x4"), ("3,5,7", "3x5x7")):
+        steps += [
+            _cli(f"gen-data {tag}", "gen-data", "--out", f"d{tag}",
+                 "--train", "42", "--val", "7", "--test", "8", "--shape",
+                 shape, "--seed", "11"),
+            _cli(f"train {tag} batch 7", "train", "--data", f"d{tag}",
+                 "--out", f"d{tag}.gaxm", "--batch-size", "7",
+                 "--max-iterations", "80"),
+            _cli(f"ax-sweep {tag}", "ax-sweep", "--model", f"d{tag}.gaxm",
+                 "--data", f"d{tag}", "--out", f"d{tag}.csv"),
+            _cli(f"gax {tag}", "gax", "--model", f"d{tag}.gaxm", "--data",
+                 f"d{tag}", "--first-n", "3", "--max-iterations", "20",
+                 "--out", f"gax_d{tag}"),
+        ]
     return steps
 
 
